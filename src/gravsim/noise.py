@@ -25,10 +25,9 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import DEFAULT_K_EFF
 from .errors import (
@@ -72,6 +71,10 @@ logger = logging.getLogger(__name__)
 #: Rabi rate.
 _COVER_LOW_FACTOR = 0.01  # times 2*pi/T
 _COVER_HIGH_FACTOR = 100.0  # times omega_r
+
+#: Largest omega grid a PSD integral may use; a band that needs more points
+#: is refused rather than integrated under-resolved.
+_MAX_GRID_POINTS = 4_000_001
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,17 @@ class VarianceResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _edges(
+    profile: SensitivityProfile, three_segment: bool = False
+) -> tuple[float, ...]:
+    """Segment edges of ``g_s``, from 0 to the end of its support."""
+    big_t = profile.big_t
+    if three_segment:
+        return 0.0, 0.5 * big_t, 1.5 * big_t, 2.0 * big_t
+    a = 0.5 * profile.tau_p
+    return 0.0, a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t, profile.span
+
+
 def sensitivity_g(
     t: np.ndarray | float,
     profile: SensitivityProfile,
@@ -247,19 +261,18 @@ def sensitivity_g(
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr)
     w = profile.omega_r
+    big_t = profile.big_t
     if three_segment:
-        big_t = profile.big_t
-        m1 = (t_arr > 0.0) & (t_arr < 0.5 * big_t)
-        m2 = (t_arr >= 0.5 * big_t) & (t_arr <= 1.5 * big_t)
-        m3 = (t_arr > 1.5 * big_t) & (t_arr < 2.0 * big_t)
+        _, b1, b2, end = _edges(profile, three_segment=True)
+        m1 = (t_arr > 0.0) & (t_arr < b1)
+        m2 = (t_arr >= b1) & (t_arr <= b2)
+        m3 = (t_arr > b2) & (t_arr < end)
         out[m1] = np.sin(w * t_arr[m1])
         out[m2] = 1.0
         out[m3] = np.sin(w * (t_arr[m3] - big_t))
         return out if np.ndim(t) else float(out)
     a = 0.5 * profile.tau_p
-    big_t = profile.big_t
-    span = profile.span
-    b1, b2, b3, b4 = a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t
+    _, b1, b2, b3, b4, span = _edges(profile)
     m1 = (t_arr >= 0.0) & (t_arr <= b1)
     m2 = (t_arr > b1) & (t_arr <= b2)
     m3 = (t_arr > b2) & (t_arr <= b3)
@@ -283,9 +296,8 @@ def _weight(t_arr: np.ndarray, profile: SensitivityProfile) -> np.ndarray:
     a = 0.5 * profile.tau_p
     big_t = profile.big_t
     w = profile.omega_r
-    span = profile.span
     out = np.zeros_like(t_arr)
-    b1, b2, b3, b4 = a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t
+    _, b1, b2, b3, b4, span = _edges(profile)
     m1 = (t_arr >= 0.0) & (t_arr <= b1)
     m2 = (t_arr > b1) & (t_arr <= b2)
     m3 = (t_arr > b2) & (t_arr <= b3)
@@ -341,31 +353,25 @@ def dc_phase_response(
     profile: SensitivityProfile,
     k_eff: float = DEFAULT_K_EFF,
     a0: float = 1.0,
-    points_per_segment: int = 2001,
 ) -> float:
     """Phase from a constant acceleration ``a0`` via the double integral.
 
-    Numerically integrates the (analytic) weight function segment by
-    segment with Simpson's rule; for ``tau_p << T`` the result approaches
-    the textbook ``k_eff a0 T^2``.
+    Sums the exact integrals of the closed-form weight function over its
+    five segments; for ``tau_p << T`` the result approaches the textbook
+    ``k_eff a0 T^2``.
     """
-    if points_per_segment < 3:
-        raise ValueError("points_per_segment must be >= 3")
-    n = points_per_segment + (1 - points_per_segment % 2)  # force odd
     a = 0.5 * profile.tau_p
     big_t = profile.big_t
-    edges = [
-        0.0,
-        a,
-        a + big_t,
-        3.0 * a + big_t,
-        3.0 * a + 2.0 * big_t,
-        profile.span,
-    ]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = np.linspace(lo, hi, n)
-        total += float(simpson(_weight(t, profile), x=t))
+    w = profile.omega_r
+    _, b1, b2, b3, b4, span = _edges(profile)
+    total = (
+        b1 / w - math.sin(w * b1) / w**2
+        + (b2 - b1) / w + 0.5 * (b2 - b1) ** 2
+        + (b3 - b2) * (1.0 / w + big_t)
+        + (math.cos(w * (b2 - big_t - a)) - math.cos(w * (b3 - big_t - a))) / w**2
+        + (b4 - b3) * (1.0 / w + big_t) - 0.5 * (b4 - b3) ** 2
+        + (span - b4) / w - math.sin(w * (span - b4)) / w**2
+    )
     return k_eff * a0 * total
 
 
@@ -374,87 +380,60 @@ def dc_phase_response(
 # ---------------------------------------------------------------------------
 
 
-def _oscillating_segments(
-    profile: SensitivityProfile, three_segment: bool
-) -> tuple[list[tuple[float, float, Callable[[np.ndarray], np.ndarray]]],
-           list[tuple[float, float, float]]]:
-    """Split g_s into oscillating (numeric) and constant (analytic) pieces."""
-    w = profile.omega_r
-    if three_segment:
-        big_t = profile.big_t
-        osc = [
-            (0.0, 0.5 * big_t, lambda t: np.sin(w * t)),
-            (1.5 * big_t, 2.0 * big_t, lambda t: np.sin(w * (t - big_t))),
-        ]
-        const = [(0.5 * big_t, 1.5 * big_t, 1.0)]
-        return osc, const
-    a = 0.5 * profile.tau_p
-    big_t = profile.big_t
-    span = profile.span
-    osc = [
-        (0.0, a, lambda t: -np.sin(w * t)),
-        (a + big_t, 3.0 * a + big_t, lambda t: -np.cos(w * (t - big_t - a))),
-        (3.0 * a + 2.0 * big_t, span, lambda t: np.sin(w * (span - t))),
-    ]
-    const = [(a, a + big_t, -1.0), (3.0 * a + big_t, 3.0 * a + 2.0 * big_t, 1.0)]
-    return osc, const
+def _exp_integral(kappa: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``integral_lo^hi e^{i kappa t} dt``, finite as ``kappa -> 0``."""
+    length = hi - lo
+    return (np.exp(0.5j * kappa * (lo + hi)) * length
+            * np.sinc(kappa * length / (2.0 * math.pi)))
 
 
 def transfer_function(
     omega: np.ndarray | float,
     profile: SensitivityProfile,
-    points_per_cycle: int = 16,
-    min_points: int = 33,
     three_segment: bool = False,
 ) -> np.ndarray | float:
-    """Magnitude of ``G(omega) = integral g_s(t) e^{-i omega t} dt``.
+    """Magnitude of ``G(omega) = integral g_s(t) e^{-i omega t} dt``, exact.
 
-    The constant (dark-interval) segments are integrated analytically; the
-    pulse segments are integrated with composite Simpson quadrature using at
-    least ``min_points`` nodes and at least ``points_per_cycle`` nodes per
-    oscillation of ``e^{-i omega t}`` across the segment (the resolution
-    parameters).
+    On each segment ``g_s = level + Im(p e^{i omega_r t})`` for a real
+    ``level`` and a complex ``p``, so the segment's share of ``G`` is a sum
+    of :func:`_exp_integral` terms at ``kappa = -omega`` and
+    ``+-omega_r - omega`` (Cheinet et al., IEEE Trans. Instrum. Meas. 57,
+    1141 (2008)).  The sinc form stays finite at ``omega = omega_r``.
 
     In the thin-pulse limit the magnitude approaches
     ``(4/omega) sin^2(omega T / 2)`` (see
     :func:`transfer_function_square_profile`).
     """
-    if points_per_cycle < 4 or min_points < 5:
-        raise ValueError("resolution parameters too coarse")
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0.0):
         raise ValueError("omega must be >= 0 for the one-sided transfer function")
-    osc, const = _oscillating_segments(profile, three_segment)
+    w = profile.omega_r
+    if three_segment:
+        e0, e1, e2, e3 = _edges(profile, three_segment=True)
+        # sin(w t), 1, sin(w (t - T))
+        segments = [
+            (e0, e1, 0.0, 1.0),
+            (e1, e2, 1.0, 0.0),
+            (e2, e3, 0.0, np.exp(-1j * w * profile.big_t)),
+        ]
+    else:
+        e0, e1, e2, e3, e4, e5 = _edges(profile)
+        centre = profile.big_t + 0.5 * profile.tau_p
+        # -sin(w t), -1, -cos(w (t - centre)), +1, sin(w (span - t))
+        segments = [
+            (e0, e1, 0.0, -1.0),
+            (e1, e2, -1.0, 0.0),
+            (e2, e3, 0.0, -1j * np.exp(-1j * w * centre)),
+            (e3, e4, 1.0, 0.0),
+            (e4, e5, 0.0, -np.exp(-1j * w * e5)),
+        ]
     result = np.zeros(omega_arr.shape, dtype=complex)
-
-    # Constant segments: exact primitive of e^{-i omega t}.
-    nonzero = omega_arr > 0.0
-    wnz = omega_arr[nonzero]
-    for lo, hi, level in const:
-        result[nonzero] += (
-            level * (np.exp(-1j * wnz * lo) - np.exp(-1j * wnz * hi)) / (1j * wnz)
-        )
-        result[~nonzero] += level * (hi - lo)
-
-    # Oscillating segments: Simpson nodes scaled with omega * length.
-    chunk = 4096
-    for start in range(0, omega_arr.size, chunk):
-        sel = slice(start, min(start + chunk, omega_arr.size))
-        w_chunk = omega_arr[sel]
-        w_max = float(w_chunk.max(initial=0.0))
-        for lo, hi, fn in osc:
-            cycles = w_max * (hi - lo) / (2.0 * math.pi)
-            n = max(min_points, int(math.ceil(cycles * points_per_cycle)) + 1)
-            if n % 2 == 0:
-                n += 1
-            t = np.linspace(lo, hi, n)
-            h = (hi - lo) / (n - 1)
-            weights = np.full(n, 2.0)
-            weights[1::2] = 4.0
-            weights[0] = weights[-1] = 1.0
-            weights *= h / 3.0
-            kernel = fn(t) * weights
-            result[sel] += np.exp(-1j * np.outer(w_chunk, t)) @ kernel
+    for lo, hi, level, p in segments:
+        if level:
+            result += level * _exp_integral(-omega_arr, lo, hi)
+        if p:
+            result += (p * _exp_integral(w - omega_arr, lo, hi)
+                       - np.conj(p) * _exp_integral(-w - omega_arr, lo, hi)) / 2j
     mags = np.abs(result)
     return mags if np.ndim(omega) else float(mags[0])
 
@@ -507,7 +486,12 @@ def _integration_grid(psd: Psd, finest_time_scale: float) -> np.ndarray:
         raise ValueError("PSD band is empty")
     d_omega = (2.0 * math.pi / finest_time_scale) / 32.0
     n = int(math.ceil((hi - lo) / d_omega)) + 1
-    n = min(max(n, 1001), 4_000_001)
+    if n > _MAX_GRID_POINTS:
+        raise ResolutionError(
+            f"resolving the PSD band [{lo:.3e}, {hi:.3e}] rad/s needs {n} grid "
+            f"points; at most {_MAX_GRID_POINTS} are allowed"
+        )
+    n = max(n, 1001)
     # Include the tabulated breakpoints so linear PSD features are exact.
     grid = np.union1d(np.linspace(lo, hi, n), psd.freqs)
     return grid
@@ -530,7 +514,8 @@ def phase_variance_from_psd(
     frequency ``2 pi / T`` through two decades above the Rabi rate; when it
     is set, the returned ``truncation_estimate`` bounds the unintegrated
     tails by extrapolating the edge PSD values flat over one decade on each
-    missing side.
+    missing side.  A band whose grid would need more than
+    ``_MAX_GRID_POINTS`` points raises :class:`ResolutionError`.
     """
     _check_coverage(s_phi, profile, allow_partial, "phase-noise PSD")
     grid = _integration_grid(s_phi, profile.span)
@@ -615,10 +600,10 @@ def allan_from_acceleration_psd(
 # ---------------------------------------------------------------------------
 
 
-def _synthesize(
+def _spectrum(
     target: Psd, duration: float, dt: float, seed
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Common synthesis core: returns (samples, derivative_samples, dt)."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Common synthesis core: returns (rfft spectrum, its omega_k, n samples)."""
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("duration and dt must be positive")
     n = int(round(duration / dt))
@@ -650,11 +635,7 @@ def _synthesize(
     spectrum[1:] = 0.5 * n * amps * np.exp(1j * phases)
     if n % 2 == 0:
         spectrum[-1] = 0.0  # skip the Nyquist bin (cannot carry a phase)
-    samples = np.fft.irfft(spectrum, n)
-    d_spectrum = np.zeros_like(spectrum)
-    d_spectrum[1:] = 1j * omega_k * spectrum[1:]
-    derivative = np.fft.irfft(d_spectrum, n)
-    return samples, derivative, dt
+    return spectrum, omega_k, n
 
 
 def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSeries:
@@ -672,8 +653,8 @@ def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSerie
         If ``dt`` cannot represent the top tabulated frequency, or the
         duration covers fewer than 100 periods of the lowest one.
     """
-    samples, _, dt = _synthesize(target, duration, dt, seed)
-    return TimeSeries(samples=samples, dt=dt)
+    spectrum, _, n = _spectrum(target, duration, dt, seed)
+    return TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
 
 
 def synthesize_noise_with_derivative(
@@ -686,8 +667,11 @@ def synthesize_noise_with_derivative(
     a finite difference.  The first element is bit-identical to
     ``synthesize_noise(target, duration, dt, seed)``.
     """
-    samples, derivative, dt = _synthesize(target, duration, dt, seed)
-    return TimeSeries(samples=samples, dt=dt), TimeSeries(samples=derivative, dt=dt)
+    spectrum, omega_k, n = _spectrum(target, duration, dt, seed)
+    d_spectrum = np.zeros_like(spectrum)
+    d_spectrum[1:] = 1j * omega_k * spectrum[1:]
+    return (TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt),
+            TimeSeries(samples=np.fft.irfft(d_spectrum, n), dt=dt))
 
 
 # ---------------------------------------------------------------------------

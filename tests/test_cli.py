@@ -274,6 +274,19 @@ class TestPsdVariance:
         assert main(["psd-variance", "--config", cfg, "--out", str(tmp_path)]) == 5
         assert "coverage error" in capsys.readouterr().err
 
+    def test_unresolvable_band_refused_with_coverage_code(self, tmp_path, capsys):
+        # At the default T = 0.1 s, tau_p = 10 us a fully covering band runs
+        # to 100 omega_r = 3.1e7 rad/s: about 41M grid points at span/32.
+        wide = tmp_path / "wide.csv"
+        noise.write_psd_csv(
+            wide, noise.Psd(freqs=np.array([0.5, 4e7]), values=np.array([1e-12, 1e-12]))
+        )
+        cfg = write_config(tmp_path, f"[noise]\npsd_file = {wide}\n")
+        assert main(["psd-variance", "--config", cfg, "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert "coverage error" in err
+        assert "needs 40747741 grid points; at most 4000001" in err
+
     def test_missing_psd_key_is_config_error(self, tmp_path, capsys):
         assert main(["psd-variance", "--out", str(tmp_path)]) == 2
         assert "psd_file" in capsys.readouterr().err

@@ -15,12 +15,17 @@ Oracle strategy:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.signal import periodogram
 
+import gravsim
 from gravsim.errors import (
     CoverageError,
     DataFormatError,
@@ -240,9 +245,7 @@ class TestTransferFunction:
         t = np.linspace(0.0, profile.span, 2_000_001)
         gs = sensitivity_g(t, profile)
         brute = abs(np.trapezoid(gs * np.exp(-1j * omega * t), t))
-        got = transfer_function(
-            np.array([omega]), profile, points_per_cycle=32
-        )[0]
+        got = transfer_function(np.array([omega]), profile)[0]
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_three_segment_matches_dense_quadrature(self):
@@ -251,9 +254,7 @@ class TestTransferFunction:
         t = np.linspace(0.0, 2.0 * profile.big_t, 2_000_001)
         gs = sensitivity_g(t, profile, three_segment=True)
         brute = abs(np.trapezoid(gs * np.exp(-1j * omega * t), t))
-        got = transfer_function(
-            np.array([omega]), profile, points_per_cycle=32, three_segment=True
-        )[0]
+        got = transfer_function(np.array([omega]), profile, three_segment=True)[0]
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_thin_pulse_limit_matches_square_profile(self):
@@ -276,15 +277,53 @@ class TestTransferFunction:
         assert transfer_function(0.0, profile) == pytest.approx(0.0, abs=1e-12)
         assert transfer_function_square_profile(0.0, 0.05) == 0.0
 
-    def test_resolution_convergence(self):
-        # Far above the Rabi rate the segment integrals cancel strongly, so
-        # the relative error of the quadrature is amplified there; 1e-3 is
-        # the honest bound at omega = 50 * omega_r (measured 2.5e-4).
+    def test_matches_dense_trapezoid_across_band(self):
+        # From below the fringe scale to 50 omega_r, where the segment
+        # integrals cancel strongly, and at omega = omega_r (1 + {0, +-1e-9}),
+        # where a segment exponent vanishes: the sinc limit.  The trapezoid
+        # nodes fall on every segment edge (each a multiple of span/44), so
+        # its error is the smooth O(h^2) one: at most 2e-7 here.
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
-        omega = np.array([313.0, 2717.0, 31415.0])
-        coarse = transfer_function(omega, profile, points_per_cycle=16)
-        fine = transfer_function(omega, profile, points_per_cycle=64)
-        np.testing.assert_allclose(coarse, fine, rtol=1e-3, atol=1e-12)
+        resonance = profile.omega_r * np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+        omega = np.concatenate([[313.0, 2717.0, 31415.0], resonance])
+        got = transfer_function(omega, profile)
+        t = np.linspace(0.0, profile.span, 44 * 50_000 + 1)
+        gs = sensitivity_g(t, profile)
+        expected = np.array(
+            [abs(np.trapezoid(gs * np.exp(-1j * w * t), t)) for w in omega]
+        )
+        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0.0)
+
+    def test_three_segment_at_cli_defaults(self):
+        # Rabi oscillation of 2,500 cycles per ramp; the transfer grid is the
+        # CLI default (0.1 .. 4 cycles per T, 79 points).  Midpoint nodes
+        # never touch the segment edges, where this shape jumps.  At the
+        # exact fringe nulls |G| ~ 1e-17, so those rows get an absolute bound.
+        big_t = 0.1
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=1e-5)
+        omega = 2.0 * math.pi * np.linspace(0.1, 4.0, 79) / big_t
+        got = transfer_function(omega, profile, three_segment=True)
+        n = 200_000
+        h = 2.0 * big_t / n
+        t = h * (np.arange(n) + 0.5)
+        gs = sensitivity_g(t, profile, three_segment=True)
+        expected = np.array([abs(h * np.sum(gs * np.exp(-1j * w * t))) for w in omega])
+        np.testing.assert_allclose(
+            got, expected, rtol=1e-6, atol=1e-12 * expected.max()
+        )
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, gravsim.noise; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(gravsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_rejects_negative_frequency(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
@@ -428,7 +467,7 @@ class TestPhaseVarianceFromPsd:
             values=np.array([0.0, 2.0, 0.0]),
         )
         weight = 2.0 * delta  # triangle area
-        gain = transfer_function(omega0, self.profile, points_per_cycle=32)
+        gain = transfer_function(omega0, self.profile)
         expected = (omega0 * gain) ** 2 * weight
         result = phase_variance_from_psd(psd, self.profile, allow_partial=True)
         assert result.variance == pytest.approx(expected, rel=1e-3)
@@ -488,7 +527,7 @@ class TestAllanFromAccelerationPsd:
         )
         weight = 1e-6 * delta
         cycle = 0.25
-        gain = transfer_function(omega0, self.profile, points_per_cycle=32)
+        gain = transfer_function(omega0, self.profile)
         expected = (
             2.0
             * 1e6**2
