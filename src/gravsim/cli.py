@@ -90,7 +90,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "span_fringes": ("float", 2.0),
         "n_points": ("int", 50),
         "n_atoms": ("int", 0),
-        "workers": ("int", 1),
     },
     "noise": {
         "psd_file": ("str", ""),
@@ -343,7 +342,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         center = seq.k_eff * gravity
     n_points = int(cfg.get("scan", "n_points"))
     n_atoms = int(cfg.get("scan", "n_atoms"))
-    workers = int(cfg.get("scan", "workers"))
     seed = int(cfg.get("io", "seed"))
     try:
         betas = measurement.beta_grid(
@@ -362,7 +360,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         dphi_laser=seq.dphi_laser,
         n_atoms=n_atoms,
         seed=seed if n_atoms > 0 else None,
-        workers=workers,
     )
     estimate = measurement.estimate_g(
         scan, k_eff=seq.k_eff, big_t=seq.t_interrogation, dphi_laser=seq.dphi_laser
@@ -485,10 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("rabi", "single-pulse population dynamics, closed form vs ODE oracle")
     for name in ("fringe", "gsweep"):
-        p = add(name, "chirp-rate fringe scan and gravity estimate")
-        p.add_argument(
-            "--workers", type=int, help="override [scan] workers (thread count)"
-        )
+        add(name, "chirp-rate fringe scan and gravity estimate")
     add("allan", "Allan deviation of a time-series CSV")
     p = add("sensitivity", "sensitivity-function and transfer-function tables")
     p.add_argument(
@@ -507,8 +501,6 @@ def _run(args: argparse.Namespace) -> int:
         cfg.values["io"]["seed"] = int(args.seed)
     if args.out is not None:
         cfg.values["io"]["out_dir"] = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.values["scan"]["workers"] = int(args.workers)
     out_dir = Path(str(cfg.get("io", "out_dir")))
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "rabi":

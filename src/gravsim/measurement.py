@@ -17,11 +17,9 @@ order and of any parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import DEFAULT_K_EFF
 from .errors import AmbiguousFringeError, DataFormatError, FitFailureError
@@ -42,6 +40,8 @@ __all__ = [
 _MIN_SPAN_PERIODS = 1.5
 #: Minimum sampling density, in points per fringe period.
 _MIN_POINTS_PER_PERIOD = 8.0
+#: Fitted contrast, relative to the largest datum, below which it is zero.
+_CONTRAST_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,6 @@ def simulate_scan(
     dphi_laser: float = 0.0,
     n_atoms: int = 0,
     seed: int | None = None,
-    workers: int = 1,
 ) -> FringeScan:
     """Simulate one chirp scan, optionally with binomial shot noise.
 
@@ -168,10 +167,6 @@ def simulate_scan(
         Atoms per shot; 0 (default) returns a noiseless scan.
     seed : int, optional
         Master seed; required when ``n_atoms > 0``.
-    workers : int, optional
-        Thread count for the detection loop.  Results are identical for any
-        value because every point draws from its own ``(seed, index)``
-        stream.
     """
     betas = np.asarray(betas, dtype=float)
     probs = np.asarray(ideal_fringe(betas, k_eff, g_true, big_t, dphi_laser))
@@ -191,14 +186,9 @@ def simulate_scan(
     def detect_point(i: int) -> float:
         return detect(float(probs[i]), n_atoms, _point_rng(seed, i))
 
-    indices = range(len(betas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            measured = np.fromiter(
-                pool.map(detect_point, indices), dtype=float, count=len(betas)
-            )
-    else:
-        measured = np.fromiter(map(detect_point, indices), dtype=float, count=len(betas))
+    measured = np.fromiter(
+        map(detect_point, range(len(betas))), dtype=float, count=len(betas)
+    )
     return FringeScan(
         betas=betas, probabilities=probs, measured=measured, n_atoms=n_atoms, seed=seed
     )
@@ -209,59 +199,31 @@ def _fit_fringe(
 ) -> tuple[float, float, float, float, float]:
     """Fit y = A - B cos(x - psi0) and return (A, B, psi0, sse, sigma_psi0).
 
-    ``x`` is the scan phase (beta - beta_center) * T^2 in radians.  The
-    offset psi0 is seeded by a coarse grid with per-candidate linear least
-    squares, then polished by Levenberg-Marquardt with an analytic Jacobian.
+    ``x`` is the scan phase (beta - beta_center) * T^2 in radians.  The model
+    is linear in ``(A, C, S) = (A, -B cos psi0, -B sin psi0)`` on the design
+    ``[1, cos x, sin x]`` (the known-frequency three-parameter sine fit of
+    IEEE Std 1057), so one linear least-squares solve is the exact optimum.
+    ``psi0 = atan2(-S, -C)`` lies in [-pi, pi], the fringe nearest ``x = 0``.
+    ``sigma_psi0`` propagates ``sigma^2 (X^T X)^-1``, with
+    ``sigma^2 = sse / (n - 3)``, through the gradient of ``psi0``; this equals
+    the Gauss-Newton variance in the ``(A, B, psi0)`` parametrisation.
     """
-    n = x.size
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        a, b, psi0 = params
-        return a - b * np.cos(x - psi0) - y
-
-    def jacobian(params: np.ndarray) -> np.ndarray:
-        _, b, psi0 = params
-        cols = np.empty((n, 3))
-        cols[:, 0] = 1.0
-        cols[:, 1] = -np.cos(x - psi0)
-        cols[:, 2] = -b * np.sin(x - psi0)
-        return cols
-
-    # Coarse grid over one full period plus the scan span.
-    candidates = np.arange(x.min(), x.max() + 2.0 * math.pi, math.pi / 6.0)
-    best: tuple[float, np.ndarray] | None = None
-    ones = np.ones_like(x)
-    for psi0 in candidates:
-        design = np.column_stack([ones, -np.cos(x - psi0)])
-        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < 2:
-            continue
-        sse = float(np.sum((design @ coef - y) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, np.array([coef[0], coef[1], psi0]))
-    if best is None:
-        raise FitFailureError("fringe grid search found no usable candidate")
-
-    result = least_squares(
-        residuals, best[1], jac=jacobian, method="lm", xtol=1e-15, ftol=1e-15
-    )
-    if not result.success:
-        raise FitFailureError(f"fringe fit did not converge: {result.message}")
-    a, b, psi0 = result.x
-    if b < 0.0:  # enforce positive contrast; shift the fringe by half a period
-        b = -b
-        psi0 += math.pi
-    sse = float(np.sum(residuals(np.array([a, b, psi0])) ** 2))
-    dof = n - 3
-    jtj = jacobian(np.array([a, b, psi0]))
-    normal = jtj.T @ jtj
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise FitFailureError(f"singular normal matrix in fringe fit: {exc}") from exc
-    sigma2 = sse / dof if dof > 0 else 0.0
-    sigma_psi0 = math.sqrt(max(cov[2, 2] * sigma2, 0.0))
-    return float(a), float(b), float(psi0), sse, sigma_psi0
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 3:
+        raise FitFailureError(f"fringe design has rank {rank} < 3")
+    a, c, s = (float(v) for v in coef)
+    b = math.hypot(c, s)
+    # A contrast at the rounding level of the data leaves psi0 undefined.
+    if b <= _CONTRAST_FLOOR * float(np.max(np.abs(y))):
+        raise FitFailureError(f"fringe contrast {b:.3e} is zero to rounding")
+    psi0 = math.atan2(-s, -c)
+    residual = design @ coef - y
+    sse = float(residual @ residual)
+    grad = np.array([0.0, -s, c]) / (b * b)
+    cov = np.linalg.inv(design.T @ design)
+    sigma_psi0 = math.sqrt(sse / (x.size - 3) * float(grad @ cov @ grad))
+    return a, b, psi0, sse, sigma_psi0
 
 
 def estimate_g(
@@ -288,7 +250,7 @@ def estimate_g(
         If the scan spans fewer than 1.5 fringe periods or samples a period
         with fewer than 8 points.
     FitFailureError
-        If the fit does not converge or is singular.
+        If the fit design is rank-deficient or the fringe has no contrast.
     """
     betas = np.asarray(scan.betas, dtype=float)
     y = np.asarray(scan.measured, dtype=float)
@@ -308,9 +270,7 @@ def estimate_g(
     center = 0.5 * (float(betas.max()) + float(betas.min()))
     x = (betas - center) * big_t * big_t
     _, _, psi0, sse, sigma_psi0 = _fit_fringe(x, y)
-    # Fold to the fringe nearest the scan center.
-    psi_null = psi0 - 2.0 * math.pi * round(psi0 / (2.0 * math.pi))
-    beta_null = center + psi_null / (big_t * big_t)
+    beta_null = center + psi0 / (big_t * big_t)
     g_hat = (beta_null + dphi_laser / (big_t * big_t)) / k_eff
     sigma_g = sigma_psi0 / (big_t * big_t) / k_eff
     return GravityEstimate(

@@ -638,6 +638,13 @@ def _spectrum(
     return spectrum, omega_k, n
 
 
+def _rate_spectrum(spectrum: np.ndarray, omega_k: np.ndarray) -> np.ndarray:
+    """Spectrum of the time derivative: ``i omega_k`` times each bin."""
+    d_spectrum = np.zeros_like(spectrum)
+    d_spectrum[1:] = 1j * omega_k * spectrum[1:]
+    return d_spectrum
+
+
 def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSeries:
     """Random time series whose periodogram matches ``target`` in band.
 
@@ -668,10 +675,9 @@ def synthesize_noise_with_derivative(
     ``synthesize_noise(target, duration, dt, seed)``.
     """
     spectrum, omega_k, n = _spectrum(target, duration, dt, seed)
-    d_spectrum = np.zeros_like(spectrum)
-    d_spectrum[1:] = 1j * omega_k * spectrum[1:]
+    rate = np.fft.irfft(_rate_spectrum(spectrum, omega_k), n)
     return (TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt),
-            TimeSeries(samples=np.fft.irfft(d_spectrum, n), dt=dt))
+            TimeSeries(samples=rate, dt=dt))
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +695,11 @@ def monte_carlo_phase_variance(
 ) -> float:
     """Time-domain check of :func:`phase_variance_from_psd`.
 
-    Synthesizes an independent drive-phase record for every shot (stream
-    ``(seed, shot)``), accumulates ``delta_Phi = integral g_s dphi/dt dt``
-    with the trapezoid rule over the first sequence window, and returns the
-    mean-square phase.
+    Synthesizes the rate of an independent drive-phase record for every
+    shot (stream ``(seed, shot)``, the rate series of
+    :func:`synthesize_noise_with_derivative`), accumulates
+    ``delta_Phi = integral g_s dphi/dt dt`` with the trapezoid rule over the
+    first sequence window, and returns the mean-square phase.
 
     Each record is ``duration_factor`` times longer than the sequence span.
     This matters: a synthesized record is periodic over its duration, and
@@ -721,10 +728,9 @@ def monte_carlo_phase_variance(
     duration = duration_factor * profile.span
     phases = np.empty(n_shots)
     for shot in range(n_shots):
-        _, rate = synthesize_noise_with_derivative(
-            s_phi, duration, dt, [seed, shot]
-        )
-        phases[shot] = float(weights @ rate.samples[: n + 1])
+        spectrum, omega_k, n_record = _spectrum(s_phi, duration, dt, [seed, shot])
+        rate = np.fft.irfft(_rate_spectrum(spectrum, omega_k), n_record)
+        phases[shot] = float(weights @ rate[: n + 1])
     return float(np.mean(phases**2))
 
 

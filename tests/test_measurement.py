@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gravsim.errors import AmbiguousFringeError
+from gravsim.errors import AmbiguousFringeError, FitFailureError
 from gravsim.measurement import (
+    _fit_fringe,
     beta_grid,
     detect,
     estimate_g,
@@ -29,13 +30,10 @@ def make_scan(
     n_atoms=0,
     seed=None,
     center_offset=0.0,
-    workers=1,
 ):
     center = K_EFF * g_true - dphi_laser / (big_t * big_t) + center_offset
     betas = beta_grid(center, span_fringes, n_points, big_t)
-    return simulate_scan(
-        betas, K_EFF, g_true, big_t, dphi_laser, n_atoms, seed, workers
-    )
+    return simulate_scan(betas, K_EFF, g_true, big_t, dphi_laser, n_atoms, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +113,13 @@ def test_scan_reproducible_and_seed_sensitive():
     assert np.any(a.measured != c.measured)
 
 
-def test_scan_identical_for_any_worker_count():
-    serial = make_scan(n_atoms=500, seed=11, workers=1)
-    threaded = make_scan(n_atoms=500, seed=11, workers=4)
-    np.testing.assert_array_equal(serial.measured, threaded.measured)
+def test_scan_prefix_reproduces_leading_points():
+    # Every point draws from its own (seed, index) stream, so a scan of the
+    # first k chirp rates measures exactly the first k values of the full one.
+    full = make_scan(n_atoms=500, seed=11)
+    for k in (2, 17, 49):
+        head = simulate_scan(full.betas[:k], K_EFF, G_TRUE, 0.1, 0.0, 500, 11)
+        np.testing.assert_array_equal(head.measured, full.measured[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +201,73 @@ def test_dual_interrogation_time_disambiguation():
     # Identical interrogation times leave the pairing degenerate.
     with pytest.raises(AmbiguousFringeError):
         estimate_g_dual(scan_a, t_a, make_scan(big_t=t_a), t_a, K_EFF)
+
+
+# ---------------------------------------------------------------------------
+# Fringe fit against oracles independent of the fit
+# ---------------------------------------------------------------------------
+
+
+def fit_jacobian(x, b, psi0):
+    """Jacobian of A - B cos(x - psi0) in (A, B, psi0)."""
+    return np.column_stack(
+        [np.ones_like(x), -np.cos(x - psi0), -b * np.sin(x - psi0)]
+    )
+
+
+def scan_phase(scan, big_t=0.1):
+    center = 0.5 * (scan.betas.max() + scan.betas.min())
+    return (scan.betas - center) * big_t * big_t
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(50, 2.0, range(10)), (2_000, 20.0, range(2)), (20_000, 200.0, range(1))],
+    ids=["50pt", "2000pt", "20000pt"],
+)
+def noisy_scan_data(request):
+    """(x, y) pairs of noisy scans at 1000 atoms, one per seed."""
+    n_points, span_fringes, seeds = request.param
+    data = []
+    for seed in seeds:
+        scan = make_scan(
+            n_points=n_points, span_fringes=span_fringes, n_atoms=1_000, seed=seed
+        )
+        data.append((scan_phase(scan), scan.measured))
+    return data
+
+
+def test_fit_is_stationary_point_of_sse(noisy_scan_data):
+    # At the returned (A, B, psi0) the SSE gradient J^T r vanishes: each
+    # Jacobian column is orthogonal to the residual, to rounding.
+    for x, y in noisy_scan_data:
+        a, b, psi0, sse, _ = _fit_fringe(x, y)
+        residual = a - b * np.cos(x - psi0) - y
+        assert residual @ residual == pytest.approx(sse, rel=1e-12)
+        jac = fit_jacobian(x, b, psi0)
+        cosines = np.abs(jac.T @ residual) / (
+            np.linalg.norm(jac, axis=0) * np.linalg.norm(residual)
+        )
+        assert np.max(cosines) <= 1e-11
+
+
+def test_fit_sigma_is_gauss_newton_variance(noisy_scan_data):
+    for x, y in noisy_scan_data:
+        _, b, psi0, sse, sigma_psi0 = _fit_fringe(x, y)
+        jac = fit_jacobian(x, b, psi0)
+        cov = np.linalg.inv(jac.T @ jac) * sse / (x.size - 3)
+        assert sigma_psi0 == pytest.approx(math.sqrt(cov[2, 2]), rel=1e-9)
+
+
+def test_noiseless_wide_scan_recovers_g():
+    big_t = 0.1
+    scan = make_scan(big_t=big_t, span_fringes=200.0, n_points=20_000)
+    est = estimate_g(scan, K_EFF, big_t)
+    assert abs(est.g_hat - G_TRUE) / G_TRUE < 1e-9
+
+
+@pytest.mark.parametrize("level", [0.0, 0.5])
+def test_fit_without_contrast_fails(level):
+    x = scan_phase(make_scan())
+    with pytest.raises(FitFailureError):
+        _fit_fringe(x, np.full(x.size, level))

@@ -313,17 +313,18 @@ class TestTransferFunction:
         )
 
     def test_import_loads_no_scipy(self):
-        code = (
-            "import sys, gravsim.noise; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
         src = str(Path(gravsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        for module in ("gravsim.noise", "gravsim.cli"):
+            code = (
+                f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True,
+            )
+            assert out.stdout.strip() == "[]", module
 
     def test_rejects_negative_frequency(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
