@@ -600,10 +600,15 @@ def allan_from_acceleration_psd(
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(
-    target: Psd, duration: float, dt: float, seed
+def _bins(
+    target: Psd, duration: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Common synthesis core: returns (rfft spectrum, its omega_k, n samples)."""
+    """Deterministic synthesis grid: (bin amplitudes, their omega_k, n samples).
+
+    Bin ``k = 1 .. n // 2`` sits at ``omega_k = k d_omega`` with amplitude
+    ``sqrt(2 S(omega_k) d_omega)``; for even ``n`` the Nyquist amplitude is
+    zero, since that bin cannot carry a phase.
+    """
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("duration and dt must be positive")
     n = int(round(duration / dt))
@@ -629,20 +634,29 @@ def _spectrum(
     k = np.arange(1, n // 2 + 1)
     omega_k = k * d_omega
     amps = np.sqrt(2.0 * target.value_at(omega_k) * d_omega)
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=omega_k.size)
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1:] = 0.5 * n * amps * np.exp(1j * phases)
     if n % 2 == 0:
-        spectrum[-1] = 0.0  # skip the Nyquist bin (cannot carry a phase)
+        amps[-1] = 0.0
+    return amps, omega_k, n
+
+
+def _bin_phases(size: int, seed) -> np.ndarray:
+    """Random phase of every bin, drawn in full from ``default_rng(seed)``."""
+    return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=size)
+
+
+def _spectrum(
+    target: Psd, duration: float, dt: float, seed
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Common synthesis core: returns (rfft spectrum, its omega_k, n samples).
+
+    Only bins with power get a phasor; the others stay exactly zero.
+    """
+    amps, omega_k, n = _bins(target, duration, dt)
+    phases = _bin_phases(omega_k.size, seed)
+    live = np.flatnonzero(amps)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[1 + live] = 0.5 * n * amps[live] * np.exp(1j * phases[live])
     return spectrum, omega_k, n
-
-
-def _rate_spectrum(spectrum: np.ndarray, omega_k: np.ndarray) -> np.ndarray:
-    """Spectrum of the time derivative: ``i omega_k`` times each bin."""
-    d_spectrum = np.zeros_like(spectrum)
-    d_spectrum[1:] = 1j * omega_k * spectrum[1:]
-    return d_spectrum
 
 
 def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSeries:
@@ -675,9 +689,9 @@ def synthesize_noise_with_derivative(
     ``synthesize_noise(target, duration, dt, seed)``.
     """
     spectrum, omega_k, n = _spectrum(target, duration, dt, seed)
-    rate = np.fft.irfft(_rate_spectrum(spectrum, omega_k), n)
-    return (TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt),
-            TimeSeries(samples=rate, dt=dt))
+    series = TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
+    spectrum[1:] = 1j * omega_k * spectrum[1:]
+    return series, TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -693,22 +707,30 @@ def monte_carlo_phase_variance(
     oversample: int = 32,
     duration_factor: int = 16,
 ) -> float:
-    """Time-domain check of :func:`phase_variance_from_psd`.
+    """Monte-Carlo check of :func:`phase_variance_from_psd`, bin by bin.
 
-    Synthesizes the rate of an independent drive-phase record for every
-    shot (stream ``(seed, shot)``, the rate series of
-    :func:`synthesize_noise_with_derivative`), accumulates
-    ``delta_Phi = integral g_s dphi/dt dt`` with the trapezoid rule over the
-    first sequence window, and returns the mean-square phase.
+    Each shot is an independent drive-phase record: the random-phase
+    spectrum of :func:`synthesize_noise` from stream ``(seed, shot)``.  Its
+    phase is ``delta_Phi = integral g_s dphi/dt dt``, the trapezoid rule
+    over the first sequence window applied to the record's rate; the
+    function returns the mean-square phase over the shots.
 
-    Each record is ``duration_factor`` times longer than the sequence span.
-    This matters: a synthesized record is periodic over its duration, and
-    the sensitivity function is antiperiodic over half the span
-    (``g_s(t + span/2) = -g_s(t)``), so a record whose period equals the
-    span puts every even Fourier mode exactly on a null of the transfer
-    function and systematically underestimates the variance.  A long record
-    spaces the modes densely enough to sample the transfer-function
-    oscillations fairly.
+    No record is synthesized.  The trapezoid is linear in the spectrum, so
+    with ``W = conj(rfft(weights, N))`` (trapezoid weights zero-padded to
+    the record length N) a shot's phase is ``Re sum_k C_k e^{i theta_k}``,
+    ``C_k = i omega_k a_k W_k``, over the bins with nonzero amplitude
+    ``a_k``.  ``C`` is built once; each shot draws its phases ``theta``
+    and takes one dot product, equal to the time-domain trapezoid of the
+    inverse FFT up to rounding.
+
+    Each shot's record is ``duration_factor`` times longer than the
+    sequence span.  This matters: a record built on these bins is periodic
+    over its duration, and the sensitivity function is antiperiodic over
+    half the span (``g_s(t + span/2) = -g_s(t)``), so a record whose period
+    equals the span puts every even Fourier mode exactly on a null of the
+    transfer function and systematically underestimates the variance.  A
+    long record spaces the modes densely enough to sample the
+    transfer-function oscillations fairly.
     """
     if n_shots < 2:
         raise ValueError("n_shots must be >= 2")
@@ -725,12 +747,14 @@ def monte_carlo_phase_variance(
     trap = np.full(n + 1, dt)
     trap[0] = trap[-1] = 0.5 * dt
     weights = kernel * trap
-    duration = duration_factor * profile.span
+    amps, omega_k, n_record = _bins(s_phi, duration_factor * profile.span, dt)
+    live = np.flatnonzero(amps)
+    window = np.conj(np.fft.rfft(weights, n_record)[1 + live])
+    coeffs = 1j * omega_k[live] * amps[live] * window
     phases = np.empty(n_shots)
     for shot in range(n_shots):
-        spectrum, omega_k, n_record = _spectrum(s_phi, duration, dt, [seed, shot])
-        rate = np.fft.irfft(_rate_spectrum(spectrum, omega_k), n_record)
-        phases[shot] = float(weights @ rate[: n + 1])
+        theta = _bin_phases(omega_k.size, [seed, shot])[live]
+        phases[shot] = coeffs.real @ np.cos(theta) - coeffs.imag @ np.sin(theta)
     return float(np.mean(phases**2))
 
 

@@ -437,6 +437,30 @@ class TestSynthesizeNoise:
         err = np.sqrt(np.mean((fd - rate.samples) ** 2) / np.mean(rate.samples**2))
         assert err < 0.1
 
+    @pytest.mark.parametrize("duration", [25.0, 25.002])  # even and odd n
+    def test_matches_full_band_formula_bit_for_bit(self, duration):
+        # Every bin of the rfft spectrum written out, out-of-band bins
+        # included: modulus (n/2) sqrt(2 S(omega_k) d_omega), phase drawn
+        # from default_rng(seed) for all n // 2 bins, Nyquist bin zero.
+        dt, seed = 2e-3, 5
+        n = int(round(duration / dt))
+        d_omega = 2.0 * math.pi / (n * dt)
+        omega_k = np.arange(1, n // 2 + 1) * d_omega
+        amps = np.sqrt(2.0 * self.band.value_at(omega_k) * d_omega)
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, omega_k.size)
+        spectrum = np.zeros(n // 2 + 1, dtype=complex)
+        spectrum[1:] = 0.5 * n * amps * np.exp(1j * theta)
+        if n % 2 == 0:
+            spectrum[-1] = 0.0
+        rate_spectrum = np.zeros_like(spectrum)
+        rate_spectrum[1:] = 1j * omega_k * spectrum[1:]
+
+        series = synthesize_noise(self.band, duration, dt, seed)
+        assert series.samples.tobytes() == np.fft.irfft(spectrum, n).tobytes()
+        pair = synthesize_noise_with_derivative(self.band, duration, dt, seed)
+        assert pair[0].samples.tobytes() == series.samples.tobytes()
+        assert pair[1].samples.tobytes() == np.fft.irfft(rate_spectrum, n).tobytes()
+
     def test_undersampled_top_frequency_rejected(self):
         with pytest.raises(ResolutionError, match="Nyquist"):
             synthesize_noise(self.band, duration=25.0, dt=0.02, seed=5)
@@ -514,6 +538,103 @@ class TestPhaseVarianceFromPsd:
             duration_factor=8,
         )
         assert measured == pytest.approx(predicted, rel=0.25)
+
+
+def _time_domain_phase_variance(
+    psd, profile, n_shots, seed, oversample=32, duration_factor=16
+):
+    """Oracle: synthesize every shot's rate record and integrate it.
+
+    Per shot, the rate spectrum ``i omega_k X_k`` from stream
+    ``(seed, shot)`` goes through an inverse FFT, and the trapezoid rule
+    over the first sequence window weights the record by ``g_s``.  Returns
+    the mean-square phase and the record length.
+    """
+    dt = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 16.0)
+    n = int(round(profile.span / dt))
+    dt = profile.span / n
+    weights = sensitivity_g(dt * np.arange(n + 1), profile) * dt
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    n_record = int(round(duration_factor * profile.span / dt))
+    d_omega = 2.0 * math.pi / (n_record * dt)
+    omega_k = np.arange(1, n_record // 2 + 1) * d_omega
+    amps = np.sqrt(2.0 * psd.value_at(omega_k) * d_omega)
+    phases = []
+    for shot in range(n_shots):
+        rng = np.random.default_rng([seed, shot])
+        theta = rng.uniform(0.0, 2.0 * math.pi, omega_k.size)
+        rate_spectrum = np.zeros(n_record // 2 + 1, dtype=complex)
+        rate_spectrum[1:] = 1j * omega_k * 0.5 * n_record * amps * np.exp(1j * theta)
+        if n_record % 2 == 0:
+            rate_spectrum[-1] = 0.0
+        rate = np.fft.irfft(rate_spectrum, n_record)
+        phases.append(weights @ rate[: n + 1])
+    return float(np.mean(np.square(phases))), n_record
+
+
+class TestMonteCarloPhaseVariance:
+    """The bin-by-bin Monte Carlo against the time-domain loop it replaces."""
+
+    crit7 = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+    short = SensitivityProfile.from_tau_p(big_t=0.02, tau_p=5e-4)
+
+    @staticmethod
+    def _band(lo_hz, hi_hz):
+        return Psd(
+            freqs=2.0 * math.pi * np.array([lo_hz, hi_hz]),
+            values=np.array([1e-8, 1e-8]),
+        )
+
+    def _check(self, psd, profile, record_parity, **kwargs):
+        expected, n_record = _time_domain_phase_variance(psd, profile, **kwargs)
+        assert n_record % 2 == record_parity
+        measured = monte_carlo_phase_variance(psd, profile, **kwargs)
+        assert measured == pytest.approx(expected, rel=1e-12)
+        return measured
+
+    def test_criterion_7_band_even_record(self):
+        self._check(self._band(1e3, 1e4), self.crit7, 0, n_shots=6, seed=3)
+
+    def test_odd_record_length(self):
+        # span / dt = 3321 and a five-fold record give N = 16605.
+        self._check(self._band(1e3, 9e3), self.short, 1, n_shots=12, seed=4,
+                    oversample=9, duration_factor=5)
+
+    def test_interior_gap_splits_live_bins(self):
+        # Zero from 3.5 to 6 kHz: the powered bins form two separate runs.
+        psd = Psd(
+            freqs=2.0 * math.pi * np.array([1e3, 3e3, 3.5e3, 6e3, 6.5e3, 1e4]),
+            values=np.array([1e-8, 1e-8, 0.0, 0.0, 2e-8, 2e-8]),
+        )
+        assert psd.value_at(2.0 * math.pi * 4.5e3) == 0.0
+        self._check(psd, self.crit7, 0, n_shots=6, seed=8, oversample=16,
+                    duration_factor=8)
+
+    def test_zero_psd_gives_zero(self):
+        silent = Psd(freqs=self._band(1e3, 1e4).freqs, values=np.zeros(2))
+        assert self._check(silent, self.crit7, 0, n_shots=4, seed=1,
+                           oversample=16, duration_factor=4) == 0.0
+
+    def test_no_record_and_one_interpolation(self, monkeypatch):
+        # The spectrum is interpolated once per call, not once per shot,
+        # and no shot goes through an inverse FFT or a synthesizer.
+        def refuse(*args, **kwargs):
+            raise AssertionError("record synthesized")
+
+        for name in ("synthesize_noise", "synthesize_noise_with_derivative"):
+            monkeypatch.setattr(gravsim.noise, name, refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        calls = []
+        original = Psd.value_at
+        monkeypatch.setattr(
+            Psd, "value_at", lambda psd, omega: calls.append(1) or original(psd, omega)
+        )
+        monte_carlo_phase_variance(
+            self._band(1e3, 1e4), self.crit7, n_shots=5, seed=2, oversample=16,
+            duration_factor=4,
+        )
+        assert len(calls) == 1
 
 
 class TestAllanFromAccelerationPsd:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
 
 from gravsim.core import DEFAULT_K_EFF, HBAR, RB87_MASS
 from gravsim.errors import TimeOrderError
@@ -95,19 +94,6 @@ def test_action_additive_along_true_path():
         zmid, tmid, z2, t2, RB87_MASS, g
     )
     assert split == pytest.approx(total, rel=1e-12)
-
-
-def test_simpson_fourth_order_convergence_on_transcendental_integrand():
-    # The free-fall Lagrangian is quadratic in t, which Simpson integrates
-    # exactly; the composite rule's fourth-order convergence (error / 16 per
-    # step halving) is therefore demonstrated on sin(t) instead.
-    exact = 1.0 - math.cos(2.0)
-    errors = []
-    for n in (16, 32, 64):
-        t = np.linspace(0.0, 2.0, n + 1)
-        errors.append(abs(float(simpson(np.sin(t), x=t)) - exact))
-    assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.05)
-    assert errors[1] / errors[2] == pytest.approx(16.0, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
