@@ -21,7 +21,6 @@ from .core import (
     DEFAULT_K_EFF,
     HBAR,
     RB87_MASS,
-    PhysicalConstants,
     PulseParams,
     SequenceParams,
     ThreeLevelState,
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_G",
     "RB87_MASS",
     "DEFAULT_K_EFF",
-    "PhysicalConstants",
     "TwoLevelState",
     "ThreeLevelState",
     "PulseParams",

@@ -38,14 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import measurement, noise, twolevel
-from .core import (
-    DEFAULT_G,
-    DEFAULT_K_EFF,
-    HBAR,
-    RB87_MASS,
-    SequenceParams,
-    TwoLevelState,
-)
+from .core import DEFAULT_G, DEFAULT_K_EFF, SequenceParams, TwoLevelState
 from .errors import (
     AmbiguousFringeError,
     ConfigError,
@@ -65,9 +58,7 @@ ENV_CONFIG = "GRAVSIM_CONFIG"
 # value kinds: float | int | bool | str | autofloat ("auto" or a float)
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "constants": {
-        "hbar": ("float", HBAR),
         "gravity": ("float", DEFAULT_G),
-        "atom_mass": ("float", RB87_MASS),
     },
     "sequence": {
         "t_interrogation": ("float", 0.1),
@@ -121,7 +112,6 @@ class RunConfig:
     config file and command-line overrides."""
 
     values: dict[str, dict[str, object]]
-    source: str  # "defaults" or the config file path, for diagnostics
 
     def get(self, section: str, key: str) -> object:
         return self.values[section][key]
@@ -185,7 +175,6 @@ def load_config(path: str | None) -> RunConfig:
         section: {key: default for key, (_, default) in keys.items()}
         for section, keys in _SCHEMA.items()
     }
-    source = "defaults"
     if path is not None:
         config_path = Path(path)
         if not config_path.is_file():
@@ -212,14 +201,13 @@ def load_config(path: str | None) -> RunConfig:
                 values[section][key] = _parse_value(
                     kind, raw, f"{config_path}: [{section}] {key}"
                 )
-        source = str(config_path)
     for key in ("psd_file", "series_file"):
         file_ref = values["noise"][key]
         if file_ref and not Path(str(file_ref)).is_file():
             raise DataFormatError(
                 f"referenced {key} does not exist: {file_ref}"
             )
-    return RunConfig(values=values, source=source)
+    return RunConfig(values=values)
 
 
 def _sequence_params(cfg: RunConfig) -> SequenceParams:
@@ -246,21 +234,6 @@ def _profile(cfg: RunConfig) -> noise.SensitivityProfile:
         )
     except ValueError as exc:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
-
-
-def _write_table(
-    path: Path,
-    cfg: RunConfig,
-    command: str,
-    header: list[str],
-    columns: list[np.ndarray],
-) -> None:
-    with path.open("w", newline="\n") as fh:
-        for line in cfg.echo_lines(command):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{value:.15e}" for value in row) + "\n")
 
 
 def _write_summary(
@@ -322,10 +295,11 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
         final = twolevel.ode_oracle(ground, pulse, dt)
         oracle[i] = abs(final.c_b) ** 2
     discrepancy = float(np.max(np.abs(closed - oracle)))
-    _write_table(
-        out_dir / "rabi.csv", cfg, "rabi",
+    noise._write_csv(
+        out_dir / "rabi.csv",
         ["t", "p_excited_closed", "p_excited_oracle"],
         [times, closed, oracle],
+        cfg.echo_lines("rabi"),
     )
     _write_summary(
         out_dir / "rabi_summary.txt", cfg, "rabi",
@@ -364,10 +338,11 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     estimate = measurement.estimate_g(
         scan, k_eff=seq.k_eff, big_t=seq.t_interrogation, dphi_laser=seq.dphi_laser
     )
-    _write_table(
-        out_dir / "fringe.csv", cfg, "fringe",
+    noise._write_csv(
+        out_dir / "fringe.csv",
         ["beta", "p_excited"],
         [scan.betas, scan.probabilities],
+        cfg.echo_lines("fringe"),
     )
     _write_summary(
         out_dir / "fringe_summary.txt", cfg, "fringe",
@@ -419,9 +394,10 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
         raise ConfigError("[sensitivity] n_time_points must be >= 2")
     times = np.linspace(0.0, profile.span, n_time)
     gs = noise.sensitivity_g(times, profile, three_segment=three_segment_gs)
-    _write_table(
-        out_dir / "sensitivity_gs.csv", cfg, "sensitivity",
+    noise._write_csv(
+        out_dir / "sensitivity_gs.csv",
         ["t", "g_s"], [times, gs],
+        cfg.echo_lines("sensitivity"),
     )
     cycles_lo = cfg.get_float("sensitivity", "transfer_min_cycles")
     cycles_hi = cfg.get_float("sensitivity", "transfer_max_cycles")
@@ -434,9 +410,10 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
     mags = np.asarray(
         noise.transfer_function(omegas, profile, three_segment=three_segment_gs)
     )
-    _write_table(
-        out_dir / "sensitivity_transfer.csv", cfg, "sensitivity",
+    noise._write_csv(
+        out_dir / "sensitivity_transfer.csv",
         ["omega_rad_per_s", "transfer_mag"], [omegas, mags],
+        cfg.echo_lines("sensitivity"),
     )
     return 0
 

@@ -12,14 +12,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "HBAR",
     "DEFAULT_G",
     "RB87_MASS",
     "DEFAULT_K_EFF",
-    "PhysicalConstants",
     "TwoLevelState",
     "ThreeLevelState",
     "PulseParams",
@@ -41,29 +40,6 @@ DEFAULT_K_EFF = 1.610e7
 #: loose enough to accept fixed-step integrator output at the coarsest
 #: permitted step; physics tests assert much tighter norms where required.
 _NORM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of physical constants used by trajectory and phase routines.
-
-    Parameters
-    ----------
-    hbar : float
-        Reduced Planck constant [J*s].
-    default_g : float
-        Gravitational acceleration assumed when none is given [m/s^2].
-    atom_mass : float
-        Atomic mass [kg].
-    """
-
-    hbar: float = HBAR
-    default_g: float = DEFAULT_G
-    atom_mass: float = RB87_MASS
-
-    def __post_init__(self) -> None:
-        if self.hbar <= 0.0 or self.atom_mass <= 0.0:
-            raise ValueError("hbar and atom_mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,15 +179,12 @@ class SequenceParams:
         Laser phases (phi_1, phi_2, phi_3) of the three pulses [rad].
     k_eff : float
         Two-photon effective wavenumber [rad/m].
-    beta : float
-        Frequency chirp rate applied to cancel the gravity phase [rad/s^2].
     """
 
     t_interrogation: float
     tau_p: float
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
     k_eff: float = DEFAULT_K_EFF
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
         from .errors import InvalidSequenceError

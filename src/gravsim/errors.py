@@ -16,7 +16,6 @@ __all__ = [
     "TimeOrderError",
     "InvalidSequenceError",
     "EliminationError",
-    "TrajectoryError",
     "FitFailureError",
     "AmbiguousFringeError",
     "InsufficientDataError",
@@ -53,10 +52,6 @@ class InvalidSequenceError(GravsimError):
 
 class EliminationError(GravsimError):
     """Adiabatic elimination is invalid (zero detuning, complex shifts...)."""
-
-
-class TrajectoryError(GravsimError):
-    """Trajectory vertices or times are inconsistent."""
 
 
 class FitFailureError(GravsimError):

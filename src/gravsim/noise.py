@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -803,13 +803,44 @@ def monte_carlo_vibration_allan(
 # ---------------------------------------------------------------------------
 
 
-def _snap_taus(tau_avgs: Sequence[float], dt: float) -> list[int]:
-    """Snap requested averaging times down to integer sample multiples."""
-    sizes = []
+def _allan(
+    series: TimeSeries,
+    tau_avgs: Sequence[float],
+    estimate: Callable[[int], tuple[float, int] | str],
+    none_left: str,
+) -> AllanResult:
+    """Allan statistics for each requested averaging time, snapped down to
+    a whole number ``m`` of samples.
+
+    ``estimate(m)`` returns the Allan variance and the number of blocks (or
+    differences) behind it, or the reason ``m`` does not fit the series;
+    such times, and those below one sample, are omitted with a log record.
+    Duplicate snaps are reported once; ``none_left`` is the error text when
+    no time survives.
+    """
+    taus, adevs, counts = [], [], []
+    seen: set[int] = set()
     for tau in tau_avgs:
-        m = int(math.floor(tau / dt + 1e-9))
-        sizes.append(m)
-    return sizes
+        m = int(math.floor(tau / series.dt + 1e-9))
+        if m < 1:
+            logger.warning("omitting tau=%g s: shorter than one sample", tau)
+            continue
+        if m in seen:
+            continue
+        result = estimate(m)
+        if isinstance(result, str):
+            logger.warning("omitting tau=%g s: %s", tau, result)
+            continue
+        seen.add(m)
+        avar, count = result
+        taus.append(m * series.dt)
+        adevs.append(math.sqrt(avar))
+        counts.append(count)
+    if not taus:
+        raise InsufficientDataError(none_left)
+    return AllanResult(
+        tau_avgs=np.array(taus), adevs=np.array(adevs), n_blocks=np.array(counts)
+    )
 
 
 def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResult:
@@ -832,33 +863,18 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
         If no requested averaging time survives.
     """
     y = series.samples
-    taus, adevs, counts = [], [], []
-    seen: set[int] = set()
-    for tau, m in zip(tau_avgs, _snap_taus(tau_avgs, series.dt)):
-        if m < 1:
-            logger.warning("omitting tau=%g s: shorter than one sample", tau)
-            continue
-        if m in seen:
-            continue
+
+    def estimate(m: int) -> tuple[float, int] | str:
         n_blocks = y.size // m
         if n_blocks < 2:
-            logger.warning(
-                "omitting tau=%g s: only %d block(s) of %d samples", tau, n_blocks, m
-            )
-            continue
-        seen.add(m)
+            return f"only {n_blocks} block(s) of {m} samples"
         means = y[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
         diffs = np.diff(means)
-        avar = float(np.sum(diffs**2) / (2.0 * (n_blocks - 1)))
-        taus.append(m * series.dt)
-        adevs.append(math.sqrt(avar))
-        counts.append(n_blocks)
-    if not taus:
-        raise InsufficientDataError(
-            "no requested averaging time leaves at least two blocks"
-        )
-    return AllanResult(
-        tau_avgs=np.array(taus), adevs=np.array(adevs), n_blocks=np.array(counts)
+        return float(np.sum(diffs**2) / (2.0 * (n_blocks - 1))), n_blocks
+
+    return _allan(
+        series, tau_avgs, estimate,
+        "no requested averaging time leaves at least two blocks",
     )
 
 
@@ -878,33 +894,18 @@ def allan_deviation_overlapping(
     """
     y = series.samples
     csum = np.concatenate([[0.0], np.cumsum(y)])
-    taus, adevs, counts = [], [], []
-    seen: set[int] = set()
-    for tau, m in zip(tau_avgs, _snap_taus(tau_avgs, series.dt)):
-        if m < 1:
-            logger.warning("omitting tau=%g s: shorter than one sample", tau)
-            continue
-        if m in seen:
-            continue
+
+    def estimate(m: int) -> tuple[float, int] | str:
         n_terms = y.size - 2 * m + 1
         if n_terms < 1:
-            logger.warning(
-                "omitting tau=%g s: series too short for overlapping blocks", tau
-            )
-            continue
-        seen.add(m)
+            return "series too short for overlapping blocks"
         block = csum[m:] - csum[:-m]  # running sums of length m
         diffs = block[m:] - block[:-m]
-        avar = float(np.sum(diffs**2) / (2.0 * m * m * n_terms))
-        taus.append(m * series.dt)
-        adevs.append(math.sqrt(avar))
-        counts.append(n_terms)
-    if not taus:
-        raise InsufficientDataError(
-            "no requested averaging time fits the series even once"
-        )
-    return AllanResult(
-        tau_avgs=np.array(taus), adevs=np.array(adevs), n_blocks=np.array(counts)
+        return float(np.sum(diffs**2) / (2.0 * m * m * n_terms)), n_terms
+
+    return _allan(
+        series, tau_avgs, estimate,
+        "no requested averaging time fits the series even once",
     )
 
 
@@ -974,15 +975,19 @@ def _write_csv(
     columns: list[np.ndarray],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write CSV with LF endings, '.' decimals, and 15-significant-digit
-    floats; optional '#' comment lines first."""
+    """Write CSV with LF endings, '.' decimals, 15-significant-digit floats
+    and integer columns as plain integers; optional '#' comment lines first."""
+    formats = [
+        "{:d}" if np.issubdtype(np.asarray(column).dtype, np.integer) else "{:.15e}"
+        for column in columns
+    ]
     p = Path(path)
     with p.open("w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
-            fh.write(",".join(f"{value:.15e}" for value in row) + "\n")
+            fh.write(",".join(f.format(v) for f, v in zip(formats, row)) + "\n")
 
 
 def write_psd_csv(path: str | Path, psd: Psd, comments: Sequence[str] = ()) -> None:
@@ -1001,10 +1006,9 @@ def write_allan_csv(
     path: str | Path, result: AllanResult, comments: Sequence[str] = ()
 ) -> None:
     """Write Allan statistics in the ``tau,adev,n_blocks`` format."""
-    p = Path(path)
-    with p.open("w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("tau,adev,n_blocks\n")
-        for tau, adev, n in zip(result.tau_avgs, result.adevs, result.n_blocks):
-            fh.write(f"{tau:.15e},{adev:.15e},{int(n)}\n")
+    _write_csv(
+        path,
+        ["tau", "adev", "n_blocks"],
+        [result.tau_avgs, result.adevs, np.asarray(result.n_blocks, dtype=int)],
+        comments,
+    )

@@ -23,9 +23,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_K_EFF, HBAR, ThreeLevelState
+from .core import _NORM_TOL, DEFAULT_K_EFF, HBAR, ThreeLevelState
 from .errors import EliminationError, InvalidStateError, StepSizeError
-from .twolevel import mach_zehnder_probability, propagator_matrix
+from .twolevel import _ORACLE_RESOLUTION, mach_zehnder_probability, propagator_matrix
 
 __all__ = [
     "LaserPair",
@@ -44,9 +44,6 @@ __all__ = [
 
 #: Relative imaginary part above which light shifts are rejected as unusable.
 _AC_IMAG_TOL = 1e-9
-
-#: Minimum number of integrator steps per fastest period in the oracle.
-_ORACLE_RESOLUTION = 100.0
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ class EffectiveParams:
         (see :func:`raman_pulse`); a resonant pi pulse therefore lasts
         ``pi / (2 |omega_eff|)``.
     ac_g, ac_e : complex
-        Light shifts of the two ground states [rad/s]; real in the
-        ``standard`` convention.
+        Light shifts of the two ground states [rad/s]; :func:`raman_pulse`
+        accepts only (numerically) real values.
     delta_ac : complex
         Differential light shift ``ac_e - ac_g`` [rad/s].
     phi_eff : float
@@ -156,9 +153,9 @@ class RamanState:
 
     def __post_init__(self) -> None:
         norm = abs(self.c_g) ** 2 + abs(self.c_e) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
+        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
             raise InvalidStateError(
-                f"|c_g|^2 + |c_e|^2 = {norm!r}, expected 1 within 1e-6"
+                f"|c_g|^2 + |c_e|^2 = {norm!r}, expected 1 within {_NORM_TOL}"
             )
 
     @classmethod
@@ -255,9 +252,7 @@ def two_photon_detuning(
     )
 
 
-def effective_params(
-    lasers: LaserPair, big_delta: float, mode: str = "standard"
-) -> EffectiveParams:
+def effective_params(lasers: LaserPair, big_delta: float) -> EffectiveParams:
     """Adiabatic elimination of the intermediate level.
 
     For single-photon detunings both close to ``big_delta`` (and much larger
@@ -265,7 +260,8 @@ def effective_params(
     amplitudes and the dynamics reduces to a driven two-level problem with
 
     * two-photon Rabi rate  ``omega_eff = rabi_gi conj(rabi_ei) / (4 big_delta)``,
-    * light shifts ``ac_g``, ``ac_e`` of the two ground states,
+    * real light shifts ``ac_g = |rabi_gi|^2 / (4 big_delta)`` and
+      ``ac_e = |rabi_ei|^2 / (4 big_delta)`` of the two ground states,
     * differential shift ``delta_ac = ac_e - ac_g`` displacing the two-photon
       resonance,
     * effective drive phase ``phi_eff = phi2 - phi1``.
@@ -276,14 +272,6 @@ def effective_params(
         Beam parameters (couplings and phases).
     big_delta : float
         Common single-photon detuning [rad/s]; must be nonzero.
-    mode : {"standard", "cross-product"}
-        ``standard`` (default) uses the real light shifts
-        ``|rabi_gi|^2/(4 big_delta)`` and ``|rabi_ei|^2/(4 big_delta)``.
-        ``cross-product`` instead forms the cross products
-        ``rabi_gi conj(rabi_ei)/(4 big_delta)`` (for ``ac_e``) and
-        ``rabi_ei conj(rabi_gi)/(4 big_delta)`` (for ``ac_g``), which are
-        complex whenever the couplings' phases differ; such parameters are
-        rejected by :func:`raman_pulse`.
 
     Raises
     ------
@@ -293,14 +281,8 @@ def effective_params(
     if big_delta == 0.0:
         raise EliminationError("adiabatic elimination needs a nonzero detuning")
     omega_eff = lasers.rabi_gi * lasers.rabi_ei.conjugate() / (4.0 * big_delta)
-    if mode == "standard":
-        ac_g: complex = abs(lasers.rabi_gi) ** 2 / (4.0 * big_delta)
-        ac_e: complex = abs(lasers.rabi_ei) ** 2 / (4.0 * big_delta)
-    elif mode == "cross-product":
-        ac_e = lasers.rabi_gi * lasers.rabi_ei.conjugate() / (4.0 * big_delta)
-        ac_g = lasers.rabi_ei * lasers.rabi_gi.conjugate() / (4.0 * big_delta)
-    else:
-        raise ValueError(f"mode must be 'standard' or 'cross-product', got {mode!r}")
+    ac_g = abs(lasers.rabi_gi) ** 2 / (4.0 * big_delta)
+    ac_e = abs(lasers.rabi_ei) ** 2 / (4.0 * big_delta)
     return EffectiveParams(
         omega_eff=omega_eff,
         ac_g=ac_g,
@@ -311,11 +293,11 @@ def effective_params(
 
 
 def effective_params_from_detunings(
-    lasers: LaserPair, dets: RamanDetunings, mode: str = "standard"
+    lasers: LaserPair, dets: RamanDetunings
 ) -> EffectiveParams:
     """Eliminate using the mean single-photon detuning
     ``(delta1 + delta2)/2``."""
-    return effective_params(lasers, 0.5 * (dets.delta1 + dets.delta2), mode=mode)
+    return effective_params(lasers, 0.5 * (dets.delta1 + dets.delta2))
 
 
 def pi_pulse_duration(params: EffectiveParams) -> float:
@@ -332,8 +314,7 @@ def _real_shift(value: complex, name: str) -> float:
     if abs(value.imag) > _AC_IMAG_TOL * scale:
         raise EliminationError(
             f"{name} = {value!r} has a non-negligible imaginary part; "
-            "complex light shifts cannot drive unitary dynamics "
-            "(use mode='standard')"
+            "complex light shifts cannot drive unitary dynamics"
         )
     return value.real
 

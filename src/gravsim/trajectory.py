@@ -20,7 +20,6 @@ Phase contributions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -34,7 +34,6 @@ __all__ = [
     "propagator_matrix",
     "pulse_propagator",
     "evolve_pulse",
-    "evolve_free",
     "run_sequence",
     "mach_zehnder_probability",
     "ode_oracle",
@@ -289,19 +288,6 @@ def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
     return TwoLevelState(c_a=complex(c_a), c_b=complex(c_b))
 
 
-def evolve_free(state: TwoLevelState, duration: float) -> TwoLevelState:
-    """Free evolution between pulses.
-
-    In the interaction picture used throughout (phases e^{-iEt/hbar} absorbed
-    into the amplitudes' frame), free flight leaves the amplitudes unchanged;
-    the drive-phase bookkeeping during dark times is carried by each pulse's
-    ``start_time``.  The duration argument is accepted for call-site symmetry.
-    """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    return state
-
-
 def mach_zehnder_probability(delta: float, tau_p: float, dphi_laser: float) -> float:
     """Closed-form excited-state fraction of a pi/2 -- pi -- pi/2 sequence.
 
@@ -375,8 +361,10 @@ def run_sequence(
     """Excited-state fraction after a pi/2 -- pi -- pi/2 pulse sequence.
 
     The three pulses have durations tau_p/2, tau_p, tau_p/2 and phases
-    ``seq.phases``; free evolution between them is the identity on the
-    amplitudes (see :func:`evolve_free`).
+    ``seq.phases``.  Nothing is applied between pulses: in the interaction
+    picture free flight leaves the amplitudes unchanged, and the drive phase
+    accumulated over each dark time enters through the next pulse's
+    ``start_time``.
 
     Parameters
     ----------

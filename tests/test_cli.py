@@ -82,6 +82,9 @@ class TestRabi:
         text = (tmp_path / "rabi.csv").read_text()
         assert "# io.seed = 7\n" in text
         assert "# pulse.rabi_hz = 1.000000000000000e+05\n" in text
+        assert "# constants.gravity = 9.810000000000000e+00\n" in text
+        assert "constants.hbar" not in text
+        assert "constants.atom_mass" not in text
 
 
 class TestFringe:
@@ -280,12 +283,18 @@ class TestPsdVariance:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # "workers" is a retired key: old configs that set it are refused.
-        for key in ("froop", "workers"):
-            cfg = write_config(tmp_path, f"[scan]\n{key} = 3\n")
+        # "workers", "hbar" and "atom_mass" are retired keys: old configs
+        # that set them are refused.
+        for section, key, known in (
+            ("scan", "froop", "span_fringes"),
+            ("scan", "workers", "span_fringes"),
+            ("constants", "hbar", "gravity"),
+            ("constants", "atom_mass", "gravity"),
+        ):
+            cfg = write_config(tmp_path, f"[{section}]\n{key} = 3\n")
             assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
-            assert key in err and "span_fringes" in err
+            assert f"unknown key '{key}' in [{section}]" in err and known in err
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[telescope]\nmirrors = 2\n")

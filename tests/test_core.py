@@ -11,7 +11,6 @@ from gravsim.core import (
     DEFAULT_K_EFF,
     HBAR,
     RB87_MASS,
-    PhysicalConstants,
     PulseParams,
     SequenceParams,
     ThreeLevelState,
@@ -27,17 +26,6 @@ def test_constant_values():
     assert DEFAULT_G == 9.81
     assert RB87_MASS == 1.443e-25
     assert DEFAULT_K_EFF == 1.610e7
-
-
-def test_physical_constants_defaults_and_validation():
-    c = PhysicalConstants()
-    assert c.hbar == HBAR
-    assert c.default_g == DEFAULT_G
-    assert c.atom_mass == RB87_MASS
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(atom_mass=0.0)
 
 
 def test_two_level_state_builders():

@@ -798,7 +798,7 @@ class TestAllanDeviation:
         with caplog.at_level("WARNING", logger="gravsim.noise"):
             result = allan_deviation(series, [60.0, 4.0])
         assert result.tau_avgs.size == 1
-        assert "block" in caplog.text
+        assert "omitting tau=60 s: only 1 block(s) of 60 samples" in caplog.text
 
     def test_all_invalid_raises(self):
         series = TimeSeries(samples=np.arange(10.0), dt=1.0)
@@ -817,6 +817,29 @@ class TestAllanDeviationOverlapping:
         result = allan_deviation_overlapping(TimeSeries(samples=y, dt=1.0), [1.0])
         assert result.adevs[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert result.n_blocks[0] == 7
+
+    def test_duplicate_snaps_reported_once(self):
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        result = allan_deviation_overlapping(series, [1.0, 1.2, 2.0])
+        np.testing.assert_allclose(result.tau_avgs, [1.0, 2.0])
+        np.testing.assert_array_equal(result.n_blocks, [99, 97])
+
+    def test_sub_sample_tau_omitted_with_log(self, caplog):
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            result = allan_deviation_overlapping(series, [0.1, 4.0])
+        np.testing.assert_allclose(result.tau_avgs, [4.0])
+        assert "omitting tau=0.1 s: shorter than one sample" in caplog.text
+
+    def test_too_long_tau_omitted_with_log(self, caplog):
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            result = allan_deviation_overlapping(series, [60.0, 4.0])
+        np.testing.assert_allclose(result.tau_avgs, [4.0])
+        assert (
+            "omitting tau=60 s: series too short for overlapping blocks"
+            in caplog.text
+        )
 
     def test_white_noise_slope(self):
         rng = np.random.default_rng(42)
@@ -870,10 +893,21 @@ class TestCsvInterfaces:
             n_blocks=np.array([10, 5]),
         )
         path = tmp_path / "allan.csv"
-        write_allan_csv(path, result)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "tau,adev,n_blocks"
-        assert lines[1].endswith(",10")
+        expected = (
+            b"# fixture\n"
+            b"tau,adev,n_blocks\n"
+            b"1.000000000000000e+00,5.000000000000000e-01,10\n"
+            b"2.000000000000000e+00,2.500000000000000e-01,5\n"
+        )
+        write_allan_csv(path, result, comments=["fixture"])
+        assert path.read_bytes() == expected
+        # Counts held as floats are still written as plain integers.
+        write_allan_csv(
+            path,
+            AllanResult(result.tau_avgs, result.adevs, np.array([10.0, 5.0])),
+            comments=["fixture"],
+        )
+        assert path.read_bytes() == expected
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):

@@ -151,16 +151,21 @@ def test_effective_params_phases_and_differential_shift():
     assert params.delta_ac == pytest.approx(0.44 * expected_ac_g, rel=1e-12)
 
 
-def test_effective_params_cross_product_mode_complex_shifts():
-    lasers = make_lasers(rabi_gi=1e4, rabi_ei=1e4 * cmath.exp(0.7j))
-    params = effective_params(lasers, 2.0 * math.pi * 1e6, mode="cross-product")
-    # Cross-product "shifts" acquire the couplings' relative phase.
-    assert abs(complex(params.ac_e).imag) > 0.0
-    assert complex(params.ac_g) == pytest.approx(complex(params.ac_e).conjugate())
-    with pytest.raises(EliminationError):
-        raman_pulse(RamanState.from_ground(), params, 0.0, 0.0, 1e-3)
-    with pytest.raises(ValueError):
-        effective_params(lasers, 2.0 * math.pi * 1e6, mode="nonsense")
+def test_raman_pulse_rejects_complex_light_shifts():
+    # EffectiveParams is public, so complex shifts can reach raman_pulse
+    # directly; they cannot drive unitary dynamics.
+    real = effective_params(make_lasers(), 2.0 * math.pi * 1e6)
+    shift = 25.0 * cmath.exp(0.7j)
+    for ac_g, ac_e in ((shift, real.ac_e), (real.ac_g, shift)):
+        params = EffectiveParams(
+            omega_eff=real.omega_eff,
+            ac_g=ac_g,
+            ac_e=ac_e,
+            delta_ac=ac_e - ac_g,
+            phi_eff=real.phi_eff,
+        )
+        with pytest.raises(EliminationError, match="imaginary"):
+            raman_pulse(RamanState.from_ground(), params, 0.0, 0.0, 1e-3)
 
 
 def test_effective_params_zero_detuning_rejected():

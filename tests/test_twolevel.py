@@ -16,7 +16,6 @@ from gravsim.errors import (
 )
 from gravsim.twolevel import (
     eigensystem,
-    evolve_free,
     evolve_pulse,
     interaction_hamiltonian,
     mach_zehnder_probability,
@@ -254,14 +253,6 @@ def test_pulse_propagator_uses_pulse_record_fields():
     )
     expected = propagator_matrix(4e4, 0.2 - 0.5, 2e-4, 1.3e-5, -3e3)
     np.testing.assert_allclose(pulse_propagator(pulse), expected, rtol=1e-15)
-
-
-def test_evolve_free_is_identity_on_amplitudes():
-    s = TwoLevelState(c_a=0.6, c_b=0.8j)
-    out = evolve_free(s, 0.25)
-    assert out.c_a == s.c_a and out.c_b == s.c_b
-    with pytest.raises(ValueError):
-        evolve_free(s, -1.0)
 
 
 # ---------------------------------------------------------------------------
