@@ -9,9 +9,12 @@ and a detector averaging ``n_atoms`` projective measurements reports a
 binomial fraction.  Scanning ``beta`` and fitting the fringe yields the null
 chirp rate and hence ``g = beta_null / k_eff``.
 
-Determinism: each scan point owns an RNG stream derived from the pair
-``(seed, point index)``, so simulated data are independent of evaluation
-order and of any parallelism.
+Determinism: a noisy scan derives one Philox key from its seed,
+``SeedSequence(seed).generate_state(2, uint64)``, and point ``i`` draws from
+the Philox stream that starts at counter ``(0, 0, 0, i)`` under that key
+(Salmon et al., SC'11).  Each point is thus a function of ``(seed, i)``
+alone: it does not depend on the other points of the scan or on the order
+in which they are drawn.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_K_EFF
+from .core import DEFAULT_G, DEFAULT_K_EFF
 from .errors import AmbiguousFringeError, DataFormatError, FitFailureError
 from .trajectory import chirped_phase
 
@@ -102,7 +105,7 @@ class GravityEstimate:
 def ideal_fringe(
     beta: np.ndarray | float,
     k_eff: float = DEFAULT_K_EFF,
-    g_true: float = 9.81,
+    g_true: float = DEFAULT_G,
     big_t: float = 0.1,
     dphi_laser: float = 0.0,
 ) -> np.ndarray | float:
@@ -133,11 +136,6 @@ def detect(p_ideal: float, n_atoms: int, rng: np.random.Generator) -> float:
     return float(rng.binomial(n_atoms, p)) / float(n_atoms)
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    """RNG stream owned by scan point ``index`` under master ``seed``."""
-    return np.random.default_rng([seed, index])
-
-
 def beta_grid(
     center: float, span_fringes: float, n_points: int, big_t: float
 ) -> np.ndarray:
@@ -151,7 +149,7 @@ def beta_grid(
 def simulate_scan(
     betas: np.ndarray,
     k_eff: float = DEFAULT_K_EFF,
-    g_true: float = 9.81,
+    g_true: float = DEFAULT_G,
     big_t: float = 0.1,
     dphi_laser: float = 0.0,
     n_atoms: int = 0,
@@ -182,13 +180,24 @@ def simulate_scan(
         raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
     if seed is None:
         raise ValueError("a seed is required for a noisy scan")
+    if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):
+        raise ValueError("ideal fringe fractions must lie in [0, 1]")
+    p = np.clip(probs, 0.0, 1.0)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    bit_gen = np.random.Philox(key=key)
+    rng = np.random.Generator(bit_gen)
+    # Re-seating the counter of a fresh state is ~5x cheaper than building
+    # Philox(key=key, counter=[0, 0, 0, i]) per point, and draws the same.
+    state = bit_gen.state
+    counter = state["state"]["counter"]
 
-    def detect_point(i: int) -> float:
-        return detect(float(probs[i]), n_atoms, _point_rng(seed, i))
+    def detect_point(i: int) -> int:
+        counter[3] = i
+        bit_gen.state = state
+        return rng.binomial(n_atoms, p[i])
 
-    measured = np.fromiter(
-        map(detect_point, range(len(betas))), dtype=float, count=len(betas)
-    )
+    counts = np.fromiter(map(detect_point, range(p.size)), dtype=float, count=p.size)
+    measured = counts / n_atoms
     return FringeScan(
         betas=betas, probabilities=probs, measured=measured, n_atoms=n_atoms, seed=seed
     )

@@ -644,6 +644,19 @@ def _bin_phases(size: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=size)
 
 
+def _band_phases(live: np.ndarray, seed) -> np.ndarray:
+    """``_bin_phases(size, seed)[live]`` for sorted ``live``, drawing its span only.
+
+    ``uniform`` takes one 64-bit PCG64 output per double, so advancing the
+    stream past the ``live[0]`` bins below the band leaves every later phase
+    as the full draw has it.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(int(live[0]))
+    offsets = live - live[0]
+    return rng.uniform(0.0, 2.0 * math.pi, size=int(offsets[-1]) + 1)[offsets]
+
+
 def _spectrum(
     target: Psd, duration: float, dt: float, seed
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -719,9 +732,9 @@ def monte_carlo_phase_variance(
     with ``W = conj(rfft(weights, N))`` (trapezoid weights zero-padded to
     the record length N) a shot's phase is ``Re sum_k C_k e^{i theta_k}``,
     ``C_k = i omega_k a_k W_k``, over the bins with nonzero amplitude
-    ``a_k``.  ``C`` is built once; each shot draws its phases ``theta``
-    and takes one dot product, equal to the time-domain trapezoid of the
-    inverse FFT up to rounding.
+    ``a_k``.  ``C`` is built once; each shot draws the phases ``theta`` of
+    the band those bins span, and no others, and takes one dot product,
+    equal to the time-domain trapezoid of the inverse FFT up to rounding.
 
     Each shot's record is ``duration_factor`` times longer than the
     sequence span.  This matters: a record built on these bins is periodic
@@ -749,11 +762,13 @@ def monte_carlo_phase_variance(
     weights = kernel * trap
     amps, omega_k, n_record = _bins(s_phi, duration_factor * profile.span, dt)
     live = np.flatnonzero(amps)
+    if live.size == 0:
+        return 0.0
     window = np.conj(np.fft.rfft(weights, n_record)[1 + live])
     coeffs = 1j * omega_k[live] * amps[live] * window
     phases = np.empty(n_shots)
     for shot in range(n_shots):
-        theta = _bin_phases(omega_k.size, [seed, shot])[live]
+        theta = _band_phases(live, [seed, shot])
         phases[shot] = coeffs.real @ np.cos(theta) - coeffs.imag @ np.sin(theta)
     return float(np.mean(phases**2))
 

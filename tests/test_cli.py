@@ -105,14 +105,21 @@ class TestFringe:
     def test_noisy_rerun_byte_identical_and_seed_sensitive(self, tmp_path):
         cfg = write_config(tmp_path, "[scan]\nn_atoms = 10000\n")
         args = ["fringe", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]
+        summary = tmp_path / "fringe_summary.txt"
         assert main(args) == 0
         first = (tmp_path / "fringe.csv").read_bytes()
+        first_summary = summary.read_bytes()
         assert main(args) == 0
         assert (tmp_path / "fringe.csv").read_bytes() == first
+        assert summary.read_bytes() == first_summary
+        fitted = data_lines(summary)
         assert main(
             ["fringe", "--config", cfg, "--out", str(tmp_path), "--seed", "4"]
         ) == 0
         assert (tmp_path / "fringe.csv").read_bytes() != first
+        # fringe.csv holds the ideal fringe, so it differs between seeds only
+        # in its "# io.seed" line; the fit of the detected fractions differs.
+        assert data_lines(summary) != fitted
 
     def test_gsweep_is_an_alias(self, tmp_path):
         a = tmp_path / "fringe"

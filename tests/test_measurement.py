@@ -103,6 +103,10 @@ def test_noisy_scan_requires_seed_and_differs_from_ideal():
     assert np.any(scan.measured != scan.probabilities)
     # Detected fractions are k / n_atoms.
     assert np.all(np.abs(scan.measured * 200 - np.round(scan.measured * 200)) < 1e-9)
+    with pytest.raises(ValueError):
+        make_scan(n_atoms=100, seed=-1)
+    with pytest.raises(ValueError):
+        simulate_scan(np.array([K_EFF * G_TRUE, np.nan]), n_atoms=100, seed=5)
 
 
 def test_scan_reproducible_and_seed_sensitive():
@@ -120,6 +124,43 @@ def test_scan_prefix_reproduces_leading_points():
     for k in (2, 17, 49):
         head = simulate_scan(full.betas[:k], K_EFF, G_TRUE, 0.1, 0.0, 500, 11)
         np.testing.assert_array_equal(head.measured, full.measured[:k])
+
+
+@pytest.mark.parametrize(
+    "seed, n_atoms, n_points", [(0, 1, 5), (11, 500, 50), (2**40 + 7, 10_000, 2_000)]
+)
+def test_point_is_philox_stream_at_its_index(seed, n_atoms, n_points):
+    # Point i draws Binomial(n_atoms, p_i) from Philox under the key
+    # SeedSequence(seed).generate_state(2, uint64), counter (0, 0, 0, i),
+    # each generator built here through the public constructor.
+    scan = make_scan(n_points=n_points, span_fringes=n_points / 10.0,
+                     n_atoms=n_atoms, seed=seed)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    for i in sorted({0, 1, n_points // 3, n_points - 1}):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, i]))
+        k = rng.binomial(n_atoms, scan.probabilities[i])
+        assert scan.measured[i] == k / n_atoms
+
+
+def test_detection_streams_are_independent_unit_binomials():
+    # Over the 103,308 points with p in [0.1, 0.9], the z-scores of the
+    # detected counts have zero mean, unit variance, no lag-1 correlation
+    # along the scan and none between seeds, each within four standard errors.
+    n_atoms, n_points = 1_000, 175_000
+    a = make_scan(n_points=n_points, span_fringes=n_points / 10.0,
+                  n_atoms=n_atoms, seed=21)
+    b = simulate_scan(a.betas, K_EFF, G_TRUE, 0.1, 0.0, n_atoms, 22)
+    keep = (a.probabilities >= 0.1) & (a.probabilities <= 0.9)
+    p = a.probabilities[keep]
+    scale = np.sqrt(p * (1.0 - p) / n_atoms)
+    z_a = (a.measured[keep] - p) / scale
+    z_b = (b.measured[keep] - p) / scale
+    assert z_a.size >= 100_000
+    se = 1.0 / math.sqrt(z_a.size)
+    assert abs(np.mean(z_a)) < 4.0 * se
+    assert abs(np.var(z_a) - 1.0) < 4.0 * math.sqrt(2.0) * se
+    assert abs(np.mean(z_a[:-1] * z_a[1:])) < 4.0 * se
+    assert abs(np.mean(z_a * z_b)) < 4.0 * se
 
 
 # ---------------------------------------------------------------------------

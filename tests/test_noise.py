@@ -37,6 +37,9 @@ from gravsim.noise import (
     Psd,
     SensitivityProfile,
     TimeSeries,
+    _band_phases,
+    _bin_phases,
+    _bins,
     acceleration_phase,
     allan_deviation,
     allan_deviation_overlapping,
@@ -610,6 +613,31 @@ class TestMonteCarloPhaseVariance:
         assert psd.value_at(2.0 * math.pi * 4.5e3) == 0.0
         self._check(psd, self.crit7, 0, n_shots=6, seed=8, oversample=16,
                     duration_factor=8)
+
+    def test_band_draw_equals_full_draw(self):
+        # Skipping to the band keeps each phase only while numpy's uniform
+        # takes one 64-bit output per double; a numpy change that breaks
+        # that fails here instead of shifting Monte-Carlo values.  Cases:
+        # criterion 7's band, and an odd record with a gap from 3.5 to 6 kHz.
+        gap = Psd(
+            freqs=2.0 * math.pi * np.array([1e3, 3e3, 3.5e3, 6e3, 6.5e3, 9e3]),
+            values=np.array([1e-8, 1e-8, 0.0, 0.0, 2e-8, 2e-8]),
+        )
+        for psd, profile, oversample, factor, parity in (
+            (self._band(1e3, 1e4), self.crit7, 32, 16, 0),
+            (gap, self.short, 9, 5, 1),
+        ):
+            dt = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 16.0)
+            dt = profile.span / int(round(profile.span / dt))
+            amps, omega_k, n_record = _bins(psd, factor * profile.span, dt)
+            assert n_record % 2 == parity
+            live = np.flatnonzero(amps)
+            assert 0 < live[0] and live[-1] < omega_k.size - 1
+            for shot in range(3):
+                np.testing.assert_array_equal(
+                    _band_phases(live, [5, shot]),
+                    _bin_phases(omega_k.size, [5, shot])[live],
+                )
 
     def test_zero_psd_gives_zero(self):
         silent = Psd(freqs=self._band(1e3, 1e4).freqs, values=np.zeros(2))
