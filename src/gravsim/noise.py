@@ -639,17 +639,13 @@ def _bins(
     return amps, omega_k, n
 
 
-def _bin_phases(size: int, seed) -> np.ndarray:
-    """Random phase of every bin, drawn in full from ``default_rng(seed)``."""
-    return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=size)
-
-
 def _band_phases(live: np.ndarray, seed) -> np.ndarray:
-    """``_bin_phases(size, seed)[live]`` for sorted ``live``, drawing its span only.
+    """Random phases of the sorted bins ``live``, drawing only their span.
 
-    ``uniform`` takes one 64-bit PCG64 output per double, so advancing the
-    stream past the ``live[0]`` bins below the band leaves every later phase
-    as the full draw has it.
+    Bin ``k``'s phase is element ``k`` of ``default_rng(seed).uniform(0,
+    2 pi, n_bins)``.  ``uniform`` takes one 64-bit PCG64 output per double,
+    so advancing the stream past the ``live[0]`` bins below the band leaves
+    every later phase as that full draw has it.
     """
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(int(live[0]))
@@ -662,13 +658,15 @@ def _spectrum(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Common synthesis core: returns (rfft spectrum, its omega_k, n samples).
 
-    Only bins with power get a phasor; the others stay exactly zero.
+    Only bins with power get a phasor, and only their phases are drawn; the
+    others stay exactly zero.
     """
     amps, omega_k, n = _bins(target, duration, dt)
-    phases = _bin_phases(omega_k.size, seed)
     live = np.flatnonzero(amps)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1 + live] = 0.5 * n * amps[live] * np.exp(1j * phases[live])
+    if live.size:
+        phasors = np.exp(1j * _band_phases(live, seed))
+        spectrum[1 + live] = 0.5 * n * amps[live] * phasors
     return spectrum, omega_k, n
 
 
@@ -749,6 +747,8 @@ def monte_carlo_phase_variance(
         raise ValueError("n_shots must be >= 2")
     if duration_factor < 4:
         raise ValueError("duration_factor must be >= 4")
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     omega_max = float(s_phi.freqs[-1])
     dt = min(
         2.0 * math.pi / (oversample * omega_max), profile.tau_p / 16.0
@@ -795,6 +795,8 @@ def monte_carlo_vibration_allan(
         )
     if n_shots < 3:
         raise ValueError("n_shots must be >= 3")
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     omega_max = float(s_a.freqs[-1])
     dt0 = min(2.0 * math.pi / (oversample * omega_max), profile.tau_p / 8.0)
     steps_per_cycle = int(math.ceil(cycle_time / dt0))

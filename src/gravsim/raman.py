@@ -23,9 +23,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import _NORM_TOL, DEFAULT_K_EFF, HBAR, ThreeLevelState
 from .errors import EliminationError, InvalidStateError, StepSizeError
-from .twolevel import _ORACLE_RESOLUTION, mach_zehnder_probability, propagator_matrix
+from .twolevel import (
+    _ORACLE_RESOLUTION,
+    _rk4_lab_frame,
+    mach_zehnder_probability,
+    propagator_matrix,
+)
 
 __all__ = [
     "LaserPair",
@@ -365,29 +372,6 @@ def raman_pulse(
 raman_sequence_probability = mach_zehnder_probability
 
 
-def _three_level_derivs(
-    c_g: complex,
-    c_i: complex,
-    c_e: complex,
-    t: float,
-    rabi_gi: complex,
-    rabi_ei: complex,
-    delta1: float,
-    delta2: float,
-    phi1: float,
-    phi2: float,
-) -> tuple[complex, complex, complex]:
-    """Right-hand side of the full three-level amplitude equations."""
-    e1 = cmath.exp(1j * (delta1 * t - phi1))
-    e2 = cmath.exp(1j * (delta2 * t - phi2))
-    dg = -0.5j * rabi_gi.conjugate() * e1 * c_i
-    de = -0.5j * rabi_ei.conjugate() * e2 * c_i
-    di = -0.5j * (
-        rabi_gi * e1.conjugate() * c_g + rabi_ei * e2.conjugate() * c_e
-    )
-    return dg, di, de
-
-
 def three_level_ode_oracle(
     state: ThreeLevelState,
     lasers: LaserPair,
@@ -405,8 +389,11 @@ def three_level_ode_oracle(
         dC_i/dt = -(i/2) [rabi_gi e^{-i(delta1 t - phi1)} C_g
                            + rabi_ei e^{-i(delta2 t - phi2)} C_e]
 
-    using plain Python complex arithmetic, independent of the closed-form
-    effective-model path.  The kinetic (Doppler/recoil) physics lives inside
+    in the lab frame, through the RK4 step map it shares with the two-level
+    oracle (:func:`gravsim.twolevel._rk4_lab_frame`, ``nu = (delta1, 0,
+    delta2)``).  This keeps it independent of the closed-form effective-model path: no
+    adiabatic elimination, closed form, eigendecomposition or matrix
+    exponential enters.  The kinetic (Doppler/recoil) physics lives inside
     ``dets``; the momentum label of ``state`` passes through unchanged.
 
     Parameters
@@ -444,58 +431,17 @@ def three_level_ode_oracle(
             f"{2.0 * math.pi / (_ORACLE_RESOLUTION * fastest):.3e} to resolve "
             f"{fastest:.3e} rad/s"
         )
-    n_steps = max(1, math.ceil(duration / dt))
-    h = duration / n_steps
-    rabi_gi = complex(lasers.rabi_gi)
-    rabi_ei = complex(lasers.rabi_ei)
-    d1, d2 = dets.delta1, dets.delta2
-    f1, f2 = lasers.phi1, lasers.phi2
-    c_g = complex(state.c_g)
-    c_i = complex(state.c_i)
-    c_e = complex(state.c_e)
-    t = t0
-    for _ in range(n_steps):
-        g1, i1, e1 = _three_level_derivs(
-            c_g, c_i, c_e, t, rabi_gi, rabi_ei, d1, d2, f1, f2
-        )
-        g2, i2, e2 = _three_level_derivs(
-            c_g + 0.5 * h * g1,
-            c_i + 0.5 * h * i1,
-            c_e + 0.5 * h * e1,
-            t + 0.5 * h,
-            rabi_gi,
-            rabi_ei,
-            d1,
-            d2,
-            f1,
-            f2,
-        )
-        g3, i3, e3 = _three_level_derivs(
-            c_g + 0.5 * h * g2,
-            c_i + 0.5 * h * i2,
-            c_e + 0.5 * h * e2,
-            t + 0.5 * h,
-            rabi_gi,
-            rabi_ei,
-            d1,
-            d2,
-            f1,
-            f2,
-        )
-        g4, i4, e4 = _three_level_derivs(
-            c_g + h * g3,
-            c_i + h * i3,
-            c_e + h * e3,
-            t + h,
-            rabi_gi,
-            rabi_ei,
-            d1,
-            d2,
-            f1,
-            f2,
-        )
-        c_g += (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        c_i += (h / 6.0) * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
-        c_e += (h / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        t += h
+    g = -0.5j * complex(lasers.rabi_gi).conjugate() * cmath.exp(-1j * lasers.phi1)
+    e = -0.5j * complex(lasers.rabi_ei).conjugate() * cmath.exp(-1j * lasers.phi2)
+    a0 = np.array(
+        [[0.0, g, 0.0], [-g.conjugate(), 0.0, -e.conjugate()], [0.0, e, 0.0]]
+    )
+    c_g, c_i, c_e = _rk4_lab_frame(
+        a0,
+        np.array([dets.delta1, 0.0, dets.delta2]),
+        [state.c_g, state.c_i, state.c_e],
+        t0,
+        duration,
+        max(1, math.ceil(duration / dt)),
+    )
     return ThreeLevelState(c_g=c_g, c_i=c_i, c_e=c_e, p=state.p)

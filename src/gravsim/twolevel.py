@@ -285,7 +285,7 @@ def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
     """Apply one square pulse to a state via the closed-form propagator."""
     u = pulse_propagator(pulse)
     c_b, c_a = u @ np.array([state.c_b, state.c_a])
-    return TwoLevelState(c_a=complex(c_a), c_b=complex(c_b))
+    return TwoLevelState(c_a=c_a, c_b=c_b)
 
 
 def mach_zehnder_probability(delta: float, tau_p: float, dphi_laser: float) -> float:
@@ -400,33 +400,56 @@ def run_sequence(
     return state_probability(state, "b")
 
 
-def _amplitude_derivatives(
-    c_b: complex,
-    c_a: complex,
-    t: float,
-    rabi: complex,
-    detuning: float,
-    phase: float,
-) -> tuple[complex, complex]:
-    """Right-hand side of the lab-frame amplitude equations."""
-    drive = cmath.exp(-1j * (detuning * t + phase))
-    db = -0.5j * rabi * drive * c_a
-    da = -0.5j * rabi.conjugate() * drive.conjugate() * c_b
-    return db, da
+def _rk4_lab_frame(
+    a0: np.ndarray,
+    nu: np.ndarray,
+    amplitudes: list[complex],
+    t0: float,
+    duration: float,
+    n_steps: int,
+) -> list[complex]:
+    """Classic RK4 for ``dc/dt = A(t) c``, ``A(t)_jk = a0_jk e^{i(nu_j - nu_k) t}``.
+
+    With ``D(t) = diag(e^{i nu t})`` the generator obeys ``A(t + s) =
+    D(t) A(s) D(t)^dag``, so every RK4 step is the first step's map ``P``
+    (built from ``A(0)``, ``A(h/2)`` and ``A(h)``) conjugated by ``D(t)``.
+    The loop advances ``b = D(t)^dag c`` by the constant ``D(h)^dag P``, one
+    matrix-vector product per step, and returns ``c`` at ``t0 + duration``.
+    """
+    h = duration / n_steps
+
+    def generator(s: float) -> np.ndarray:
+        d = np.exp(1j * nu * s)
+        return a0 * np.outer(d, d.conj())
+
+    one = np.eye(nu.size)
+    k1 = generator(0.0)
+    mid = generator(0.5 * h)
+    k2 = mid @ (one + 0.5 * h * k1)
+    k3 = mid @ (one + 0.5 * h * k2)
+    k4 = generator(h) @ (one + h * k3)
+    p = one + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = np.exp(-1j * nu * h)[:, None] * p
+    b = np.exp(-1j * nu * t0) * np.asarray(amplitudes, dtype=complex)
+    for _ in range(n_steps):
+        b = step @ b
+    return (np.exp(1j * nu * (t0 + duration)) * b).tolist()
 
 
 def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelState:
     """Integrate one pulse with a fixed-step RK4 scheme (reference path).
 
     This deliberately avoids the rotating frame and the closed-form
-    propagator: it steps the explicitly time-dependent amplitude equations
+    propagator: it steps the explicitly time-dependent lab-frame amplitude
+    equations
 
         dC_b/dt = -(i/2) Omega e^{-i(delta t + phi)} C_a
         dC_a/dt = -(i/2) Omega* e^{+i(delta t + phi)} C_b
 
-    with classic Runge-Kutta, using plain Python complex arithmetic.  The
-    step is shrunk so that an integer number of steps lands exactly on the
-    pulse duration.
+    with classic Runge-Kutta (:func:`_rk4_lab_frame`, with ``nu = (-delta/2,
+    delta/2)``); no closed form, eigendecomposition or matrix exponential
+    enters.  The step is shrunk so that an integer number of steps lands
+    exactly on the pulse duration.
 
     Parameters
     ----------
@@ -452,26 +475,14 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
             f"dt={dt} too coarse: need <= {2.0 * math.pi / (_ORACLE_RESOLUTION * omega_r):.3e}"
             f" to resolve omega_r={omega_r:.3e} rad/s"
         )
-    n_steps = max(1, math.ceil(pulse.duration / dt))
-    h = pulse.duration / n_steps
-    rabi = complex(pulse.rabi)
-    phase = pulse.laser_phase
-    delta = pulse.detuning
-    c_b = complex(state.c_b)
-    c_a = complex(state.c_a)
-    t = pulse.start_time
-    for _ in range(n_steps):
-        kb1, ka1 = _amplitude_derivatives(c_b, c_a, t, rabi, delta, phase)
-        kb2, ka2 = _amplitude_derivatives(
-            c_b + 0.5 * h * kb1, c_a + 0.5 * h * ka1, t + 0.5 * h, rabi, delta, phase
-        )
-        kb3, ka3 = _amplitude_derivatives(
-            c_b + 0.5 * h * kb2, c_a + 0.5 * h * ka2, t + 0.5 * h, rabi, delta, phase
-        )
-        kb4, ka4 = _amplitude_derivatives(
-            c_b + h * kb3, c_a + h * ka3, t + h, rabi, delta, phase
-        )
-        c_b += (h / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        c_a += (h / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        t += h
+    drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
+    a0 = np.array([[0.0, drive], [-drive.conjugate(), 0.0]])
+    c_b, c_a = _rk4_lab_frame(
+        a0,
+        np.array([-0.5, 0.5]) * pulse.detuning,
+        [state.c_b, state.c_a],
+        pulse.start_time,
+        pulse.duration,
+        max(1, math.ceil(pulse.duration / dt)),
+    )
     return TwoLevelState(c_a=c_a, c_b=c_b)

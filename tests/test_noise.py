@@ -38,7 +38,6 @@ from gravsim.noise import (
     SensitivityProfile,
     TimeSeries,
     _band_phases,
-    _bin_phases,
     _bins,
     acceleration_phase,
     allan_deviation,
@@ -636,13 +635,26 @@ class TestMonteCarloPhaseVariance:
             for shot in range(3):
                 np.testing.assert_array_equal(
                     _band_phases(live, [5, shot]),
-                    _bin_phases(omega_k.size, [5, shot])[live],
+                    np.random.default_rng([5, shot]).uniform(
+                        0.0, 2.0 * math.pi, omega_k.size
+                    )[live],
                 )
 
     def test_zero_psd_gives_zero(self):
         silent = Psd(freqs=self._band(1e3, 1e4).freqs, values=np.zeros(2))
         assert self._check(silent, self.crit7, 0, n_shots=4, seed=1,
                            oversample=16, duration_factor=4) == 0.0
+
+    @pytest.mark.parametrize("oversample", [0, -1])
+    @pytest.mark.parametrize(
+        "monte_carlo",
+        [monte_carlo_phase_variance, monte_carlo_vibration_allan],
+        ids=["phase_variance", "vibration_allan"],
+    )
+    def test_oversample_below_one_rejected(self, monte_carlo, oversample):
+        with pytest.raises(ValueError, match="oversample must be >= 1"):
+            monte_carlo(self._band(1e3, 1e4), self.crit7, n_shots=4, seed=1,
+                        oversample=oversample)
 
     def test_no_record_and_one_interpolation(self, monkeypatch):
         # The spectrum is interpolated once per call, not once per shot,
