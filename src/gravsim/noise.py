@@ -860,15 +860,61 @@ def _allan(
     )
 
 
+def _centred_prefix_sum(y: np.ndarray) -> np.ndarray:
+    """``c[0] = 0``, ``c[j] = sum_{i<j} (y_i - ybar)``: the prefix sum both
+    Allan estimators read.
+
+    The Allan variance does not depend on an offset, so centring costs
+    nothing; for samples in one binade ``y_i - ybar`` is exact (Sterbenz), so
+    a large offset such as g loses no digits, and a constant series gives an
+    exactly linear ``c`` whose second differences are exactly 0.
+    """
+    c = np.empty(y.size + 1)
+    c[0] = 0.0
+    np.subtract(y, y.mean(), out=c[1:])
+    np.cumsum(c[1:], out=c[1:])
+    return c
+
+
+def _second_difference_power(
+    c: np.ndarray, m: int, stride: int, work: np.ndarray
+) -> tuple[float, int]:
+    """``sum_j (c[j+2m] - 2 c[j+m] + c[j])^2`` over ``j = 0, stride, ...``
+    while ``j + 2m`` stays inside ``c``, and the number of terms.
+
+    The terms are formed in the front of ``work`` with in-place ufuncs, so a
+    call allocates nothing.
+    """
+    n_terms = (c.size - 1 - 2 * m) // stride + 1
+    d = work[:n_terms]
+    far = c[2 * m :: stride][:n_terms]
+    mid = c[m::stride][:n_terms]
+    np.subtract(far, mid, out=d)
+    np.subtract(d, mid, out=d)
+    np.add(d, c[::stride][:n_terms], out=d)
+    return float(d @ d), n_terms
+
+
 def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResult:
     """Non-overlapping Allan deviation of a time series.
 
-    For each requested averaging time (snapped down to a whole number of
-    samples) the series is cut into contiguous blocks, and the two-sample
-    variance of consecutive block means is::
+    For each requested averaging time (snapped down to a whole number ``m``
+    of samples) the series is cut into ``n`` contiguous blocks, and the
+    two-sample variance of consecutive block means is::
 
         sigma_y^2(tau) = (1 / (2 (n - 1))) sum_{i=1}^{n-1}
                          (ybar_{i+1} - ybar_i)^2
+
+    Each block sum is a difference of the mean-centred prefix sum
+    ``c[j] = sum_{i<j} (y_i - ybar)``, so the estimate is the second-difference
+    form (NIST SP 1065, phase-data estimator)::
+
+        sigma_y^2(tau) = (1 / (2 m^2 (n - 1))) sum_{j = 0, m, ..., (n-2) m}
+                         (c[j+2m] - 2 c[j+m] + c[j])^2
+
+    ``c`` is built once per call and each ``tau`` costs O(n).  Centring
+    leaves the variance unchanged and makes an offset such as g cost no
+    digits.
 
     Averaging times shorter than one sample or leaving fewer than two
     blocks are omitted (with a log record); duplicates after snapping are
@@ -880,14 +926,15 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
         If no requested averaging time survives.
     """
     y = series.samples
+    c = _centred_prefix_sum(y)
+    work = np.empty(y.size - 1)
 
     def estimate(m: int) -> tuple[float, int] | str:
         n_blocks = y.size // m
         if n_blocks < 2:
             return f"only {n_blocks} block(s) of {m} samples"
-        means = y[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
-        diffs = np.diff(means)
-        return float(np.sum(diffs**2) / (2.0 * (n_blocks - 1))), n_blocks
+        power, n_diffs = _second_difference_power(c, m, m, work)
+        return power / (2.0 * m * m * n_diffs), n_blocks
 
     return _allan(
         series, tau_avgs, estimate,
@@ -903,22 +950,23 @@ def allan_deviation_overlapping(
     Uses every available start index::
 
         sigma_y^2(tau) = (1 / (2 m^2 (N - 2m + 1)))
-                         sum_{j=0}^{N-2m} (S_{j+m} - S_j)^2
+                         sum_{j=0}^{N-2m} (c[j+2m] - 2 c[j+m] + c[j])^2
 
-    where ``S_j`` is the j-th length-m running block sum.  Smoother than
-    the non-overlapping estimator at large tau (the reported ``n_blocks``
-    is the number of overlapping differences).
+    where ``c[j+m] - c[j]`` is the length-m block sum starting at ``j`` and
+    ``c`` is the mean-centred prefix sum of :func:`allan_deviation`, built
+    once per call; the differences of each ``tau`` are formed in one reused
+    buffer.  Smoother than the non-overlapping estimator at large tau (the
+    reported ``n_blocks`` is the number of overlapping differences).
     """
     y = series.samples
-    csum = np.concatenate([[0.0], np.cumsum(y)])
+    c = _centred_prefix_sum(y)
+    work = np.empty(y.size - 1)
 
     def estimate(m: int) -> tuple[float, int] | str:
-        n_terms = y.size - 2 * m + 1
-        if n_terms < 1:
+        if 2 * m > y.size:
             return "series too short for overlapping blocks"
-        block = csum[m:] - csum[:-m]  # running sums of length m
-        diffs = block[m:] - block[:-m]
-        return float(np.sum(diffs**2) / (2.0 * m * m * n_terms)), n_terms
+        power, n_terms = _second_difference_power(c, m, 1, work)
+        return power / (2.0 * m * m * n_terms), n_terms
 
     return _allan(
         series, tau_avgs, estimate,

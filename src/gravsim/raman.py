@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _NORM_TOL, DEFAULT_K_EFF, HBAR, ThreeLevelState
-from .errors import EliminationError, InvalidStateError, StepSizeError
+from .errors import EliminationError, InvalidStateError
 from .twolevel import (
-    _ORACLE_RESOLUTION,
+    _check_oracle_step,
     _rk4_lab_frame,
     mach_zehnder_probability,
     propagator_matrix,
@@ -418,19 +418,10 @@ def three_level_ode_oracle(
     StepSizeError
         If ``dt`` is not positive or too coarse.
     """
-    if dt <= 0.0:
-        raise StepSizeError(f"dt must be > 0, got {dt}")
     fastest = max(
         abs(dets.delta1), abs(dets.delta2), abs(lasers.rabi_gi), abs(lasers.rabi_ei)
     )
-    if fastest > 0.0 and dt > 2.0 * math.pi / (_ORACLE_RESOLUTION * fastest) * (
-        1.0 + 1e-9
-    ):
-        raise StepSizeError(
-            f"dt={dt} too coarse: need <= "
-            f"{2.0 * math.pi / (_ORACLE_RESOLUTION * fastest):.3e} to resolve "
-            f"{fastest:.3e} rad/s"
-        )
+    _check_oracle_step(dt, fastest)
     g = -0.5j * complex(lasers.rabi_gi).conjugate() * cmath.exp(-1j * lasers.phi1)
     e = -0.5j * complex(lasers.rabi_ei).conjugate() * cmath.exp(-1j * lasers.phi2)
     a0 = np.array(

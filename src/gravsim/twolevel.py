@@ -400,6 +400,24 @@ def run_sequence(
     return state_probability(state, "b")
 
 
+def _check_oracle_step(dt: float, rate: float) -> None:
+    """Refuse an oracle step that is not positive or resolves the fastest
+    ``rate`` [rad/s] by fewer than ``_ORACLE_RESOLUTION`` steps per period.
+
+    The limit carries a relative slack of 1e-9, so a ``dt`` computed as the
+    limit itself passes despite rounding.
+    """
+    if dt <= 0.0:
+        raise StepSizeError(f"dt must be > 0, got {dt}")
+    if rate > 0.0:
+        limit = 2.0 * math.pi / (_ORACLE_RESOLUTION * rate)
+        if dt > limit * (1.0 + 1e-9):
+            raise StepSizeError(
+                f"dt={dt} too coarse: need <= {limit:.3e} to resolve "
+                f"{rate:.3e} rad/s"
+            )
+
+
 def _rk4_lab_frame(
     a0: np.ndarray,
     nu: np.ndarray,
@@ -467,14 +485,7 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
     StepSizeError
         If ``dt`` is not positive or too coarse for the pulse.
     """
-    if dt <= 0.0:
-        raise StepSizeError(f"dt must be > 0, got {dt}")
-    omega_r = math.hypot(pulse.rabi_mod, pulse.detuning)
-    if omega_r > 0.0 and dt > 2.0 * math.pi / (_ORACLE_RESOLUTION * omega_r) * (1 + 1e-12):
-        raise StepSizeError(
-            f"dt={dt} too coarse: need <= {2.0 * math.pi / (_ORACLE_RESOLUTION * omega_r):.3e}"
-            f" to resolve omega_r={omega_r:.3e} rad/s"
-        )
+    _check_oracle_step(dt, math.hypot(pulse.rabi_mod, pulse.detuning))
     drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
     a0 = np.array([[0.0, drive], [-drive.conjugate(), 0.0]])
     c_b, c_a = _rk4_lab_frame(

@@ -10,8 +10,9 @@ Oracle strategy:
   g_s(t) e^{-i omega t} and against the thin-pulse closed form;
 * PSD integrals against narrowband concentration limits and against
   time-domain Monte-Carlo with frozen seeds;
-* Allan estimators against hand-evaluated block arithmetic and slope laws
-  for white and random-walk noise.
+* Allan estimators against hand-evaluated block arithmetic, slope laws
+  for white and random-walk noise, and direct block-sum (reduceat) and
+  running-mean (convolve) forms.
 """
 
 import math
@@ -858,6 +859,14 @@ class TestAllanDeviationOverlapping:
         assert result.adevs[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert result.n_blocks[0] == 7
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 4097])
+    @pytest.mark.parametrize("value", [3.7, 9.81, -2.5e-8, 1234.5678])
+    def test_constant_series_gives_exact_zero(self, n, value):
+        series = TimeSeries(samples=np.full(n, value), dt=0.1)
+        taus = [0.1 * m for m in (1, 2, 3, 8, 64) if 2 * m <= n]
+        result = allan_deviation_overlapping(series, taus)
+        assert np.all(result.adevs == 0.0)
+
     def test_duplicate_snaps_reported_once(self):
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
         result = allan_deviation_overlapping(series, [1.0, 1.2, 2.0])
@@ -900,6 +909,76 @@ class TestAllanDeviationOverlapping:
         series = TimeSeries(samples=np.arange(10.0), dt=1.0)
         with pytest.raises(InsufficientDataError):
             allan_deviation_overlapping(series, [100.0])
+
+
+def _reduceat_adev(y, m):
+    """Non-overlapping Allan deviation from block sums (np.add.reduceat)."""
+    n_blocks = y.size // m
+    sums = np.add.reduceat(y[: n_blocks * m], np.arange(0, n_blocks * m, m))
+    return math.sqrt(np.mean(np.diff(sums / m) ** 2) / 2.0)
+
+
+def _convolve_adev(y, m):
+    """Overlapping Allan deviation from a running-mean convolution."""
+    means = np.convolve(y, np.full(m, 1.0 / m), mode="valid")
+    return math.sqrt(np.mean((means[m:] - means[:-m]) ** 2) / 2.0)
+
+
+class TestAllanPrefixSum:
+    """Both estimators read one mean-centred prefix sum; these pin its
+    precision against the direct block forms and its bookkeeping."""
+
+    @pytest.mark.parametrize(
+        "estimator", [allan_deviation, allan_deviation_overlapping],
+        ids=["non_overlapping", "overlapping"],
+    )
+    def test_offset_costs_no_digits(self, estimator):
+        # 9.81 + 1e-8 white noise: y - y[0] is exact (one binade), so the
+        # estimate must not depend on which of the two is analysed.
+        rng = np.random.default_rng(5)
+        y = 9.81 + 1e-8 * rng.normal(0.0, 1.0, 1 << 16)
+        taus = list(np.geomspace(1.0, y.size / 5, 20))
+        got = estimator(TimeSeries(samples=y, dt=1.0), taus)
+        shifted = estimator(TimeSeries(samples=y - y[0], dt=1.0), taus)
+        np.testing.assert_array_equal(got.n_blocks, shifted.n_blocks)
+        np.testing.assert_allclose(got.adevs, shifted.adevs, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "estimator, direct",
+        [(allan_deviation, _reduceat_adev), (allan_deviation_overlapping, _convolve_adev)],
+        ids=["non_overlapping", "overlapping"],
+    )
+    def test_random_walk_matches_direct_forms(self, estimator, direct):
+        # A random walk drifts far from its mean, the hardest case for a
+        # prefix sum; the loss against the direct forms stays far below 1e-9.
+        rng = np.random.default_rng(42)
+        y = np.cumsum(rng.normal(0.0, 1.0, 65536))
+        ms = [1, 2, 3, 8, 32, 100, 512, 2000]
+        result = estimator(TimeSeries(samples=y, dt=1.0), [float(m) for m in ms])
+        expected = [direct(y, m) for m in ms]
+        np.testing.assert_allclose(result.adevs, expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "estimator, direct, count",
+        [
+            (allan_deviation, _reduceat_adev, lambda n, m: n // m),
+            (allan_deviation_overlapping, _convolve_adev, lambda n, m: n - 2 * m + 1),
+        ],
+        ids=["non_overlapping", "overlapping"],
+    )
+    def test_edge_snaps_keep_times_and_counts(self, estimator, direct, count):
+        # m = 1, m = N // 2, m not dividing N, and two requests snapping to
+        # each of m = 7 and m = N // 2.
+        n = 1001
+        y = np.random.default_rng(3).normal(0.0, 1.0, n)
+        ms = [1, 7, 13, n // 2]
+        taus = [0.5, 3.5, 3.9, 6.5, 0.5 * (n // 2), 0.5 * (n // 2) + 0.4]
+        result = estimator(TimeSeries(samples=y, dt=0.5), taus)
+        np.testing.assert_array_equal(result.tau_avgs, [0.5 * m for m in ms])
+        np.testing.assert_array_equal(result.n_blocks, [count(n, m) for m in ms])
+        np.testing.assert_allclose(
+            result.adevs, [direct(y, m) for m in ms], rtol=1e-12, atol=0.0
+        )
 
 
 # ---------------------------------------------------------------------------

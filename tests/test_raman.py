@@ -278,6 +278,26 @@ def test_oracle_step_guard():
         )
 
 
+def test_oracle_step_guard_slack():
+    # Same guard and slack as the two-level oracle: 1e-9 relative.
+    lasers = make_lasers()
+    fastest = 2.0 * math.pi * 1e6
+    dets = RamanDetunings(delta1=fastest, delta2=fastest, delta_two_photon=0.0)
+    limit = 2.0 * math.pi / (100.0 * fastest)
+    out = three_level_ode_oracle(
+        ThreeLevelState.ground(), lasers, dets, duration=1e-6,
+        dt=limit * (1.0 + 1e-10),
+    )
+    norm = abs(out.c_g) ** 2 + abs(out.c_i) ** 2 + abs(out.c_e) ** 2
+    assert norm == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(StepSizeError, match=r"dt=.* too coarse: need <= 1\.000e-08 "
+                       r"to resolve 6\.283e\+06 rad/s"):
+        three_level_ode_oracle(
+            ThreeLevelState.ground(), lasers, dets, duration=1e-6,
+            dt=limit * (1.0 + 1e-6),
+        )
+
+
 def test_oracle_norm_conservation_and_intermediate_bound():
     # Far-detuned drive: the norm stays unit to 1e-9 and the intermediate
     # population (sampled at segment boundaries) stays below 4 (Omega/2Delta)^2.

@@ -269,6 +269,18 @@ def test_ode_oracle_step_guard():
         ode_oracle(TwoLevelState.ground(), pulse, dt=0.0)
 
 
+def test_ode_oracle_step_guard_slack():
+    # The guard shared with the three-level oracle allows a 1e-9 relative
+    # slack on the limit of 100 steps per generalized Rabi period.
+    pulse = PulseParams(rabi_mod=8e4, detuning=6e4, duration=1e-4)
+    limit = 2.0 * math.pi / (100.0 * 1e5)
+    out = ode_oracle(TwoLevelState.ground(), pulse, dt=limit * (1.0 + 1e-10))
+    assert abs(out.c_a) ** 2 + abs(out.c_b) ** 2 == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(StepSizeError, match=r"dt=.* too coarse: need <= 6\.283e-07 "
+                       r"to resolve 1\.000e\+05 rad/s"):
+        ode_oracle(TwoLevelState.ground(), pulse, dt=limit * (1.0 + 1e-6))
+
+
 def test_ode_oracle_norm_conservation():
     omega = 2.0 * math.pi * 1e4
     pulse = PulseParams(rabi_mod=omega, detuning=0.3 * omega, duration=math.pi / omega)
