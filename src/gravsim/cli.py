@@ -278,20 +278,13 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
         if t == 0.0:
             closed[i] = oracle[i] = 0.0  # still in the ground state
             continue
-        u = twolevel.propagator_matrix(
-            rabi_mod=rabi,
-            effective_phase=laser_phase,
-            start_time=0.0,
-            duration=float(t),
-            frame_delta=detuning,
-        )
-        closed[i] = abs(u[0, 1]) ** 2
         pulse = twolevel.PulseParams(
             rabi_mod=rabi,
             detuning=detuning,
             duration=float(t),
             laser_phase=laser_phase,
         )
+        closed[i] = abs(twolevel.pulse_propagator(pulse)[0, 1]) ** 2
         final = twolevel.ode_oracle(ground, pulse, dt)
         oracle[i] = abs(final.c_b) ** 2
     discrepancy = float(np.max(np.abs(closed - oracle)))

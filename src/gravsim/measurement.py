@@ -115,10 +115,9 @@ def ideal_fringe(
     ``beta`` with period ``2 pi / T^2``.
     """
     beta_arr = np.asarray(beta, dtype=float)
-    phase = (beta_arr - k_eff * g_true) * big_t * big_t + dphi_laser
-    # Elementwise version of trajectory.chirped_phase; keep scalars exact.
-    if beta_arr.ndim == 0:
-        return 0.5 * (1.0 - math.cos(chirped_phase(float(beta), k_eff, g_true, big_t, dphi_laser)))
+    phase = chirped_phase(beta_arr, k_eff, g_true, big_t, dphi_laser)
+    if np.ndim(phase) == 0:
+        return 0.5 * (1.0 - math.cos(phase))
     return 0.5 * (1.0 - np.cos(phase))
 
 

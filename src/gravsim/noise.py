@@ -220,15 +220,68 @@ class VarianceResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _edges(
+class _Segment(NamedTuple):
+    """One piece of ``g_s`` on ``[lo, hi]``: ``level + Im(p e^{i omega_r
+    (t - ref)})`` with ``ref = big + small`` and ``p`` one of 0, +-1, +-1j;
+    a piece with ``p != 0`` has ``level`` 0.
+
+    The reference is subtracted in two steps, ``(t - big) - small``, so the
+    mirror pulse's argument ``t - T - a`` keeps its digits at thin pulses.
+    """
+
+    lo: float
+    hi: float
+    level: float
+    p: complex
+    big: float = 0.0
+    small: float = 0.0
+
+    def oscillation(
+        self, omega_r: float, t: np.ndarray | float, integrated: bool = False
+    ) -> np.ndarray | float:
+        """``Im(p e^{ix})`` at ``x = omega_r (t - ref)``, one real trig call.
+
+        With ``integrated``, its antiderivative in ``x``, ``Im(-i p e^{ix})``.
+        """
+        x = omega_r * ((t - self.big) - self.small)
+        re, im = self.p.real, self.p.imag
+        if integrated:
+            re, im = im, -re
+        return re * np.sin(x) if re else im * np.cos(x)
+
+
+def _segments(
     profile: SensitivityProfile, three_segment: bool = False
-) -> tuple[float, ...]:
-    """Segment edges of ``g_s``, from 0 to the end of its support."""
+) -> list[_Segment]:
+    """The pieces of ``g_s`` in time order (see :func:`sensitivity_g`)."""
     big_t = profile.big_t
     if three_segment:
-        return 0.0, 0.5 * big_t, 1.5 * big_t, 2.0 * big_t
+        # sin(w t), 1, sin(w (t - T))
+        return [
+            _Segment(0.0, 0.5 * big_t, 0.0, 1.0),
+            _Segment(0.5 * big_t, 1.5 * big_t, 1.0, 0.0),
+            _Segment(1.5 * big_t, 2.0 * big_t, 0.0, 1.0, big_t),
+        ]
     a = 0.5 * profile.tau_p
-    return 0.0, a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t, profile.span
+    span = profile.span
+    # -sin(w t), -1, -cos(w (t - T - a)), +1, sin(w (span - t)).  The first
+    # level is -0.0 so that g_s(0) = -0.0 + -sin(0) = -0.0 and g_s(span) =
+    # 0.0 + -sin(0) = +0.0, the signed zeros of the formulas above.
+    return [
+        _Segment(0.0, a, -0.0, -1.0),
+        _Segment(a, a + big_t, -1.0, 0.0),
+        _Segment(a + big_t, 3.0 * a + big_t, 0.0, -1j, big_t, a),
+        _Segment(3.0 * a + big_t, 3.0 * a + 2.0 * big_t, 1.0, 0.0),
+        _Segment(3.0 * a + 2.0 * big_t, span, 0.0, -1.0, span),
+    ]
+
+
+def _pieces(t: np.ndarray, segments: list[_Segment]):
+    """Each segment with the mask of the times it owns: ``(lo, hi]``, and
+    ``[lo, hi]`` for the first."""
+    for i, seg in enumerate(segments):
+        above = t > seg.lo if i else t >= seg.lo
+        yield seg, above & (t <= seg.hi)
 
 
 def sensitivity_g(
@@ -242,10 +295,10 @@ def sensitivity_g(
     edges at ``a = tau_p/2``)::
 
         -sin(omega_r t)                    0        <= t <= a
-        -1                                 a        <= t <= a + T
-        -cos(omega_r (t - T - a))          a + T    <= t <= 3a + T
-        +1                                 3a + T   <= t <= 3a + 2T
-        +sin(omega_r (span - t))           3a + 2T  <= t <= span
+        -1                                 a        <  t <= a + T
+        -cos(omega_r (t - T - a))          a + T    <  t <= 3a + T
+        +1                                 3a + T   <  t <= 3a + 2T
+        +sin(omega_r (span - t))           3a + 2T  <  t <= span
         0                                  elsewhere
 
     It is odd about the sequence center ``T + tau_p`` and integrates to
@@ -253,61 +306,43 @@ def sensitivity_g(
 
     With ``three_segment=True`` a three-segment variant is returned whose
     edge ramps each span half an interrogation interval:
-    ``sin(omega_r t)`` on (0, T/2), ``1`` on (T/2, 3T/2),
-    ``sin(omega_r (t - T))`` on (3T/2, 2T), zero elsewhere.  Note this
+    ``sin(omega_r t)`` on [0, T/2], ``1`` on (T/2, 3T/2],
+    ``sin(omega_r (t - T))`` on (3T/2, 2T], zero elsewhere.  Note this
     variant is *not* odd about its center and has a nonzero integral; it is
     provided for comparison only.
+
+    Edge rule, both shapes: every segment owns its right edge, and the first
+    also its left one, so at an edge ``g_s`` takes the earlier segment's
+    value.  Both shapes come from one table, ``_segments``, which also
+    gives the weight ``w(t)``, the DC response and ``G(omega)``.
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr)
     w = profile.omega_r
-    big_t = profile.big_t
-    if three_segment:
-        _, b1, b2, end = _edges(profile, three_segment=True)
-        m1 = (t_arr > 0.0) & (t_arr < b1)
-        m2 = (t_arr >= b1) & (t_arr <= b2)
-        m3 = (t_arr > b2) & (t_arr < end)
-        out[m1] = np.sin(w * t_arr[m1])
-        out[m2] = 1.0
-        out[m3] = np.sin(w * (t_arr[m3] - big_t))
-        return out if np.ndim(t) else float(out)
-    a = 0.5 * profile.tau_p
-    _, b1, b2, b3, b4, span = _edges(profile)
-    m1 = (t_arr >= 0.0) & (t_arr <= b1)
-    m2 = (t_arr > b1) & (t_arr <= b2)
-    m3 = (t_arr > b2) & (t_arr <= b3)
-    m4 = (t_arr > b3) & (t_arr <= b4)
-    m5 = (t_arr > b4) & (t_arr <= span)
-    out[m1] = -np.sin(w * t_arr[m1])
-    out[m2] = -1.0
-    out[m3] = -np.cos(w * (t_arr[m3] - big_t - a))
-    out[m4] = 1.0
-    out[m5] = np.sin(w * (span - t_arr[m5]))
+    for seg, m in _pieces(t_arr, _segments(profile, three_segment)):
+        out[m] = seg.level + seg.oscillation(w, t_arr[m]) if seg.p else seg.level
     return out if np.ndim(t) else float(out)
 
 
 def _weight(t_arr: np.ndarray, profile: SensitivityProfile) -> np.ndarray:
     """Acceleration weight ``w(t) = integral_t^span g_s dt'`` (closed form).
 
-    The inner time integral of the double integral is carried out
-    analytically segment by segment, which is exact and numerically stable
-    for any tau_p/T ratio.
+    A backward running sum of the exact segment integrals, plus the exact
+    integral from ``t`` to the end of its own segment; stable for any
+    tau_p/T ratio.
     """
-    a = 0.5 * profile.tau_p
-    big_t = profile.big_t
     w = profile.omega_r
     out = np.zeros_like(t_arr)
-    _, b1, b2, b3, b4, span = _edges(profile)
-    m1 = (t_arr >= 0.0) & (t_arr <= b1)
-    m2 = (t_arr > b1) & (t_arr <= b2)
-    m3 = (t_arr > b2) & (t_arr <= b3)
-    m4 = (t_arr > b3) & (t_arr <= b4)
-    m5 = (t_arr > b4) & (t_arr <= span)
-    out[m1] = (1.0 - np.cos(w * t_arr[m1])) / w
-    out[m2] = 1.0 / w + (t_arr[m2] - b1)
-    out[m3] = 1.0 / w + big_t + np.sin(w * (t_arr[m3] - big_t - a)) / w
-    out[m4] = 1.0 / w + big_t - (t_arr[m4] - b3)
-    out[m5] = (1.0 - np.cos(w * (span - t_arr[m5]))) / w
+    tail = 0.0  # integral of g_s from the current segment's end to span
+    for seg, m in reversed(list(_pieces(t_arr, _segments(profile)))):
+        t_m = t_arr[m]
+        if seg.p:
+            at_hi = seg.oscillation(w, seg.hi, integrated=True)
+            out[m] = tail + (at_hi - seg.oscillation(w, t_m, integrated=True)) / w
+            tail += (at_hi - seg.oscillation(w, seg.lo, integrated=True)) / w
+        else:
+            out[m] = tail + seg.level * (seg.hi - t_m)
+            tail += seg.level * (seg.hi - seg.lo)
     return out
 
 
@@ -356,23 +391,21 @@ def dc_phase_response(
 ) -> float:
     """Phase from a constant acceleration ``a0`` via the double integral.
 
-    Sums the exact integrals of the closed-form weight function over its
-    five segments; for ``tau_p << T`` the result approaches the textbook
-    ``k_eff a0 T^2``.
+    ``integral w dt = integral t g_s dt`` by parts (``w`` vanishes at the
+    end), summed exactly over the segments of ``g_s``; for ``tau_p << T``
+    the result approaches the textbook ``k_eff a0 T^2``.
     """
-    a = 0.5 * profile.tau_p
-    big_t = profile.big_t
     w = profile.omega_r
-    _, b1, b2, b3, b4, span = _edges(profile)
-    total = (
-        b1 / w - math.sin(w * b1) / w**2
-        + (b2 - b1) / w + 0.5 * (b2 - b1) ** 2
-        + (b3 - b2) * (1.0 / w + big_t)
-        + (math.cos(w * (b2 - big_t - a)) - math.cos(w * (b3 - big_t - a))) / w**2
-        + (b4 - b3) * (1.0 / w + big_t) - 0.5 * (b4 - b3) ** 2
-        + (span - b4) / w - math.sin(w * (span - b4)) / w**2
-    )
-    return k_eff * a0 * total
+    total = 0.0
+    for seg in _segments(profile):
+        if seg.p:
+            # integral t f dt = [t F / w + f / w^2], F = f integrated
+            for t, sign in ((seg.hi, 1.0), (seg.lo, -1.0)):
+                total += sign * (t * seg.oscillation(w, t, integrated=True) / w
+                                 + seg.oscillation(w, t) / w**2)
+        else:
+            total += 0.5 * seg.level * (seg.hi - seg.lo) * (seg.hi + seg.lo)
+    return float(k_eff * a0 * total)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +427,12 @@ def transfer_function(
 ) -> np.ndarray | float:
     """Magnitude of ``G(omega) = integral g_s(t) e^{-i omega t} dt``, exact.
 
-    On each segment ``g_s = level + Im(p e^{i omega_r t})`` for a real
-    ``level`` and a complex ``p``, so the segment's share of ``G`` is a sum
-    of :func:`_exp_integral` terms at ``kappa = -omega`` and
-    ``+-omega_r - omega`` (Cheinet et al., IEEE Trans. Instrum. Meas. 57,
-    1141 (2008)).  The sinc form stays finite at ``omega = omega_r``.
+    On each segment of ``_segments``, ``g_s = level + Im(p e^{i omega_r
+    (t - ref)})``, so with the coefficient ``p e^{-i omega_r ref}`` the
+    segment's share of ``G`` is a sum of :func:`_exp_integral` terms at
+    ``kappa = -omega`` and ``+-omega_r - omega`` (Cheinet et al., IEEE
+    Trans. Instrum. Meas. 57, 1141 (2008)).  The sinc form stays finite at
+    ``omega = omega_r``.
 
     In the thin-pulse limit the magnitude approaches
     ``(4/omega) sin^2(omega T / 2)`` (see
@@ -408,30 +442,12 @@ def transfer_function(
     if np.any(omega_arr < 0.0):
         raise ValueError("omega must be >= 0 for the one-sided transfer function")
     w = profile.omega_r
-    if three_segment:
-        e0, e1, e2, e3 = _edges(profile, three_segment=True)
-        # sin(w t), 1, sin(w (t - T))
-        segments = [
-            (e0, e1, 0.0, 1.0),
-            (e1, e2, 1.0, 0.0),
-            (e2, e3, 0.0, np.exp(-1j * w * profile.big_t)),
-        ]
-    else:
-        e0, e1, e2, e3, e4, e5 = _edges(profile)
-        centre = profile.big_t + 0.5 * profile.tau_p
-        # -sin(w t), -1, -cos(w (t - centre)), +1, sin(w (span - t))
-        segments = [
-            (e0, e1, 0.0, -1.0),
-            (e1, e2, -1.0, 0.0),
-            (e2, e3, 0.0, -1j * np.exp(-1j * w * centre)),
-            (e3, e4, 1.0, 0.0),
-            (e4, e5, 0.0, -np.exp(-1j * w * e5)),
-        ]
     result = np.zeros(omega_arr.shape, dtype=complex)
-    for lo, hi, level, p in segments:
+    for lo, hi, level, p, big, small in _segments(profile, three_segment):
         if level:
             result += level * _exp_integral(-omega_arr, lo, hi)
         if p:
+            p = p * np.exp(-1j * w * (big + small))
             result += (p * _exp_integral(w - omega_arr, lo, hi)
                        - np.conj(p) * _exp_integral(-w - omega_arr, lo, hi)) / 2j
     mags = np.abs(result)
@@ -831,9 +847,9 @@ def _allan(
 
     ``estimate(m)`` returns the Allan variance and the number of blocks (or
     differences) behind it, or the reason ``m`` does not fit the series;
-    such times, and those below one sample, are omitted with a log record.
-    Duplicate snaps are reported once; ``none_left`` is the error text when
-    no time survives.
+    such times, those below one sample, and those snapping to an ``m``
+    already reported are omitted with a log record.  ``none_left`` is the
+    error text when no time survives.
     """
     taus, adevs, counts = [], [], []
     seen: set[int] = set()
@@ -843,6 +859,8 @@ def _allan(
             logger.warning("omitting tau=%g s: shorter than one sample", tau)
             continue
         if m in seen:
+            logger.warning("omitting tau=%g s: snaps to m=%d samples, as an "
+                           "earlier tau did", tau, m)
             continue
         result = estimate(m)
         if isinstance(result, str):

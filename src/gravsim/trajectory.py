@@ -291,12 +291,12 @@ def total_phase(
 
 
 def chirped_phase(
-    beta: float,
+    beta: np.ndarray | float,
     k_eff: float = DEFAULT_K_EFF,
     g: float = DEFAULT_G,
     big_t: float = 0.1,
     dphi_laser: float = 0.0,
-) -> float:
+) -> np.ndarray | float:
     """Interferometer phase with a frequency chirp ``beta`` applied [rad].
 
     Sweeping the beam difference frequency at rate ``beta`` [rad/s^2] adds
@@ -305,7 +305,8 @@ def chirped_phase(
         (beta - k_eff g) T^2 + dphi_laser
 
     The fringe is nulled (up to ``dphi_laser``) at ``beta = k_eff g``, which
-    is the chirp-null condition used to read out g.
+    is the chirp-null condition used to read out g.  An array of chirp
+    rates gives the phases elementwise.
     """
     if big_t <= 0.0:
         raise TimeOrderError(f"need big_t > 0, got {big_t}")

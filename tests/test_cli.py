@@ -185,6 +185,21 @@ class TestAllan:
         # Overlapping differences vastly outnumber non-overlapping blocks.
         assert data[-1, 2] > 60000
 
+    def test_default_grid_rerun_byte_identical_and_duplicate_logged(
+        self, tmp_path, white_series, caplog
+    ):
+        # At the default 20-point grid from tau = dt the first two times both
+        # snap to one sample: 19 rows, and the omitted time is logged.
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {white_series}\n")
+        args = ["allan", "--config", cfg, "--out", str(tmp_path)]
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            assert main(args) == 0
+        first = (tmp_path / "allan.csv").read_bytes()
+        assert len(data_lines(tmp_path / "allan.csv")) == 1 + 19
+        assert "snaps to m=1 samples" in caplog.text
+        assert main(args) == 0
+        assert (tmp_path / "allan.csv").read_bytes() == first
+
     def test_missing_series_key_is_config_error(self, tmp_path, capsys):
         assert main(["allan", "--out", str(tmp_path)]) == 2
         assert "series_file" in capsys.readouterr().err
@@ -228,6 +243,15 @@ class TestSensitivity:
         beyond = data[data[:, 0] > 0.2001, 1]
         assert np.all(beyond == 0.0)
 
+    @pytest.mark.parametrize("flags", [[], ["--three-segment-gs"]])
+    def test_rerun_is_byte_identical(self, tmp_path, flags):
+        args = ["sensitivity", "--out", str(tmp_path), *flags]
+        files = [tmp_path / f"sensitivity_{n}.csv" for n in ("gs", "transfer")]
+        assert main(args) == 0
+        first = [f.read_bytes() for f in files]
+        assert main(args) == 0
+        assert [f.read_bytes() for f in files] == first
+
 
 class TestPsdVariance:
     @pytest.fixture()
@@ -258,6 +282,19 @@ class TestPsdVariance:
         assert summary["truncation_estimate"] == pytest.approx(
             expected.truncation_estimate, rel=1e-12
         )
+
+    def test_rerun_is_byte_identical(self, tmp_path, band_file):
+        cfg = write_config(
+            tmp_path,
+            "[sequence]\nt_interrogation = 0.05\ntau_p = 0.005\n"
+            f"[noise]\npsd_file = {band_file}\nallow_partial = true\n",
+        )
+        args = ["psd-variance", "--config", cfg, "--out", str(tmp_path)]
+        summary = tmp_path / "psd_variance_summary.txt"
+        assert main(args) == 0
+        first = summary.read_bytes()
+        assert main(args) == 0
+        assert summary.read_bytes() == first
 
     def test_uncovered_band_refused_with_coverage_code(
         self, tmp_path, band_file, capsys

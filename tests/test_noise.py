@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,61 @@ class TestSensitivityGThreeSegment:
         t = np.linspace(0.0, 2.0 * self.profile.big_t, 40001)
         total = simpson(sensitivity_g(t, self.profile, three_segment=True), x=t)
         assert total > 0.05
+
+
+class TestSegmentEdges:
+    """g_s at every segment edge, where each segment owns its right edge."""
+
+    @pytest.mark.parametrize(
+        "big_t, tau_p", [(0.1, 0.01), (0.1, 1e-5), (0.08, 0.012), (0.1, 1e-9)]
+    )
+    def test_default_shape_edge_values_bit_for_bit(self, big_t, tau_p):
+        # Both sides of every default edge meet, so these pin the values and
+        # the signs of the two zeros the piecewise formulas give.
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
+        a = 0.5 * tau_p
+        edges = np.array(
+            [0.0, a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t, profile.span]
+        )
+        got = sensitivity_g(edges, profile)
+        expected = np.array([-0.0, -1.0, -1.0, 1.0, 1.0, 0.0])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_three_segment_edges_take_the_earlier_segment(self):
+        # omega_r T / 2 = 10 pi / 3: the ramps end at sin(10 pi / 3) and
+        # sin(20 pi / 3), far from the plateau's 1 and the outside 0.
+        big_t = 0.08
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=0.012)
+        edges = np.array([0.0, 0.5 * big_t, 1.5 * big_t, 2.0 * big_t])
+        got = sensitivity_g(edges, profile, three_segment=True)
+        expected = [0.0, -math.sqrt(0.75), 1.0, math.sqrt(0.75)]
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+class TestMirrorPulseArgument:
+    """g_s and w inside the mirror pulse against the exact ``t - T - a``.
+
+    Subtracting the rounded ``T + a`` in one step errs by up to ulp(T)/2 in
+    the argument, which omega_r scales to ~1e-12 in g_s at the CLI defaults
+    and ~1e-9 at tau_p = 1 ns.  Fractions form the argument exactly here.
+    """
+
+    @pytest.mark.parametrize("tau_p", [1e-5, 1e-9])
+    def test_matches_exact_argument(self, tau_p):
+        big_t = 0.1
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
+        w = profile.omega_r
+        a = 0.5 * tau_p
+        t = np.linspace(a + big_t, 3.0 * a + big_t, 2001)
+        x = [float(Fraction(ti) - Fraction(big_t) - Fraction(a)) for ti in t]
+        g_exact = np.array([-math.cos(w * xi) for xi in x])
+        w_exact = np.array([1.0 / w + big_t + math.sin(w * xi) / w for xi in x])
+        np.testing.assert_allclose(
+            sensitivity_g(t, profile), g_exact, rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            sensitivity_a(t, profile, k_eff=1.0), w_exact, rtol=0.0, atol=1e-12
+        )
 
 
 class TestAccelerationWeight:
@@ -822,10 +878,13 @@ class TestAllanDeviation:
         result = allan_deviation(series, [1.85])
         assert result.tau_avgs[0] == pytest.approx(1.5, rel=1e-12)
 
-    def test_duplicate_snaps_reported_once(self):
+    def test_duplicate_snaps_reported_once(self, caplog):
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
-        result = allan_deviation(series, [1.0, 1.2, 2.0])
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            result = allan_deviation(series, [1.0, 1.2, 2.0])
         np.testing.assert_allclose(result.tau_avgs, [1.0, 2.0])
+        assert len(caplog.records) == 1
+        assert "omitting tau=1.2 s: snaps to m=1 samples" in caplog.text
 
     def test_sub_sample_tau_omitted_with_log(self, caplog):
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
