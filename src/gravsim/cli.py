@@ -363,9 +363,9 @@ def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
         tau_min = series.dt
     if tau_max is None:
         tau_max = series.duration / 5.0
-    if not (0.0 < tau_min <= tau_max):
+    if not (0.0 < tau_min <= tau_max < math.inf):
         raise ConfigError(
-            f"[noise] need 0 < tau_min <= tau_max, got {tau_min}, {tau_max}"
+            f"[noise] need 0 < tau_min <= tau_max < inf, got {tau_min}, {tau_max}"
         )
     taus = np.geomspace(tau_min, tau_max, n_tau)
     estimator = (

@@ -76,6 +76,10 @@ _COVER_HIGH_FACTOR = 100.0  # times omega_r
 #: is refused rather than integrated under-resolved.
 _MAX_GRID_POINTS = 4_000_001
 
+#: Doubles per block of Allan second differences: 64 KiB, so the one buffer
+#: stays in L2 and below glibc's default 128-KiB mmap threshold.
+_ALLAN_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -625,8 +629,11 @@ def _bins(
     ``sqrt(2 S(omega_k) d_omega)``; for even ``n`` the Nyquist amplitude is
     zero, since that bin cannot carry a phase.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("duration and dt must be positive")
+    if not (0.0 < duration < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(
+            f"duration and dt must be finite and positive, got duration="
+            f"{duration}, dt={dt}"
+        )
     n = int(round(duration / dt))
     if n < 16:
         raise ResolutionError(f"duration/dt gives only {n} samples; need >= 16")
@@ -789,6 +796,24 @@ def monte_carlo_phase_variance(
     return float(np.mean(phases**2))
 
 
+def _smooth_length(n: int) -> int:
+    """Least ``2^a 3^b 5^c`` that is at least ``n``.
+
+    numpy's pocketfft transforms such a length with its radix-2/3/5 passes;
+    a large prime factor (640,177 = 89 x 7,193) sends it to Bluestein's
+    algorithm, over ten times slower at that size.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def monte_carlo_vibration_allan(
     s_a: Psd,
     profile: SensitivityProfile,
@@ -804,10 +829,17 @@ def monte_carlo_vibration_allan(
     ``k_eff integral w(t) a(t) dt`` on consecutive windows spaced by
     ``cycle_time``, and returns the two-sample (Allan) variance of the shot
     phases, ``mean(diff^2)/2``.
+
+    The record covers ``n_shots`` cycles, one sequence span and one sample,
+    rounded up to the least 5-smooth number of samples (``2^a 3^b 5^c``), so
+    its inverse FFT never takes the Bluestein path; the samples after the
+    last shot's window go unused.  ``dt`` and the windows do not depend on that
+    length, but the Fourier grid, and so each seed's draw, does.
     """
-    if cycle_time < profile.span:
+    if not profile.span <= cycle_time < math.inf:
         raise ValueError(
-            f"cycle_time must be >= the sequence span {profile.span}"
+            f"cycle_time must be finite and >= the sequence span {profile.span}, "
+            f"got {cycle_time}"
         )
     if n_shots < 3:
         raise ValueError("n_shots must be >= 3")
@@ -817,8 +849,10 @@ def monte_carlo_vibration_allan(
     dt0 = min(2.0 * math.pi / (oversample * omega_max), profile.tau_p / 8.0)
     steps_per_cycle = int(math.ceil(cycle_time / dt0))
     dt = cycle_time / steps_per_cycle
-    duration = n_shots * cycle_time + profile.span + dt
-    series = synthesize_noise(s_a, duration, dt, seed)
+    n_record = _smooth_length(
+        int(round((n_shots * cycle_time + profile.span + dt) / dt))
+    )
+    series = synthesize_noise(s_a, n_record * dt, dt, seed)
     n_window = int(round(profile.span / dt)) + 1
     t_rel = dt * np.arange(n_window)
     kernel = k_eff * _weight(t_rel, profile)
@@ -849,11 +883,14 @@ def _allan(
     differences) behind it, or the reason ``m`` does not fit the series;
     such times, those below one sample, and those snapping to an ``m``
     already reported are omitted with a log record.  ``none_left`` is the
-    error text when no time survives.
+    error text when no time survives; a time that is not finite raises a
+    ``ValueError`` naming it.
     """
     taus, adevs, counts = [], [], []
     seen: set[int] = set()
     for tau in tau_avgs:
+        if not math.isfinite(tau):
+            raise ValueError(f"averaging time must be finite, got tau={tau}")
         m = int(math.floor(tau / series.dt + 1e-9))
         if m < 1:
             logger.warning("omitting tau=%g s: shorter than one sample", tau)
@@ -894,23 +931,28 @@ def _centred_prefix_sum(y: np.ndarray) -> np.ndarray:
     return c
 
 
-def _second_difference_power(
-    c: np.ndarray, m: int, stride: int, work: np.ndarray
-) -> tuple[float, int]:
+def _second_difference_power(c: np.ndarray, m: int, stride: int) -> tuple[float, int]:
     """``sum_j (c[j+2m] - 2 c[j+m] + c[j])^2`` over ``j = 0, stride, ...``
     while ``j + 2m`` stays inside ``c``, and the number of terms.
 
-    The terms are formed in the front of ``work`` with in-place ufuncs, so a
-    call allocates nothing.
+    The terms are formed ``_ALLAN_BLOCK`` at a time in one small buffer with
+    in-place ufuncs, and the block sums of squares are added up, so a call
+    allocates at most 64 KiB however long ``c`` is.
     """
     n_terms = (c.size - 1 - 2 * m) // stride + 1
-    d = work[:n_terms]
-    far = c[2 * m :: stride][:n_terms]
+    near = c[::stride][:n_terms]
     mid = c[m::stride][:n_terms]
-    np.subtract(far, mid, out=d)
-    np.subtract(d, mid, out=d)
-    np.add(d, c[::stride][:n_terms], out=d)
-    return float(d @ d), n_terms
+    far = c[2 * m :: stride][:n_terms]
+    buf = np.empty(min(n_terms, _ALLAN_BLOCK))
+    power = 0.0
+    for lo in range(0, n_terms, _ALLAN_BLOCK):
+        hi = min(lo + _ALLAN_BLOCK, n_terms)
+        d = buf[: hi - lo]
+        np.subtract(far[lo:hi], mid[lo:hi], out=d)
+        np.subtract(d, mid[lo:hi], out=d)
+        np.add(d, near[lo:hi], out=d)
+        power += float(d @ d)
+    return power, n_terms
 
 
 def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResult:
@@ -945,13 +987,12 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
     """
     y = series.samples
     c = _centred_prefix_sum(y)
-    work = np.empty(y.size - 1)
 
     def estimate(m: int) -> tuple[float, int] | str:
         n_blocks = y.size // m
         if n_blocks < 2:
             return f"only {n_blocks} block(s) of {m} samples"
-        power, n_diffs = _second_difference_power(c, m, m, work)
+        power, n_diffs = _second_difference_power(c, m, m)
         return power / (2.0 * m * m * n_diffs), n_blocks
 
     return _allan(
@@ -972,18 +1013,18 @@ def allan_deviation_overlapping(
 
     where ``c[j+m] - c[j]`` is the length-m block sum starting at ``j`` and
     ``c`` is the mean-centred prefix sum of :func:`allan_deviation`, built
-    once per call; the differences of each ``tau`` are formed in one reused
-    buffer.  Smoother than the non-overlapping estimator at large tau (the
-    reported ``n_blocks`` is the number of overlapping differences).
+    once per call; the differences of each ``tau`` are summed block by
+    block in one 64-KiB buffer.  Smoother than the non-overlapping
+    estimator at large tau (the reported ``n_blocks`` is the number of
+    overlapping differences).
     """
     y = series.samples
     c = _centred_prefix_sum(y)
-    work = np.empty(y.size - 1)
 
     def estimate(m: int) -> tuple[float, int] | str:
         if 2 * m > y.size:
             return "series too short for overlapping blocks"
-        power, n_terms = _second_difference_power(c, m, 1, work)
+        power, n_terms = _second_difference_power(c, m, 1)
         return power / (2.0 * m * m * n_terms), n_terms
 
     return _allan(

@@ -185,6 +185,17 @@ class TestAllan:
         # Overlapping differences vastly outnumber non-overlapping blocks.
         assert data[-1, 2] > 60000
 
+    @pytest.mark.parametrize("tau_max", ["inf", "nan"])
+    def test_non_finite_tau_max_is_config_error(
+        self, tmp_path, white_series, capsys, tau_max
+    ):
+        cfg = write_config(
+            tmp_path, f"[noise]\nseries_file = {white_series}\ntau_max = {tau_max}\n"
+        )
+        assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_default_grid_rerun_byte_identical_and_duplicate_logged(
         self, tmp_path, white_series, caplog
     ):

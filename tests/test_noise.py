@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,8 +40,11 @@ from gravsim.noise import (
     Psd,
     SensitivityProfile,
     TimeSeries,
+    _ALLAN_BLOCK,
     _band_phases,
     _bins,
+    _second_difference_power,
+    _smooth_length,
     acceleration_phase,
     allan_deviation,
     allan_deviation_overlapping,
@@ -532,6 +536,15 @@ class TestSynthesizeNoise:
         with pytest.raises(ResolutionError, match="16"):
             synthesize_noise(self.band, duration=25.0, dt=2.0, seed=5)
 
+    @pytest.mark.parametrize(
+        "duration, dt",
+        [(math.nan, 2e-3), (math.inf, 2e-3), (25.0, math.nan)],
+        ids=["nan_duration", "inf_duration", "nan_dt"],
+    )
+    def test_non_finite_grid_rejected(self, duration, dt):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            _bins(self.band, duration, dt)
+
 
 # ---------------------------------------------------------------------------
 # PSD integrals
@@ -833,6 +846,77 @@ class TestAllanFromAccelerationPsd:
         assert measured == pytest.approx(predicted, rel=0.25)
 
 
+def _brute_smooth_length(n):
+    """Least 5-smooth integer >= n, by trial division of n, n + 1, ..."""
+    k = n
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+class TestVibrationMonteCarlo:
+    """The record behind :func:`monte_carlo_vibration_allan`: its 5-smooth
+    length, and the estimator's mean over seeds."""
+
+    profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+    band = Psd(
+        freqs=np.array([2.0 * math.pi * 4.0, 2.0 * math.pi * 50.0]),
+        values=np.array([1e-7, 1e-7]),
+    )
+
+    def test_smooth_length_matches_brute_force(self):
+        got = [_smooth_length(n) for n in range(1, 5001)]
+        assert got == [_brute_smooth_length(n) for n in range(1, 5001)]
+
+    @pytest.mark.parametrize("n_shots, expected", [(1600, 648_000), (150, 60_750)])
+    def test_record_synthesized_at_smooth_length(self, monkeypatch, n_shots, expected):
+        lengths = []
+        original = gravsim.noise.synthesize_noise
+
+        def spy(target, duration, dt, seed):
+            series = original(target, duration, dt, seed)
+            lengths.append((series.samples.size, dt))
+            return series
+
+        monkeypatch.setattr(gravsim.noise, "synthesize_noise", spy)
+        cycle = 0.25
+        monte_carlo_vibration_allan(
+            self.band, self.profile, cycle_time=cycle, n_shots=n_shots, seed=1
+        )
+        [(n, dt)] = lengths
+        needed = int(round((n_shots * cycle + self.profile.span + dt) / dt))
+        assert n == expected
+        assert n >= needed and _brute_smooth_length(n) == n
+
+    def test_non_finite_cycle_time_rejected(self):
+        for cycle in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"cycle_time .* got {cycle}"):
+                monte_carlo_vibration_allan(
+                    self.band, self.profile, cycle_time=cycle, n_shots=4
+                )
+
+    def test_unbiased_over_seeds(self):
+        # 200 seeds read mean 1.0004 and std 0.116 of MC / shot-sampled.
+        predicted = allan_from_acceleration_psd(
+            self.band, self.profile, k_eff=1.61e7, cycle_time=0.25,
+            formula="shot-sampled", allow_partial=True,
+        )
+        ratios = np.array([
+            monte_carlo_vibration_allan(
+                self.band, self.profile, k_eff=1.61e7, cycle_time=0.25,
+                n_shots=150, seed=seed,
+            ) / predicted
+            for seed in range(100)
+        ])
+        std_err = ratios.std(ddof=1) / math.sqrt(ratios.size)
+        assert abs(ratios.mean() - 1.0) < 4.0 * std_err
+
+
 # ---------------------------------------------------------------------------
 # Allan estimators
 # ---------------------------------------------------------------------------
@@ -1038,6 +1122,52 @@ class TestAllanPrefixSum:
         np.testing.assert_allclose(
             result.adevs, [direct(y, m) for m in ms], rtol=1e-12, atol=0.0
         )
+
+    @pytest.mark.parametrize(
+        "n_terms",
+        [_ALLAN_BLOCK - 1, _ALLAN_BLOCK, _ALLAN_BLOCK + 1, 3 * _ALLAN_BLOCK + 7],
+    )
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_blocked_sum_matches_unblocked(self, n_terms, overlapping):
+        # Term counts on either side of a block edge and a ragged last block.
+        m = 5
+        stride = 1 if overlapping else m
+        size = (n_terms - 1) * stride + 2 * m + 1
+        steps = np.random.default_rng(n_terms).normal(0.0, 1.0, size - 1)
+        c = np.concatenate(([0.0], np.cumsum(steps)))
+        j = stride * np.arange(n_terms)
+        expected = math.fsum((c[j + 2 * m] - 2.0 * c[j + m] + c[j]) ** 2)
+        power, count = _second_difference_power(c, m, stride)
+        assert count == n_terms
+        assert power == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "estimator", [allan_deviation, allan_deviation_overlapping],
+        ids=["non_overlapping", "overlapping"],
+    )
+    def test_peak_memory_is_the_prefix_sum(self, estimator):
+        # The prefix sum is the one array as long as the series; the
+        # second differences go through one small block buffer.
+        n = 1 << 20
+        series = TimeSeries(np.random.default_rng(7).normal(0.0, 1.0, n), dt=1.0)
+        taus = list(np.geomspace(1.0, 4096.0, 20))
+        tracemalloc.start()
+        try:
+            estimator(series, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (n + 1)
+
+    @pytest.mark.parametrize(
+        "estimator", [allan_deviation, allan_deviation_overlapping],
+        ids=["non_overlapping", "overlapping"],
+    )
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_named(self, estimator, tau):
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        with pytest.raises(ValueError, match=f"tau={tau}"):
+            estimator(series, [2.0, tau])
 
 
 # ---------------------------------------------------------------------------
