@@ -145,8 +145,13 @@ def _fmt(value: object) -> str:
 
 def _parse_value(kind: str, raw: str, where: str) -> object:
     try:
-        if kind == "float":
-            return float(raw)
+        if kind == "autofloat" and raw.strip().lower() == "auto":
+            return "auto"
+        if kind in ("float", "autofloat"):
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            return value
         if kind == "int":
             return int(raw)
         if kind == "bool":
@@ -156,10 +161,6 @@ def _parse_value(kind: str, raw: str, where: str) -> object:
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "autofloat":
-            if raw.strip().lower() == "auto":
-                return "auto"
-            return float(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -179,7 +180,9 @@ def load_config(path: str | None) -> RunConfig:
         config_path = Path(path)
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(
+            interpolation=None, inline_comment_prefixes=("#",)
+        )
         try:
             with config_path.open() as fh:
                 parser.read_file(fh)

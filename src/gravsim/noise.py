@@ -20,7 +20,6 @@ Conventions: PSDs are one-sided in angular frequency, normalized so that
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -1038,37 +1037,67 @@ def allan_deviation_overlapping(
 # ---------------------------------------------------------------------------
 
 
+def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as a float array of ``width`` columns; None if they are not.
+
+    Comment rows are dropped before this parse, so a ``#`` inside a row is
+    data (``comments=None``); a cell may be quoted with ``"``.
+    """
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
+def _row_error(p: Path, rows: list[tuple[int, str]], width: int) -> DataFormatError:
+    """The error naming the first of ``rows`` that `_parse_rows` rejects."""
+    for line_no, line in rows:
+        if _parse_rows([line], width) is not None:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return DataFormatError(
+                f"{p}:{line_no}: expected {width} columns, got {len(cells)}"
+            )
+        bad = next(
+            (c for c in cells if not c.strip() or _parse_rows([c], 1) is None), line
+        )
+        return DataFormatError(
+            f"{p}:{line_no}: could not convert string to float: {bad!r}"
+        )
+    # Only a quoted cell that runs across lines gets here.
+    return DataFormatError(f"{p}: rows do not parse as {width} numeric columns")
+
+
 def _read_rows(path: str | Path, expected_header: list[str]) -> np.ndarray:
+    """The data rows under ``expected_header`` as a float array.
+
+    Empty rows and rows whose first non-blank character is ``#`` are
+    skipped; a bad header or data row is reported with its line number.
+    """
     p = Path(path)
     if not p.is_file():
         raise DataFormatError(f"input file not found: {p}")
-    rows = []
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                if header != expected_header:
-                    raise DataFormatError(
-                        f"{p}:{line_no}: expected header {expected_header}, "
-                        f"got {header}"
-                    )
-                continue
-            if len(row) != len(expected_header):
-                raise DataFormatError(
-                    f"{p}:{line_no}: expected {len(expected_header)} columns, "
-                    f"got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{p}:{line_no}: {exc}") from exc
-    if header is None or not rows:
+    rows = [
+        (line_no, line)
+        for line_no, line in enumerate(p.read_text().split("\n"), start=1)
+        if line and not line.lstrip().startswith("#")
+    ]
+    if rows:
+        line_no, line = rows[0]
+        header = [cell.strip().strip('"') for cell in line.split(",")]
+        if header != expected_header:
+            raise DataFormatError(
+                f"{p}:{line_no}: expected header {expected_header}, got {header}"
+            )
+    if len(rows) < 2:
         raise DataFormatError(f"{p}: no data rows")
-    return np.array(rows)
+    width = len(expected_header)
+    data = _parse_rows([line for _, line in rows[1:]], width)
+    if data is None:
+        raise _row_error(p, rows[1:], width)
+    return data
 
 
 def read_psd_csv(path: str | Path) -> Psd:

@@ -6,12 +6,13 @@ than shipped as binaries.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gravsim import noise
-from gravsim.cli import main
+from gravsim.cli import _SCHEMA, load_config, main
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -360,6 +361,40 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, "[scan]\nn_points = soon\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "n_points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("sensitivity", "sensitivity", "transfer_max_cycles", "inf"),
+            ("rabi", "pulse", "rabi_hz", "nan"),
+            ("rabi", "pulse", "duration", "inf"),
+            ("fringe", "constants", "gravity", "nan"),
+            ("fringe", "scan", "span_fringes", "inf"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_readme_config_block_resolves_to_defaults(self, tmp_path):
+        # The documented block sets every key, each to its default, with
+        # inline "#" comments.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config_format = readme.split("### Config file format", 1)[1]
+        block = config_format.split("```ini\n", 1)[1].split("```", 1)[0]
+        n_set = sum("=" in line.partition("#")[0] for line in block.splitlines())
+        assert n_set == sum(len(keys) for keys in _SCHEMA.values()) == 30
+        cfg = load_config(write_config(tmp_path, block))
+        assert cfg.values == {
+            section: {key: default for key, (_, default) in keys.items()}
+            for section, keys in _SCHEMA.items()
+        }
 
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(

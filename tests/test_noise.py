@@ -1235,9 +1235,11 @@ class TestCsvInterfaces:
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("omega_rad_per_s,psd_value\n1.0,lots\n")
-        with pytest.raises(DataFormatError):
-            read_psd_csv(path)
+        # The second file's quoted cell runs across two lines.
+        for data in ("1.0,lots\n", '1.0,"2.0\n"3.0",4.0\n'):
+            path.write_text("omega_rad_per_s,psd_value\n" + data)
+            with pytest.raises(DataFormatError):
+                read_psd_csv(path)
 
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1256,3 +1258,82 @@ class TestCsvInterfaces:
         path.write_text("omega_rad_per_s,psd_value\n2.0,1.0\n1.0,1.0\n")
         with pytest.raises(DataFormatError):
             read_psd_csv(path)
+
+    def test_comment_rows_skipped(self, tmp_path):
+        # A row is a comment when its first non-blank character is '#',
+        # before the header and between data rows alike.
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "# recorded\n  # c\nt,y\n0.0,1.0\n# between\n\n  # c\n0.5,-2.0\n"
+        )
+        loaded = read_series_csv(path)
+        assert np.array_equal(loaded.samples, [1.0, -2.0])
+        assert (loaded.dt, loaded.t0) == (0.5, 0.0)
+
+    def test_whitespace_only_row_is_column_error_at_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,1.0\n   \n1.0,2.0\n")
+        with pytest.raises(
+            DataFormatError, match=r"bad\.csv:3: expected 2 columns, got 1$"
+        ):
+            read_series_csv(path)
+
+    def test_inline_hash_is_data_error_at_its_line(self, tmp_path):
+        # '#' after the first cell does not start a comment.
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,1.0\n1.0,2.0 # note\n")
+        with pytest.raises(
+            DataFormatError,
+            match=r"bad\.csv:3: could not convert string to float: '2\.0 # note'$",
+        ):
+            read_series_csv(path)
+
+    def test_line_numbers_count_comment_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# a\n# b\nt,y\n0.0,lots\n")
+        with pytest.raises(
+            DataFormatError,
+            match=r"bad\.csv:4: could not convert string to float: 'lots'$",
+        ):
+            read_series_csv(path)
+        path.write_text(
+            "# a\n# b\nomega_rad_per_s,psd_value\n1.0,2.0\n2.0,3.0,4.0\n"
+        )
+        with pytest.raises(
+            DataFormatError, match=r"bad\.csv:5: expected 2 columns, got 3$"
+        ):
+            read_psd_csv(path)
+
+    def test_crlf_and_quoted_cells_read_as_plain(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"t,y\n0.0,1.5\n0.5,-2.25\n1.0,3.0\n")
+        variants = {
+            "crlf.csv": b"t,y\r\n0.0,1.5\r\n0.5,-2.25\r\n1.0,3.0\r\n",
+            "quoted.csv": b'"t","y"\n"0.0","1.5"\n0.5,"-2.25"\n"1.0",3.0\n',
+            "both.csv": b'"t","y"\r\n"0.0","1.5"\r\n"0.5","-2.25"\r\n"1.0","3.0"\r\n',
+        }
+        expected = read_series_csv(plain)
+        for name, content in variants.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            loaded = read_series_csv(path)
+            assert np.array_equal(loaded.samples, expected.samples), name
+            assert (loaded.dt, loaded.t0) == (expected.dt, expected.t0), name
+
+    @pytest.mark.parametrize("fmt", ["{:.15e}".format, repr])
+    def test_doubles_read_back_bit_identical(self, tmp_path, fmt):
+        # Random bit patterns span every exponent, subnormals included.
+        bits = np.random.default_rng(12).integers(
+            0, 2**64, size=70_000, dtype=np.uint64
+        )
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:65_536]
+        cells = [fmt(float(v)) for v in values]
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "t,y\n" + "".join(f"{i * 0.25!r},{c}\n" for i, c in enumerate(cells))
+        )
+        loaded = read_series_csv(path)
+        expected = np.array([float(s) for s in cells])
+        assert loaded.samples.size == 65_536
+        assert np.array_equal(loaded.samples.view(np.uint64), expected.view(np.uint64))
