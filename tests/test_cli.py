@@ -228,6 +228,25 @@ class TestAllan:
         assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, bad_line",
+        [
+            (["0.0,1.0", "inf,2.0"], 3),
+            (["0.0,1.0", "1.0,2.0", "# gap", "2.0,nan", "3.0,1.0", "4.0,2.0",
+              "5.0,1.0"], 5),
+        ],
+        ids=["inf-in-t", "nan-in-y"],
+    )
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, rows, bad_line):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {path}\n")
+        assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}:{bad_line}: non-finite value" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "allan.csv").exists()
+
 
 class TestSensitivity:
     def test_dark_interval_samples(self, tmp_path):
@@ -331,6 +350,20 @@ class TestPsdVariance:
         err = capsys.readouterr().err
         assert "coverage error" in err
         assert "needs 40747741 grid points; at most 4000001" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_frequency_is_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"omega_rad_per_s,psd_value\n62.8,1e-8\n{cell},1e-8\n")
+        cfg = write_config(
+            tmp_path,
+            "[sequence]\nt_interrogation = 0.05\ntau_p = 0.005\n"
+            f"[noise]\npsd_file = {path}\nallow_partial = true\n",
+        )
+        assert main(["psd-variance", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}:3: non-finite value" in err
+        assert not (tmp_path / "psd_variance_summary.txt").exists()
 
     def test_missing_psd_key_is_config_error(self, tmp_path, capsys):
         assert main(["psd-variance", "--out", str(tmp_path)]) == 2

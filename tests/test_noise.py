@@ -7,7 +7,8 @@ Oracle strategy:
 * the closed-form acceleration weight against a dense numeric cumulative
   integral of the sensitivity function (two independent paths);
 * the transfer function against an in-test dense trapezoid of
-  g_s(t) e^{-i omega t} and against the thin-pulse closed form;
+  g_s(t) e^{-i omega t}, against 50-digit mpmath values of the five
+  segment integrals, and against the thin-pulse closed form;
 * PSD integrals against narrowband concentration limits and against
   time-domain Monte-Carlo with frozen seeds;
 * Allan estimators against hand-evaluated block arithmetic, slope laws
@@ -300,7 +301,63 @@ class TestAccelerationPhase:
 # ---------------------------------------------------------------------------
 
 
+def _mp_transfer(omega: float, profile: SensitivityProfile) -> float:
+    """|G(omega)| from the five segment integrals of g_s, at 50 digits.
+
+    Written from the piecewise shape in ``sensitivity_g``'s docstring with
+    the profile's own (binary) T, tau_p and omega_r, each integral in closed
+    form: ``integral_lo^hi e^{i kappa t} dt``, and ``hi - lo`` at kappa = 0.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        om, w = mp.mpf(omega), mp.mpf(profile.omega_r)
+        big_t, a = mp.mpf(profile.big_t), mp.mpf(profile.tau_p) / 2
+        span = 2 * big_t + 4 * a
+
+        def e(kappa, lo, hi):  # integral_lo^hi e^{i kappa t} dt
+            if kappa == 0:
+                return hi - lo
+            return (mp.expj(kappa * hi) - mp.expj(kappa * lo)) / (1j * kappa)
+
+        def sin_cos(ref, lo, hi):
+            # integrals of sin and cos of w (t - ref) against e^{-i om t}
+            up = mp.expj(-w * ref) * e(w - om, lo, hi)
+            down = mp.expj(w * ref) * e(-w - om, lo, hi)
+            return (up - down) / 2j, (up + down) / 2
+
+        g = (
+            -sin_cos(0, 0, a)[0]
+            - e(-om, a, a + big_t)
+            - sin_cos(big_t + a, a + big_t, 3 * a + big_t)[1]
+            + e(-om, 3 * a + big_t, 3 * a + 2 * big_t)
+            - sin_cos(span, 3 * a + 2 * big_t, span)[0]
+        )
+        return float(abs(g))
+
+
 class TestTransferFunction:
+    @pytest.mark.parametrize(
+        "big_t, tau_p", [(0.1, 1e-5), (0.05, 5e-3), (0.02, 5e-4), (0.1, 1e-9)]
+    )
+    def test_matches_mpmath_segment_integrals(self, big_t, tau_p):
+        # The closed product form against the segment integrals it replaces:
+        # at DC, below and at the fringe scale, around and at the Rabi rate
+        # (where the product's 0/0 is rewritten away), far above it, and on
+        # the CLI's 79-point table, to 1e-15 of the peak |G|.  G(0) is exactly
+        # 0 in the product form.
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
+        w = profile.omega_r
+        special = [0.0, 313.0, 2.0 * math.pi / big_t, 0.5 * w, w,
+                   w * (1.0 + 1e-9), w * (1.0 - 1e-9), 2.0 * w, 50.0 * w]
+        omega = np.concatenate(
+            [special, 2.0 * math.pi * np.linspace(0.1, 4.0, 79) / big_t]
+        )
+        got = transfer_function(omega, profile)
+        assert got[0] == 0.0 and transfer_function(0.0, profile) == 0.0
+        expected = np.array([_mp_transfer(o, profile) for o in omega])
+        np.testing.assert_allclose(got, expected, rtol=0.0,
+                                   atol=1e-15 * expected.max())
+
     def test_matches_dense_quadrature_oracle(self):
         # Independent second path: dense trapezoid of g_s e^{-i omega t}.
         profile = SensitivityProfile.from_tau_p(big_t=0.07, tau_p=0.004)
@@ -412,6 +469,9 @@ class TestPsd:
             Psd(freqs=np.array([1.0, 2.0]), values=np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             Psd(freqs=np.array([-1.0, 2.0]), values=np.array([1.0, 1.0]))
+        for freqs in ([1.0, math.nan], [math.nan, 2.0], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                Psd(freqs=np.array(freqs), values=np.array([1.0, 1.0]))
 
     def test_interpolation_zero_outside(self):
         psd = Psd(freqs=np.array([1.0, 3.0]), values=np.array([2.0, 4.0]))
