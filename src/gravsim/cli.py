@@ -33,12 +33,17 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import measurement, noise, twolevel
-from .core import DEFAULT_G, DEFAULT_K_EFF, SequenceParams, TwoLevelState
+from .core import (
+    DEFAULT_G,
+    DEFAULT_K_EFF,
+    SequenceParams,
+    TwoLevelState,
+    _write_csv,
+)
 from .errors import (
     AmbiguousFringeError,
     ConfigError,
@@ -50,6 +55,12 @@ from .errors import (
     ResolutionError,
     StepSizeError,
 )
+
+if TYPE_CHECKING:
+    from .noise import SensitivityProfile
+
+# Each subcommand imports the one module it runs, inside its cmd_* function,
+# so a fresh process loads (and, without bytecode caches, compiles) no other.
 
 __all__ = ["main", "load_config", "RunConfig"]
 
@@ -229,9 +240,11 @@ def _sequence_params(cfg: RunConfig) -> SequenceParams:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
 
 
-def _profile(cfg: RunConfig) -> noise.SensitivityProfile:
+def _profile(cfg: RunConfig) -> SensitivityProfile:
+    from .noise import SensitivityProfile
+
     try:
-        return noise.SensitivityProfile.from_tau_p(
+        return SensitivityProfile.from_tau_p(
             big_t=cfg.get_float("sequence", "t_interrogation"),
             tau_p=cfg.get_float("sequence", "tau_p"),
         )
@@ -255,7 +268,11 @@ def _write_summary(
 
 
 def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
+    from . import twolevel
+
     rabi = _TWO_PI * cfg.get_float("pulse", "rabi_hz")
+    if rabi < 0.0:
+        raise ConfigError(f"[pulse] rabi_hz must be >= 0, got {rabi / _TWO_PI}")
     detuning = _TWO_PI * cfg.get_float("pulse", "detuning_hz")
     laser_phase = cfg.get_float("pulse", "laser_phase")
     n_points = int(cfg.get("pulse", "n_points"))
@@ -269,6 +286,8 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
                 "(auto means one resonant inversion time pi/rabi)"
             )
         duration = math.pi / rabi
+    if duration <= 0.0:
+        raise ConfigError(f"[pulse] duration must be > 0, got {duration}")
     omega_r = math.hypot(rabi, detuning)
     dt = cfg.get_auto("pulse", "oracle_dt")
     if dt is None:
@@ -291,7 +310,7 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
         final = twolevel.ode_oracle(ground, pulse, dt)
         oracle[i] = abs(final.c_b) ** 2
     discrepancy = float(np.max(np.abs(closed - oracle)))
-    noise._write_csv(
+    _write_csv(
         out_dir / "rabi.csv",
         ["t", "p_excited_closed", "p_excited_oracle"],
         [times, closed, oracle],
@@ -305,6 +324,8 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
+    from . import measurement
+
     seq = _sequence_params(cfg)
     gravity = cfg.get_float("constants", "gravity")
     center = cfg.get_auto("scan", "center")
@@ -313,6 +334,10 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     n_points = int(cfg.get("scan", "n_points"))
     n_atoms = int(cfg.get("scan", "n_atoms"))
     seed = int(cfg.get("io", "seed"))
+    if n_atoms < 0:
+        raise ConfigError(f"[scan] n_atoms must be >= 0, got {n_atoms}")
+    if n_atoms > 0 and seed < 0:
+        raise ConfigError(f"[io] seed must be >= 0 for a noisy scan, got {seed}")
     try:
         betas = measurement.beta_grid(
             center=center,
@@ -334,7 +359,7 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     estimate = measurement.estimate_g(
         scan, k_eff=seq.k_eff, big_t=seq.t_interrogation, dphi_laser=seq.dphi_laser
     )
-    noise._write_csv(
+    _write_csv(
         out_dir / "fringe.csv",
         ["beta", "p_excited"],
         [scan.betas, scan.probabilities],
@@ -353,6 +378,8 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
+    from . import noise
+
     series_file = str(cfg.get("noise", "series_file"))
     if not series_file:
         raise ConfigError("[noise] series_file is required for the allan command")
@@ -384,13 +411,15 @@ def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> int:
+    from . import noise
+
     profile = _profile(cfg)
     n_time = int(cfg.get("sensitivity", "n_time_points"))
     if n_time < 2:
         raise ConfigError("[sensitivity] n_time_points must be >= 2")
     times = np.linspace(0.0, profile.span, n_time)
     gs = noise.sensitivity_g(times, profile, three_segment=three_segment_gs)
-    noise._write_csv(
+    _write_csv(
         out_dir / "sensitivity_gs.csv",
         ["t", "g_s"], [times, gs],
         cfg.echo_lines("sensitivity"),
@@ -406,7 +435,7 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
     mags = np.asarray(
         noise.transfer_function(omegas, profile, three_segment=three_segment_gs)
     )
-    noise._write_csv(
+    _write_csv(
         out_dir / "sensitivity_transfer.csv",
         ["omega_rad_per_s", "transfer_mag"], [omegas, mags],
         cfg.echo_lines("sensitivity"),
@@ -415,6 +444,8 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
 
 
 def cmd_psd_variance(cfg: RunConfig, out_dir: Path) -> int:
+    from . import noise
+
     psd_file = str(cfg.get("noise", "psd_file"))
     if not psd_file:
         raise ConfigError("[noise] psd_file is required for the psd-variance command")

@@ -12,6 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -178,7 +180,7 @@ class SequenceParams:
     phases : tuple of float
         Laser phases (phi_1, phi_2, phi_3) of the three pulses [rad].
     k_eff : float
-        Two-photon effective wavenumber [rad/m].
+        Two-photon effective wavenumber [rad/m]; finite and nonzero.
     """
 
     t_interrogation: float
@@ -197,6 +199,10 @@ class SequenceParams:
         if len(self.phases) != 3:
             raise InvalidSequenceError(
                 f"phases must hold exactly three entries, got {len(self.phases)}"
+            )
+        if not math.isfinite(self.k_eff) or self.k_eff == 0.0:
+            raise InvalidSequenceError(
+                f"k_eff must be finite and nonzero, got {self.k_eff}"
             )
 
     @property
@@ -243,3 +249,24 @@ def state_probability(state: TwoLevelState | ThreeLevelState, which: str) -> flo
             return abs(state.c_e) ** 2
         raise ValueError(f"unknown three-level component {which!r}")
     raise TypeError(f"unsupported state type {type(state).__name__}")
+
+
+def _write_csv(
+    path: str | os.PathLike,
+    header: list[str],
+    columns: list,
+    comments: Sequence[str] = (),
+) -> None:
+    """Write CSV with LF endings, '.' decimals, 15-significant-digit floats
+    and integer columns as plain integers; optional '#' comment lines first.
+
+    ``columns`` are equal-length arrays.  This is the package's one CSV
+    writer: the CLI's tables and ``noise.write_*_csv`` both use it.
+    """
+    formats = ["{:d}" if column.dtype.kind in "iu" else "{:.15e}" for column in columns]
+    with open(path, "w", newline="\n") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f.format(v) for f, v in zip(formats, row)) + "\n")

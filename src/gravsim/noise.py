@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_K_EFF
+from .core import DEFAULT_K_EFF, _write_csv
 from .errors import (
     CoverageError,
     DataFormatError,
@@ -181,12 +181,16 @@ class SensitivityProfile:
     @classmethod
     def from_tau_p(cls, big_t: float, tau_p: float) -> "SensitivityProfile":
         """Profile with the Rabi rate implied by the pi-pulse condition."""
-        return cls(big_t=big_t, tau_p=tau_p, omega_r=math.pi / tau_p)
+        # tau_p = 0 gets an infinite rate, so that __post_init__ rejects it.
+        omega_r = math.pi / tau_p if tau_p else math.inf
+        return cls(big_t=big_t, tau_p=tau_p, omega_r=omega_r)
 
     @classmethod
     def from_omega_r(cls, big_t: float, omega_r: float) -> "SensitivityProfile":
         """Profile with the pi-pulse duration implied by the Rabi rate."""
-        return cls(big_t=big_t, tau_p=math.pi / omega_r, omega_r=omega_r)
+        # omega_r = 0 gets an infinite tau_p, so that __post_init__ rejects it.
+        tau_p = math.pi / omega_r if omega_r else math.inf
+        return cls(big_t=big_t, tau_p=tau_p, omega_r=omega_r)
 
     @property
     def span(self) -> float:
@@ -543,9 +547,12 @@ def _integration_grid(psd: Psd, finest_time_scale: float) -> np.ndarray:
             f"points; at most {_MAX_GRID_POINTS} are allowed"
         )
     n = max(n, 1001)
-    # Include the tabulated breakpoints so linear PSD features are exact.
-    grid = np.union1d(np.linspace(lo, hi, n), psd.freqs)
-    return grid
+    # Include the tabulated breakpoints so linear PSD features are exact:
+    # np.union1d's sort-and-drop-repeats, without the numpy.ma import its
+    # np.unique costs a fresh process.
+    grid = np.concatenate((np.linspace(lo, hi, n), psd.freqs))
+    grid.sort()
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def phase_variance_from_psd(
@@ -1082,11 +1089,15 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
     return data if data.shape[1] == width else None
 
 
-def _row_error(p: Path, rows: list[tuple[int, str]], width: int) -> DataFormatError:
-    """The error naming the first of ``rows`` that `_parse_rows` rejects."""
-    for line_no, line in rows:
+def _row_error(
+    p: Path, lines: list[str], start: int, rows: list[str], width: int
+) -> DataFormatError:
+    """The error naming the first of ``rows`` that `_parse_rows` rejects, at
+    its first occurrence in ``lines`` from index ``start`` on."""
+    for line in rows:
         if _parse_rows([line], width) is not None:
             continue
+        line_no = lines.index(line, start) + 1
         cells = line.split(",")
         if len(cells) != width:
             return DataFormatError(
@@ -1112,29 +1123,32 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
         raise DataFormatError(f"input file not found: {p}")
+    lines = p.read_text().split("\n")
+    # Each error below names the first data row with its fault, and an
+    # identical earlier data row would have the same fault, so the row's
+    # first occurrence after the header is its line; only an error needs it.
     rows = [
-        (line_no, line)
-        for line_no, line in enumerate(p.read_text().split("\n"), start=1)
-        if line and not line.lstrip().startswith("#")
+        line for line in lines
+        if line and ("#" not in line or not line.lstrip().startswith("#"))
     ]
     if rows:
-        line_no, line = rows[0]
-        header = [cell.strip().strip('"') for cell in line.split(",")]
+        head = lines.index(rows[0])
+        header = [cell.strip().strip('"') for cell in rows[0].split(",")]
         if header != expected_header:
             raise DataFormatError(
-                f"{p}:{line_no}: expected header {expected_header}, got {header}"
+                f"{p}:{head + 1}: expected header {expected_header}, got {header}"
             )
     if len(rows) < 2:
         raise DataFormatError(f"{p}: no data rows")
     width = len(expected_header)
-    data = _parse_rows([line for _, line in rows[1:]], width)
+    data = _parse_rows(rows[1:], width)
     if data is None:
-        raise _row_error(p, rows[1:], width)
+        raise _row_error(p, lines, head + 1, rows[1:], width)
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
-        line_no, line = rows[1 + row]
+        line = rows[1 + row]
         raise DataFormatError(
-            f"{p}:{line_no}: non-finite value in column "
+            f"{p}:{lines.index(line, head + 1) + 1}: non-finite value in column "
             f"{expected_header[col]!r}: {line.split(',')[col].strip()!r}"
         )
     return data
@@ -1160,27 +1174,6 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6 * dt):
         raise DataFormatError(f"{path}: time grid is not uniformly increasing")
     return TimeSeries(samples=data[:, 1], dt=dt, t0=float(t[0]))
-
-
-def _write_csv(
-    path: str | Path,
-    header: list[str],
-    columns: list[np.ndarray],
-    comments: Sequence[str] = (),
-) -> None:
-    """Write CSV with LF endings, '.' decimals, 15-significant-digit floats
-    and integer columns as plain integers; optional '#' comment lines first."""
-    formats = [
-        "{:d}" if np.issubdtype(np.asarray(column).dtype, np.integer) else "{:.15e}"
-        for column in columns
-    ]
-    p = Path(path)
-    with p.open("w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f.format(v) for f, v in zip(formats, row)) + "\n")
 
 
 def write_psd_csv(path: str | Path, psd: Psd, comments: Sequence[str] = ()) -> None:

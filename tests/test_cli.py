@@ -415,6 +415,34 @@ class TestConfigHandling:
         assert "config error" in err and key in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("rabi", "[pulse]\nduration = -1e-6\n", "duration"),
+            ("rabi", "[pulse]\nrabi_hz = -1\nduration = 1e-5\n", "rabi_hz"),
+            ("sensitivity", "[sequence]\ntau_p = 0\n", "tau_p"),
+            ("psd-variance", "[sequence]\ntau_p = 0\n", "tau_p"),
+            ("fringe", "[sequence]\nk_eff = 0\n", "k_eff"),
+            ("fringe", "[scan]\nn_atoms = -5\n", "n_atoms"),
+            ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n", "seed"),
+        ],
+        ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
+             "psd_variance-tau_p", "fringe-k_eff", "fringe-n_atoms", "fringe-seed"],
+    )
+    def test_out_of_range_value_is_config_error(
+        self, tmp_path, capsys, command, text, key
+    ):
+        psd = tmp_path / "psd.csv"
+        psd.write_text("omega_rad_per_s,psd_value\n1.0,1e-9\n1e6,1e-9\n")
+        cfg = write_config(
+            tmp_path, text + f"[noise]\npsd_file = {psd}\nallow_partial = true\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_readme_config_block_resolves_to_defaults(self, tmp_path):
         # The documented block sets every key, each to its default, with
         # inline "#" comments.

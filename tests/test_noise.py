@@ -16,6 +16,7 @@ Oracle strategy:
   running-mean (convolve) forms.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -44,6 +45,7 @@ from gravsim.noise import (
     _ALLAN_BLOCK,
     _band_phases,
     _bins,
+    _integration_grid,
     _second_difference_power,
     _smooth_length,
     acceleration_phase,
@@ -85,6 +87,10 @@ class TestSensitivityProfile:
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=0.02)
         with pytest.raises(ValueError, match="big_t > tau_p"):
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=-1.0)
+        with pytest.raises(ValueError, match="big_t > tau_p"):
+            SensitivityProfile.from_tau_p(big_t=0.01, tau_p=0.0)
+        with pytest.raises(ValueError, match="big_t > tau_p"):
+            SensitivityProfile.from_omega_r(big_t=0.01, omega_r=0.0)
 
     def test_constructors_agree(self):
         p1 = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=0.01)
@@ -446,6 +452,46 @@ class TestTransferFunction:
             )
             assert out.stdout.strip() == "[]", module
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("rabi", ["twolevel"]),
+            ("fringe", ["measurement", "trajectory"]),
+            ("gsweep", ["measurement", "trajectory"]),
+            ("allan", ["noise"]),
+            ("sensitivity", ["noise"]),
+            ("psd-variance", ["noise"]),
+        ],
+    )
+    def test_cli_command_loads_only_its_modules(self, tmp_path, command, expected):
+        series = TimeSeries(samples=np.sin(np.arange(64.0)), dt=0.5)
+        write_series_csv(tmp_path / "series.csv", series)
+        psd = Psd(freqs=np.array([1.0, 1e6]), values=np.array([1e-9, 1e-9]))
+        write_psd_csv(tmp_path / "psd.csv", psd)
+        (tmp_path / "run.ini").write_text(
+            f"[noise]\nseries_file = {tmp_path / 'series.csv'}\n"
+            f"psd_file = {tmp_path / 'psd.csv'}\nallow_partial = true\n"
+        )
+        argv = [command, "--config", str(tmp_path / "run.ini"),
+                "--out", str(tmp_path / "out")]
+        code = (
+            "import json, sys, gravsim.cli\n"
+            f"assert gravsim.cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        src = str(Path(gravsim.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        loaded = json.loads(out.stdout)
+        ours = [m.split(".", 1)[1] for m in loaded if m.startswith("gravsim.")]
+        assert ours == sorted(["cli", "core", "errors", *expected])
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+        if command in ("sensitivity", "psd-variance"):
+            # np.union1d's np.unique imported numpy.ma here.
+            assert "numpy.ma" not in loaded
+
     def test_rejects_negative_frequency(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
         with pytest.raises(ValueError, match="omega"):
@@ -613,6 +659,18 @@ class TestSynthesizeNoise:
 
 class TestPhaseVarianceFromPsd:
     profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+
+    @pytest.mark.parametrize("on_nodes", [True, False])
+    def test_integration_grid_is_union_with_breakpoints(self, on_nodes):
+        # finest_time_scale = 1 s puts 511 nodes on [1, 101], so the
+        # 1001-point floor applies: nodes fall on 1 + k/10.
+        nodes = np.linspace(1.0, 101.0, 1001)
+        interior = nodes[[137, 500, 862]] if on_nodes else [3.0 + 1 / 3, 50.05, 77.777]
+        freqs = np.array([1.0, *interior, 101.0])
+        psd = Psd(freqs=freqs, values=np.ones(freqs.size))
+        grid = _integration_grid(psd, 1.0)
+        assert np.array_equal(grid, np.union1d(nodes, freqs))
+        assert grid.size == (1001 if on_nodes else 1004)
 
     def test_narrowband_concentration(self):
         # A PSD concentrated near omega_0 with total weight W gives
@@ -1363,6 +1421,30 @@ class TestCsvInterfaces:
             DataFormatError, match=r"bad\.csv:5: expected 2 columns, got 3$"
         ):
             read_psd_csv(path)
+        # Comment and empty rows between data rows, some of them repeated,
+        # ahead of a bad header, a row of three cells, a non-finite cell and
+        # a repeat of the header.
+        for text, message in (
+            (
+                "# a\n\n  # b\nt,z\n0.0,1.0\n",
+                r"bad\.csv:4: expected header \['t', 'y'\], got \['t', 'z'\]$",
+            ),
+            (
+                "t,y\n0.0,1.0\n# note\n\n0.0,1.0\n  # indented\n0.0,1.0,5.0\n",
+                r"bad\.csv:7: expected 2 columns, got 3$",
+            ),
+            (
+                "t,y\n0.0,1.0\n\n# note\n0.0,1.0\n\n0.0,inf\n",
+                r"bad\.csv:7: non-finite value in column 'y': 'inf'$",
+            ),
+            (
+                "t,y\n0.0,1.0\n# note\n\nt,y\n",
+                r"bad\.csv:5: could not convert string to float: 't'$",
+            ),
+        ):
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match=message):
+                read_series_csv(path)
 
     def test_crlf_and_quoted_cells_read_as_plain(self, tmp_path):
         plain = tmp_path / "plain.csv"
