@@ -226,7 +226,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def _sequence_params(cfg: RunConfig) -> SequenceParams:
     try:
-        return SequenceParams(
+        seq = SequenceParams(
             t_interrogation=cfg.get_float("sequence", "t_interrogation"),
             tau_p=cfg.get_float("sequence", "tau_p"),
             phases=(
@@ -238,6 +238,14 @@ def _sequence_params(cfg: RunConfig) -> SequenceParams:
         )
     except (GravsimError, ValueError) as exc:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
+    # SequenceParams itself allows T <= tau_p; a run refuses it, as the
+    # sensitivity profile in _profile does.
+    if seq.t_interrogation <= seq.tau_p:
+        raise ConfigError(
+            "[sequence] values invalid: need t_interrogation > tau_p, got "
+            f"t_interrogation={seq.t_interrogation}, tau_p={seq.tau_p}"
+        )
+    return seq
 
 
 def _profile(cfg: RunConfig) -> SensitivityProfile:

@@ -191,9 +191,10 @@ class SequenceParams:
     def __post_init__(self) -> None:
         from .errors import InvalidSequenceError
 
-        if self.t_interrogation <= 0.0 or self.tau_p <= 0.0:
+        # Positive chains, so that NaN and inf fail them.
+        if not (0.0 < self.t_interrogation < math.inf and 0.0 < self.tau_p < math.inf):
             raise InvalidSequenceError(
-                "t_interrogation and tau_p must both be positive, got "
+                "t_interrogation and tau_p must both be positive and finite, got "
                 f"T={self.t_interrogation}, tau_p={self.tau_p}"
             )
         if len(self.phases) != 3:

@@ -164,6 +164,15 @@ def simulate_scan(
         Atoms per shot; 0 (default) returns a noiseless scan.
     seed : int, optional
         Master seed; required when ``n_atoms > 0``.
+
+    Notes
+    -----
+    Point ``i`` of a noisy scan draws ``Binomial(n_atoms, p_i)``, with
+    ``p_i`` the ideal fraction clipped to [0, 1], exactly as
+    ``Generator(Philox(key=key, counter=[0, 0, 0, i]))`` would (the key is
+    described in the module docstring).  One generator serves the whole
+    scan: before each point its Philox state is re-seated, through the
+    public ``state`` setter, from a plain-int copy with counter word 3 = i.
     """
     betas = np.asarray(betas, dtype=float)
     probs = np.asarray(ideal_fringe(betas, k_eff, g_true, big_t, dphi_laser))
@@ -184,18 +193,28 @@ def simulate_scan(
     p = np.clip(probs, 0.0, 1.0)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     bit_gen = np.random.Philox(key=key)
-    rng = np.random.Generator(bit_gen)
-    # Re-seating the counter of a fresh state is ~5x cheaper than building
-    # Philox(key=key, counter=[0, 0, 0, i]) per point, and draws the same.
-    state = bit_gen.state
-    counter = state["state"]["counter"]
+    binomial = np.random.Generator(bit_gen).binomial
+    # The state of a fresh Philox(key=key, counter=[0, 0, 0, i]), in plain
+    # ints: the setter reads them faster than uint64 arrays, and re-seating
+    # it is cheaper than building a generator per point.
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key.tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    def detect_point(i: int) -> int:
+    def detect_point(i: int, p_i: float) -> int:
         counter[3] = i
         bit_gen.state = state
-        return rng.binomial(n_atoms, p[i])
+        return binomial(n_atoms, p_i)
 
-    counts = np.fromiter(map(detect_point, range(p.size)), dtype=float, count=p.size)
+    counts = np.fromiter(
+        map(detect_point, range(p.size), p.tolist()), dtype=float, count=p.size
+    )
     measured = counts / n_atoms
     return FringeScan(
         betas=betas, probabilities=probs, measured=measured, n_atoms=n_atoms, seed=seed
@@ -209,17 +228,37 @@ def _fit_fringe(
 
     ``x`` is the scan phase (beta - beta_center) * T^2 in radians.  The model
     is linear in ``(A, C, S) = (A, -B cos psi0, -B sin psi0)`` on the design
-    ``[1, cos x, sin x]`` (the known-frequency three-parameter sine fit of
-    IEEE Std 1057), so one linear least-squares solve is the exact optimum.
+    ``X = [1, cos x, sin x]`` (the known-frequency three-parameter sine fit
+    of IEEE Std 1057), so the normal equations give the exact optimum: with
+    the Gram matrix ``G = X^T X``, ``(A, C, S) = G^-1 X^T y``.  ``G^-1`` is
+    also the covariance shape, so the fit is one 3x3 inverse.  ``sse`` is
+    the sum of the explicit residuals ``X (A, C, S) - y``.
     ``psi0 = atan2(-S, -C)`` lies in [-pi, pi], the fringe nearest ``x = 0``.
-    ``sigma_psi0`` propagates ``sigma^2 (X^T X)^-1``, with
+    ``sigma_psi0`` propagates ``sigma^2 G^-1``, with
     ``sigma^2 = sse / (n - 3)``, through the gradient of ``psi0``; this equals
     the Gauss-Newton variance in the ``(A, B, psi0)`` parametrisation.
+
+    Raises
+    ------
+    FitFailureError
+        If ``G`` is singular to the rounding of its n-term sums, or the
+        fitted contrast is zero to the rounding of the data.
     """
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
-        raise FitFailureError(f"fringe design has rank {rank} < 3")
+    gram = design.T @ design
+    try:
+        cov = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise FitFailureError("fringe design is singular") from None
+    # trace(G) trace(G^-1) lies between cond(G) and 9 cond(G): about 10 on a
+    # fringe scan, and past 1/(n eps), or not positive, when the columns of
+    # X are dependent to the rounding of G's n-term sums.
+    cond_bound = float(np.trace(gram)) * float(np.trace(cov))
+    if not 0.0 < cond_bound < 1.0 / (x.size * np.finfo(float).eps):
+        raise FitFailureError(
+            f"fringe design is singular to rounding (cond(G) ~ {cond_bound:.3e})"
+        )
+    coef = cov @ (design.T @ y)
     a, c, s = (float(v) for v in coef)
     b = math.hypot(c, s)
     # A contrast at the rounding level of the data leaves psi0 undefined.
@@ -229,7 +268,6 @@ def _fit_fringe(
     residual = design @ coef - y
     sse = float(residual @ residual)
     grad = np.array([0.0, -s, c]) / (b * b)
-    cov = np.linalg.inv(design.T @ design)
     sigma_psi0 = math.sqrt(sse / (x.size - 3) * float(grad @ cov @ grad))
     return a, b, psi0, sse, sigma_psi0
 
@@ -258,7 +296,7 @@ def estimate_g(
         If the scan spans fewer than 1.5 fringe periods or samples a period
         with fewer than 8 points.
     FitFailureError
-        If the fit design is rank-deficient or the fringe has no contrast.
+        If the fit design is singular or the fringe has no contrast.
     """
     betas = np.asarray(scan.betas, dtype=float)
     y = np.asarray(scan.measured, dtype=float)

@@ -168,11 +168,13 @@ class SensitivityProfile:
     omega_r: float
 
     def __post_init__(self) -> None:
-        if self.tau_p <= 0.0 or self.big_t <= self.tau_p:
+        # Written as one positive chain, so that NaN and inf fail it.
+        if not 0.0 < self.tau_p < self.big_t < math.inf:
             raise ValueError(
-                f"need big_t > tau_p > 0, got big_t={self.big_t}, tau_p={self.tau_p}"
+                "need finite big_t > tau_p > 0, "
+                f"got big_t={self.big_t}, tau_p={self.tau_p}"
             )
-        if abs(self.omega_r * self.tau_p - math.pi) > 1e-9 * math.pi:
+        if not abs(self.omega_r * self.tau_p - math.pi) <= 1e-9 * math.pi:
             raise ValueError(
                 "pi-pulse condition omega_r * tau_p = pi violated: "
                 f"omega_r*tau_p = {self.omega_r * self.tau_p!r}"

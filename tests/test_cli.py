@@ -423,11 +423,14 @@ class TestConfigHandling:
             ("sensitivity", "[sequence]\ntau_p = 0\n", "tau_p"),
             ("psd-variance", "[sequence]\ntau_p = 0\n", "tau_p"),
             ("fringe", "[sequence]\nk_eff = 0\n", "k_eff"),
+            ("fringe", "[sequence]\nt_interrogation = 1e-6\n", "t_interrogation"),
+            ("fringe", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
             ("fringe", "[scan]\nn_atoms = -5\n", "n_atoms"),
             ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n", "seed"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
-             "psd_variance-tau_p", "fringe-k_eff", "fringe-n_atoms", "fringe-seed"],
+             "psd_variance-tau_p", "fringe-k_eff", "fringe-T_below_tau_p",
+             "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-seed"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key

@@ -68,6 +68,12 @@ def test_sequence_params_validation_and_derived():
         SequenceParams(t_interrogation=-0.1, tau_p=1e-5)
     with pytest.raises(InvalidSequenceError):
         SequenceParams(t_interrogation=0.1, tau_p=0.0)
+    # NaN fails every comparison, so each check must be a positive one.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidSequenceError, match="finite"):
+            SequenceParams(t_interrogation=bad, tau_p=1e-5)
+        with pytest.raises(InvalidSequenceError, match="finite"):
+            SequenceParams(t_interrogation=0.1, tau_p=bad)
     for k_eff in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidSequenceError, match="k_eff"):
             SequenceParams(t_interrogation=0.1, tau_p=1e-5, k_eff=k_eff)

@@ -142,6 +142,32 @@ def test_point_is_philox_stream_at_its_index(seed, n_atoms, n_points):
         assert scan.measured[i] == k / n_atoms
 
 
+@pytest.mark.parametrize("n_atoms", [1, 20, 10_000, 100_000])
+def test_every_point_is_philox_stream_at_its_index(n_atoms):
+    # All 200 points against generators built through the public
+    # constructor.  With k_eff = 1, g = 0 and T = 1 the fringe phase is beta
+    # itself, so beta = 0 gives p = 0 and beta = +-pi gives p = 1 exactly.
+    # Counts n p <= 30 take numpy's inversion sampler, larger ones BTPE;
+    # both consume a varying number of outputs per draw, so any state the
+    # re-seat fails to reset shows at some later point.
+    betas = np.linspace(-3.0, 3.0, 200)
+    betas[[0, 60, 120, 199]] = [-math.pi, 0.0, 0.0, math.pi]
+    seed = 2**33 + 5
+    scan = simulate_scan(betas, 1.0, 0.0, 1.0, 0.0, n_atoms, seed)
+    p = np.clip(scan.probabilities, 0.0, 1.0)
+    assert np.count_nonzero(p == 0.0) == 2 and np.count_nonzero(p == 1.0) == 2
+    if n_atoms >= 10_000:
+        mean = n_atoms * np.minimum(p, 1.0 - p)
+        assert np.any(mean <= 30.0) and np.any(mean > 30.0)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    expected = [
+        np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, i]))
+        .binomial(n_atoms, p_i) / n_atoms
+        for i, p_i in enumerate(p)
+    ]
+    np.testing.assert_array_equal(scan.measured, expected)
+
+
 def test_detection_streams_are_independent_unit_binomials():
     # Over the 103,308 points with p in [0.1, 0.9], the z-scores of the
     # detected counts have zero mean, unit variance, no lag-1 correlation
@@ -298,6 +324,50 @@ def test_fit_sigma_is_gauss_newton_variance(noisy_scan_data):
         jac = fit_jacobian(x, b, psi0)
         cov = np.linalg.inv(jac.T @ jac) * sse / (x.size - 3)
         assert sigma_psi0 == pytest.approx(math.sqrt(cov[2, 2]), rel=1e-9)
+
+
+def mp_fit(x, y):
+    """(psi0, sigma_psi0) of the same least squares, solved at 40 digits.
+
+    The design [1, cos x, sin x] is evaluated from the binary x, and the
+    normal equations, residuals and delta-method variance are formed and
+    solved in mpmath.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        xs = [mp.mpf(v) for v in x.tolist()]
+        ys = [mp.mpf(v) for v in y.tolist()]
+        cols = [[mp.mpf(1)] * len(xs), [mp.cos(v) for v in xs], [mp.sin(v) for v in xs]]
+        gram = mp.matrix([[mp.fdot(u, v) for v in cols] for u in cols])
+        cov = gram**-1
+        a, c, s = cov * mp.matrix([mp.fdot(u, ys) for u in cols])
+        sse = mp.fsum(
+            (a + c * cv + s * sv - yv) ** 2 for cv, sv, yv in zip(cols[1], cols[2], ys)
+        )
+        grad = mp.matrix([0, -s, c]) / (c * c + s * s)
+        var = sse / (len(xs) - 3) * (grad.T * cov * grad)[0]
+        return float(mp.atan2(-s, -c)), float(mp.sqrt(var))
+
+
+@pytest.mark.parametrize("n_points, span_fringes, seed", [(50, 2.0, 3), (2_000, 20.0, 4)])
+def test_fit_matches_mpmath_normal_equations(n_points, span_fringes, seed):
+    scan = make_scan(
+        n_points=n_points, span_fringes=span_fringes, n_atoms=1_000, seed=seed
+    )
+    x = scan_phase(scan)
+    _, _, psi0, _, sigma_psi0 = _fit_fringe(x, scan.measured)
+    psi0_mp, sigma_mp = mp_fit(x, scan.measured)
+    assert abs(psi0 - psi0_mp) <= 4e-15
+    assert abs(sigma_psi0 - sigma_mp) <= 1e-13 * sigma_mp
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0, math.pi / 4, -2.2])
+def test_degenerate_design_fails(x0):
+    # Equal phases make the columns of [1, cos x, sin x] dependent; some
+    # Gram matrices are then exactly singular, the others only to rounding.
+    y = np.linspace(0.1, 0.9, 50)
+    with pytest.raises(FitFailureError, match="singular"):
+        _fit_fringe(np.full(y.size, x0), y)
 
 
 def test_noiseless_wide_scan_recovers_g():

@@ -92,6 +92,20 @@ class TestSensitivityProfile:
         with pytest.raises(ValueError, match="big_t > tau_p"):
             SensitivityProfile.from_omega_r(big_t=0.01, omega_r=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN fails every comparison, so each check must be a positive one.
+        with pytest.raises(ValueError, match="finite big_t > tau_p"):
+            SensitivityProfile.from_tau_p(big_t=bad, tau_p=1e-5)
+        with pytest.raises(ValueError, match="finite big_t > tau_p"):
+            SensitivityProfile.from_tau_p(big_t=0.1, tau_p=bad)
+        with pytest.raises(ValueError, match="finite big_t > tau_p"):
+            SensitivityProfile(big_t=bad, tau_p=1e-5, omega_r=math.pi / 1e-5)
+        with pytest.raises(ValueError, match="finite big_t > tau_p"):
+            SensitivityProfile.from_omega_r(big_t=0.1, omega_r=math.nan)
+        with pytest.raises(ValueError, match="pi-pulse"):
+            SensitivityProfile(big_t=0.1, tau_p=1e-5, omega_r=bad)
+
     def test_constructors_agree(self):
         p1 = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=0.01)
         p2 = SensitivityProfile.from_omega_r(big_t=0.1, omega_r=math.pi / 0.01)
