@@ -386,6 +386,8 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
+    import logging
+
     from . import noise
 
     series_file = str(cfg.get("noise", "series_file"))
@@ -411,7 +413,14 @@ def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
         if bool(cfg.get("noise", "overlapping"))
         else noise.allan_deviation
     )
-    result = estimator(series, list(taus))
+    # The omitted averaging times go to stderr, one plain line each.
+    handler = logging.StreamHandler()
+    handler.setLevel(logging.WARNING)
+    noise.logger.addHandler(handler)
+    try:
+        result = estimator(series, list(taus))
+    finally:
+        noise.logger.removeHandler(handler)
     noise.write_allan_csv(
         out_dir / "allan.csv", result, comments=cfg.echo_lines("allan")
     )

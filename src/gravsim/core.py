@@ -201,6 +201,8 @@ class SequenceParams:
             raise InvalidSequenceError(
                 f"phases must hold exactly three entries, got {len(self.phases)}"
             )
+        if not all(map(math.isfinite, self.phases)):
+            raise InvalidSequenceError(f"phases must be finite, got {self.phases}")
         if not math.isfinite(self.k_eff) or self.k_eff == 0.0:
             raise InvalidSequenceError(
                 f"k_eff must be finite and nonzero, got {self.k_eff}"

@@ -296,12 +296,18 @@ def estimate_g(
         If the scan spans fewer than 1.5 fringe periods or samples a period
         with fewer than 8 points.
     FitFailureError
-        If the fit design is singular or the fringe has no contrast.
+        If a chirp rate or measured fraction is not finite, the fit design
+        is singular or the fringe has no contrast.
     """
     betas = np.asarray(scan.betas, dtype=float)
     y = np.asarray(scan.measured, dtype=float)
     period = 2.0 * math.pi / (big_t * big_t)
     span = float(betas.max() - betas.min())
+    # A NaN or infinite chirp rate makes the span non-finite.
+    if not (math.isfinite(span) and np.isfinite(y).all()):
+        raise FitFailureError(
+            "scan holds a non-finite chirp rate or measured fraction"
+        )
     if span < _MIN_SPAN_PERIODS * period:
         raise AmbiguousFringeError(
             f"scan spans {span / period:.2f} fringe periods; "
@@ -350,6 +356,8 @@ def estimate_g_dual(
     AmbiguousFringeError
         If no pairing matches to better than a tenth of the finer lattice
         spacing, or two distinct pairings match comparably well.
+    FitFailureError
+        If either scan's :func:`estimate_g` fit fails.
     """
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)
     est_b = estimate_g(scan_b, k_eff, big_t_b, dphi_laser)

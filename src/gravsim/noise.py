@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+# A library logs, the application shows: without a handler of its own the
+# "omitting tau" records reach stderr through logging.lastResort.
+logger.addHandler(logging.NullHandler())
 
 #: Coverage band required of tabulated PSDs, in units of the sequence scales:
 #: two decades below the fringe frequency 2*pi/T up to two decades above the
@@ -75,9 +78,13 @@ _COVER_HIGH_FACTOR = 100.0  # times omega_r
 #: is refused rather than integrated under-resolved.
 _MAX_GRID_POINTS = 4_000_001
 
-#: Doubles per block of Allan second differences: 64 KiB, so the one buffer
-#: stays in L2 and below glibc's default 128-KiB mmap threshold.
-_ALLAN_BLOCK = 8192
+#: Terms per block of Allan second differences: 2^15 doubles, 256 KiB.  An
+#: estimator call allocates one work buffer of three blocks (768 KiB, inside
+#: the 2-MiB per-core L2 of the host it was tuned on), past glibc's default
+#: 128-KiB mmap threshold, so it is allocated once per call and reused for
+#: every averaging time.  At 8,192 doubles a third of the kernel's time went
+#: to per-block dispatch; 2^17 doubles is slower again.
+_ALLAN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -971,26 +978,51 @@ def _centred_prefix_sum(y: np.ndarray) -> np.ndarray:
     return c
 
 
-def _second_difference_power(c: np.ndarray, m: int, stride: int) -> tuple[float, int]:
+def _allan_work(size: int) -> np.ndarray:
+    """Work buffer of :func:`_second_difference_power` for a prefix sum of
+    ``size`` values: three blocks of at most ``_ALLAN_BLOCK`` doubles."""
+    return np.empty(3 * min(size, _ALLAN_BLOCK))
+
+
+def _second_difference_power(
+    c: np.ndarray, m: int, stride: int, work: np.ndarray | None = None
+) -> tuple[float, int]:
     """``sum_j (c[j+2m] - 2 c[j+m] + c[j])^2`` over ``j = 0, stride, ...``
     while ``j + 2m`` stays inside ``c``, and the number of terms.
 
-    The terms are formed ``_ALLAN_BLOCK`` at a time in one small buffer with
-    in-place ufuncs, and the block sums of squares are added up, so a call
-    allocates at most 64 KiB however long ``c`` is.
+    With ``x = c[::stride]`` and lag ``l = m / stride`` (``stride`` divides
+    ``m``) each term is a difference of block sums, ``d_j = s_{j+l} - s_j``
+    with ``s_j = x[j+l] - x[j]``.  The terms are formed a block at a time
+    in ``work`` (from :func:`_allan_work`; a third of it is the block
+    length): for a block of ``L`` terms one subtract fills its s-window of
+    ``L + l`` values, one more forms ``d`` and a dot product adds up its
+    squares.  When ``l`` exceeds the block, the two s-windows ``[lo, hi)`` and
+    ``[lo + l, hi + l)`` are formed apart, so ``work`` never holds more
+    than three blocks however long ``c`` is.  Nearby block sums of a
+    drifting series agree to a factor of two, so their differences are
+    exact (Sterbenz), where expanding the square would cancel.
     """
-    n_terms = (c.size - 1 - 2 * m) // stride + 1
-    near = c[::stride][:n_terms]
-    mid = c[m::stride][:n_terms]
-    far = c[2 * m :: stride][:n_terms]
-    buf = np.empty(min(n_terms, _ALLAN_BLOCK))
+    x = c[::stride]
+    lag = m // stride
+    n_terms = x.size - 2 * lag
+    if work is None:
+        work = _allan_work(c.size)
+    block = work.size // 3
+    d_buf = work[2 * block :]
     power = 0.0
-    for lo in range(0, n_terms, _ALLAN_BLOCK):
-        hi = min(lo + _ALLAN_BLOCK, n_terms)
-        d = buf[: hi - lo]
-        np.subtract(far[lo:hi], mid[lo:hi], out=d)
-        np.subtract(d, mid[lo:hi], out=d)
-        np.add(d, near[lo:hi], out=d)
+    for lo in range(0, n_terms, block):
+        hi = min(lo + block, n_terms)
+        if lag <= block:
+            s = work[: hi - lo + lag]
+            np.subtract(x[lo + lag : hi + 2 * lag], x[lo : hi + lag], out=s)
+            near, far = s[: hi - lo], s[lag:]
+        else:
+            near, far = work[: hi - lo], work[block : block + hi - lo]
+            np.subtract(x[lo + lag : hi + lag], x[lo:hi], out=near)
+            np.subtract(x[lo + 2 * lag : hi + 2 * lag], x[lo + lag : hi + lag],
+                        out=far)
+        d = d_buf[: hi - lo]
+        np.subtract(far, near, out=d)
         power += float(d @ d)
     return power, n_terms
 
@@ -1027,12 +1059,13 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
     """
     y = series.samples
     c = _centred_prefix_sum(y)
+    work = _allan_work(c.size)
 
     def estimate(m: int) -> tuple[float, int] | str:
         n_blocks = y.size // m
         if n_blocks < 2:
             return f"only {n_blocks} block(s) of {m} samples"
-        power, n_diffs = _second_difference_power(c, m, m)
+        power, n_diffs = _second_difference_power(c, m, m, work)
         return power / (2.0 * m * m * n_diffs), n_blocks
 
     return _allan(
@@ -1054,17 +1087,18 @@ def allan_deviation_overlapping(
     where ``c[j+m] - c[j]`` is the length-m block sum starting at ``j`` and
     ``c`` is the mean-centred prefix sum of :func:`allan_deviation`, built
     once per call; the differences of each ``tau`` are summed block by
-    block in one 64-KiB buffer.  Smoother than the non-overlapping
-    estimator at large tau (the reported ``n_blocks`` is the number of
-    overlapping differences).
+    block in one work buffer of at most 768 KiB, which every ``tau``
+    reuses.  Smoother than the non-overlapping estimator at large tau (the
+    reported ``n_blocks`` is the number of overlapping differences).
     """
     y = series.samples
     c = _centred_prefix_sum(y)
+    work = _allan_work(c.size)
 
     def estimate(m: int) -> tuple[float, int] | str:
         if 2 * m > y.size:
             return "series too short for overlapping blocks"
-        power, n_terms = _second_difference_power(c, m, 1)
+        power, n_terms = _second_difference_power(c, m, 1, work)
         return power / (2.0 * m * m * n_terms), n_terms
 
     return _allan(

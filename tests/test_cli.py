@@ -6,6 +6,9 @@ than shipped as binaries.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,29 @@ class TestAllan:
         assert "snaps to m=1 samples" in caplog.text
         assert main(args) == 0
         assert (tmp_path / "allan.csv").read_bytes() == first
+
+    def test_omitted_tau_printed_once_per_run(self, tmp_path, white_series, capsys):
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {white_series}\n")
+        args = ["allan", "--config", cfg, "--out", str(tmp_path)]
+        for _ in range(2):
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "snaps to m=1 samples" in err
+
+    def test_fresh_process_stderr_is_one_plain_line(self, tmp_path, white_series):
+        # The bytes logging.lastResort printed before the library had a
+        # handler: the bare message and a newline.
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {white_series}\n")
+        src = str(Path(noise.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "gravsim.cli", "allan", "--config", cfg,
+             "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True,
+        )
+        tau = np.geomspace(1.0, 65535.0 / 5.0, 20)[1]
+        assert out.stderr.decode() == (
+            f"omitting tau={tau:g} s: snaps to m=1 samples, as an earlier tau did\n"
+        )
 
     def test_missing_series_key_is_config_error(self, tmp_path, capsys):
         assert main(["allan", "--out", str(tmp_path)]) == 2

@@ -77,6 +77,9 @@ def test_sequence_params_validation_and_derived():
     for k_eff in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidSequenceError, match="k_eff"):
             SequenceParams(t_interrogation=0.1, tau_p=1e-5, k_eff=k_eff)
+    for phase in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSequenceError, match="phases must be finite"):
+            SequenceParams(t_interrogation=0.1, tau_p=1e-5, phases=(0.0, phase, 0.0))
     seq = SequenceParams(t_interrogation=0.1, tau_p=1e-5, phases=(0.1, 0.2, 0.7))
     # [TRIVIAL] phi_1 - 2 phi_2 + phi_3
     assert seq.dphi_laser == pytest.approx(0.1 - 0.4 + 0.7)

@@ -1,5 +1,6 @@
 """Tests for fringe scans, shot-noise detection, and gravity estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -375,6 +376,29 @@ def test_noiseless_wide_scan_recovers_g():
     scan = make_scan(big_t=big_t, span_fringes=200.0, n_points=20_000)
     est = estimate_g(scan, K_EFF, big_t)
     assert abs(est.g_hat - G_TRUE) / G_TRUE < 1e-9
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda s: simulate_scan(s.betas, K_EFF, G_TRUE, 0.1, dphi_laser=math.nan),
+        lambda s: dataclasses.replace(
+            s, measured=np.where(np.arange(s.betas.size) == 7, math.nan, s.measured)
+        ),
+        lambda s: dataclasses.replace(
+            s, betas=np.where(np.arange(s.betas.size) == 7, math.inf, s.betas)
+        ),
+        lambda s: dataclasses.replace(s, betas=np.full(s.betas.size, math.nan)),
+    ],
+    ids=["nan-laser-phase", "nan-fraction", "inf-chirp-rate", "all-nan-chirp-rates"],
+)
+def test_non_finite_scan_fails_the_fit(corrupt):
+    # Without the check a NaN laser phase gave g_hat = sigma_g = nan.
+    scan = corrupt(make_scan())
+    with pytest.raises(FitFailureError, match="non-finite"):
+        estimate_g(scan, K_EFF, 0.1)
+    with pytest.raises(FitFailureError, match="non-finite"):
+        estimate_g_dual(scan, 0.1, make_scan(big_t=0.07), 0.07, K_EFF)
 
 
 @pytest.mark.parametrize("level", [0.0, 0.5])

@@ -17,6 +17,7 @@ Oracle strategy:
 """
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -45,6 +46,7 @@ from gravsim.noise import (
     _ALLAN_BLOCK,
     _band_phases,
     _bins,
+    _centred_prefix_sum,
     _integration_grid,
     _second_difference_power,
     _smooth_length,
@@ -505,6 +507,8 @@ class TestTransferFunction:
         if command in ("sensitivity", "psd-variance"):
             # np.union1d's np.unique imported numpy.ma here.
             assert "numpy.ma" not in loaded
+        # Only the noise module logs; the other commands load no logging.
+        assert ("logging" in loaded) == ("noise" in expected)
 
     def test_rejects_negative_frequency(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
@@ -1109,6 +1113,18 @@ class TestAllanDeviation:
         assert result.tau_avgs.size == 1
         assert "omitting tau=0.1" in caplog.text
 
+    def test_omitted_tau_logged_not_printed(self, caplog, capsys, monkeypatch):
+        # The record reaches the application's handlers (caplog's here).
+        # With none installed it must not fall through to stderr by
+        # logging.lastResort.
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            allan_deviation(series, [0.1, 4.0])
+        assert "omitting tau=0.1" in caplog.text
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        allan_deviation_overlapping(series, [0.1, 4.0])
+        assert capsys.readouterr().err == ""
+
     def test_too_long_tau_omitted_with_log(self, caplog):
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
         with caplog.at_level("WARNING", logger="gravsim.noise"):
@@ -1272,6 +1288,53 @@ class TestAllanPrefixSum:
         power, count = _second_difference_power(c, m, stride)
         assert count == n_terms
         assert power == pytest.approx(expected, rel=1e-13)
+
+    @staticmethod
+    def _exact_power(c, m, stride):
+        """Exact rational sum of (c[j+2m] - 2 c[j+m] + c[j])^2 over the float
+        prefix sum: every double is an integer over a power of two, so on
+        the largest denominator the terms are Python ints."""
+        ratios = [v.as_integer_ratio() for v in c.tolist()]
+        den = max(d for _, d in ratios)
+        k = [num * (den // d) for num, d in ratios]
+        total = sum((k[j + 2 * m] - 2 * k[j + m] + k[j]) ** 2
+                    for j in range(0, len(k) - 2 * m, stride))
+        return Fraction(total, den * den)
+
+    @staticmethod
+    def _drifting_series(kind):
+        n = 20_000
+        rng = np.random.default_rng(2024)
+        t = np.arange(n)
+        white = rng.normal(0.0, 1.0, n)
+        return {
+            "white": white,
+            "ramp": 1e-3 * t + white,
+            "walk": np.cumsum(white),
+            "sine": np.sin(2.0 * np.pi * t / 5000.0) + 1e-3 * white,
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["white", "ramp", "walk", "sine"])
+    @pytest.mark.parametrize(
+        "m, stride, block",
+        [(1, 1, None), (4, 1, None), (4, 4, None), (64, 1, None),
+         (64, 64, None), (1000, 1, None), (1000, 1000, None),
+         (512, 1, 512), (513, 1, 512), (1000, 1, 512)],
+    )
+    def test_power_matches_exact_rational_sum(
+        self, kind, m, stride, block, monkeypatch
+    ):
+        # On drifting series the block sums dwarf their differences, which
+        # is where an expanded square would cancel.  With a 512-term block,
+        # m = 512 fills the s-window to two blocks, and m = 513 and 1000
+        # form the two s-windows apart.
+        if block is not None:
+            monkeypatch.setattr("gravsim.noise._ALLAN_BLOCK", block)
+        c = _centred_prefix_sum(self._drifting_series(kind))
+        power, count = _second_difference_power(c, m, stride)
+        assert count == (c.size - 1 - 2 * m) // stride + 1
+        exact = self._exact_power(c, m, stride)
+        assert abs(Fraction(power) - exact) <= Fraction(1, 10**15) * exact
 
     @pytest.mark.parametrize(
         "estimator", [allan_deviation, allan_deviation_overlapping],
