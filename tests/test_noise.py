@@ -1271,13 +1271,8 @@ class TestAllanPrefixSum:
             result.adevs, [direct(y, m) for m in ms], rtol=1e-12, atol=0.0
         )
 
-    @pytest.mark.parametrize(
-        "n_terms",
-        [_ALLAN_BLOCK - 1, _ALLAN_BLOCK, _ALLAN_BLOCK + 1, 3 * _ALLAN_BLOCK + 7],
-    )
-    @pytest.mark.parametrize("overlapping", [False, True])
-    def test_blocked_sum_matches_unblocked(self, n_terms, overlapping):
-        # Term counts on either side of a block edge and a ragged last block.
+    @staticmethod
+    def _check_blocked_sum(n_terms, overlapping, work=None):
         m = 5
         stride = 1 if overlapping else m
         size = (n_terms - 1) * stride + 2 * m + 1
@@ -1285,9 +1280,26 @@ class TestAllanPrefixSum:
         c = np.concatenate(([0.0], np.cumsum(steps)))
         j = stride * np.arange(n_terms)
         expected = math.fsum((c[j + 2 * m] - 2.0 * c[j + m] + c[j]) ** 2)
-        power, count = _second_difference_power(c, m, stride)
+        power, count = _second_difference_power(c, m, stride, work)
         assert count == n_terms
         assert power == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n_terms", [8191, 8192, 8193, 3 * 8192 + 7])
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_blocked_sum_matches_unblocked(self, n_terms, overlapping):
+        # Term counts on either side of the edge of an 8192-term block (set
+        # by the work buffer passed in) and a ragged last block.
+        self._check_blocked_sum(n_terms, overlapping, np.empty(3 * 8192))
+
+    @pytest.mark.parametrize(
+        "n_terms",
+        [_ALLAN_BLOCK - 1, _ALLAN_BLOCK, _ALLAN_BLOCK + 1, 3 * _ALLAN_BLOCK + 7],
+    )
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_default_block_sum_matches_unblocked(self, n_terms, overlapping):
+        # The same edges of the default block, with the buffer the
+        # estimators allocate.
+        self._check_blocked_sum(n_terms, overlapping)
 
     @staticmethod
     def _exact_power(c, m, stride):
