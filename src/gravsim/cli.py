@@ -226,7 +226,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def _sequence_params(cfg: RunConfig) -> SequenceParams:
     try:
-        seq = SequenceParams(
+        return SequenceParams(
             t_interrogation=cfg.get_float("sequence", "t_interrogation"),
             tau_p=cfg.get_float("sequence", "tau_p"),
             phases=(
@@ -238,24 +238,16 @@ def _sequence_params(cfg: RunConfig) -> SequenceParams:
         )
     except (GravsimError, ValueError) as exc:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
-    # SequenceParams itself allows T <= tau_p; a run refuses it, as the
-    # sensitivity profile in _profile does.
-    if seq.t_interrogation <= seq.tau_p:
-        raise ConfigError(
-            "[sequence] values invalid: need t_interrogation > tau_p, got "
-            f"t_interrogation={seq.t_interrogation}, tau_p={seq.tau_p}"
-        )
-    return seq
 
 
 def _profile(cfg: RunConfig) -> SensitivityProfile:
     from .noise import SensitivityProfile
 
+    seq = _sequence_params(cfg)
+    # The timing is valid; only pi / tau_p can still fail, by overflowing
+    # to inf when tau_p is subnormal.
     try:
-        return SensitivityProfile.from_tau_p(
-            big_t=cfg.get_float("sequence", "t_interrogation"),
-            tau_p=cfg.get_float("sequence", "tau_p"),
-        )
+        return SensitivityProfile.from_tau_p(seq.t_interrogation, seq.tau_p)
     except ValueError as exc:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
 

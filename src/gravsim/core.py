@@ -173,10 +173,10 @@ class SequenceParams:
     Attributes
     ----------
     t_interrogation : float
-        Dark interval T between pulses [s].
+        Dark interval T between pulses [s]; finite and longer than tau_p.
     tau_p : float
-        Duration of the central pi pulse [s]; the outer pi/2 pulses last
-        tau_p/2 each.
+        Duration of the central pi pulse [s], > 0; the outer pi/2 pulses
+        last tau_p/2 each.
     phases : tuple of float
         Laser phases (phi_1, phi_2, phi_3) of the three pulses [rad].
     k_eff : float
@@ -191,11 +191,11 @@ class SequenceParams:
     def __post_init__(self) -> None:
         from .errors import InvalidSequenceError
 
-        # Positive chains, so that NaN and inf fail them.
-        if not (0.0 < self.t_interrogation < math.inf and 0.0 < self.tau_p < math.inf):
+        # One positive chain, so that NaN and inf fail it.
+        if not 0.0 < self.tau_p < self.t_interrogation < math.inf:
             raise InvalidSequenceError(
-                "t_interrogation and tau_p must both be positive and finite, got "
-                f"T={self.t_interrogation}, tau_p={self.tau_p}"
+                "need finite t_interrogation > tau_p > 0, got "
+                f"t_interrogation={self.t_interrogation}, tau_p={self.tau_p}"
             )
         if len(self.phases) != 3:
             raise InvalidSequenceError(
@@ -217,7 +217,21 @@ class SequenceParams:
     @property
     def span(self) -> float:
         """Total sequence length 2*T + 2*tau_p (pulses plus dark intervals)."""
-        return 2.0 * self.t_interrogation + 2.0 * self.tau_p
+        return _pulse_edges(self.t_interrogation, self.tau_p)[-1]
+
+
+def _pulse_edges(big_t: float, tau_p: float) -> tuple[float, ...]:
+    """Pulse edges of the dark-interval pi/2 -- pi -- pi/2 sequence.
+
+    With the first pulse switching on at 0 and ``a = tau_p/2``, the pulses
+    occupy ``[0, a]``, ``[a + T, 3a + T]`` and ``[3a + 2T, 2T + 2 tau_p]``;
+    the six edges come back in that order.  The pulse starts of
+    ``twolevel.run_sequence``, the segments of ``noise.sensitivity_g`` and
+    both ``span`` properties all read this one table.
+    """
+    a = 0.5 * tau_p
+    return (0.0, a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t,
+            2.0 * big_t + 2.0 * tau_p)
 
 
 def state_probability(state: TwoLevelState | ThreeLevelState, which: str) -> float:

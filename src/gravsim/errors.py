@@ -47,7 +47,8 @@ class TimeOrderError(GravsimError):
 
 
 class InvalidSequenceError(GravsimError):
-    """Pulse-sequence parameters are inconsistent (overlap, sign, ...)."""
+    """Pulse-sequence parameters are invalid (T <= tau_p, a non-finite
+    value, an unknown timing, ...)."""
 
 
 class EliminationError(GravsimError):

@@ -32,7 +32,6 @@ __all__ = [
     "FringeScan",
     "GravityEstimate",
     "ideal_fringe",
-    "detect",
     "beta_grid",
     "simulate_scan",
     "estimate_g",
@@ -119,20 +118,6 @@ def ideal_fringe(
     if np.ndim(phase) == 0:
         return 0.5 * (1.0 - math.cos(phase))
     return 0.5 * (1.0 - np.cos(phase))
-
-
-def detect(p_ideal: float, n_atoms: int, rng: np.random.Generator) -> float:
-    """Detected fraction of ``n_atoms`` projective measurements.
-
-    Draws ``k ~ Binomial(n_atoms, p_ideal)`` from ``rng`` and returns
-    ``k / n_atoms``.
-    """
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    if not -1e-9 <= p_ideal <= 1.0 + 1e-9:
-        raise ValueError(f"p_ideal must lie in [0, 1], got {p_ideal}")
-    p = min(max(p_ideal, 0.0), 1.0)
-    return float(rng.binomial(n_atoms, p)) / float(n_atoms)
 
 
 def beta_grid(

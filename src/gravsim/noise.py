@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_K_EFF, _write_csv
+from .core import DEFAULT_K_EFF, _pulse_edges, _write_csv
 from .errors import (
     CoverageError,
     DataFormatError,
@@ -204,7 +204,7 @@ class SensitivityProfile:
     @property
     def span(self) -> float:
         """Total sequence length ``2 T + 2 tau_p`` [s]."""
-        return 2.0 * self.big_t + 2.0 * self.tau_p
+        return _pulse_edges(self.big_t, self.tau_p)[-1]
 
     @property
     def t_mid(self) -> float:
@@ -280,17 +280,16 @@ def _segments(
             _Segment(0.5 * big_t, 1.5 * big_t, 1.0, 0.0),
             _Segment(1.5 * big_t, 2.0 * big_t, 0.0, 1.0, big_t),
         ]
-    a = 0.5 * profile.tau_p
-    span = profile.span
+    e0, a, e2, e3, e4, span = _pulse_edges(big_t, profile.tau_p)
     # -sin(w t), -1, -cos(w (t - T - a)), +1, sin(w (span - t)).  The first
     # level is -0.0 so that g_s(0) = -0.0 + -sin(0) = -0.0 and g_s(span) =
     # 0.0 + -sin(0) = +0.0, the signed zeros of the formulas above.
     return [
-        _Segment(0.0, a, -0.0, -1.0),
-        _Segment(a, a + big_t, -1.0, 0.0),
-        _Segment(a + big_t, 3.0 * a + big_t, 0.0, -1j, big_t, a),
-        _Segment(3.0 * a + big_t, 3.0 * a + 2.0 * big_t, 1.0, 0.0),
-        _Segment(3.0 * a + 2.0 * big_t, span, 0.0, -1.0, span),
+        _Segment(e0, a, -0.0, -1.0),
+        _Segment(a, e2, -1.0, 0.0),
+        _Segment(e2, e3, 0.0, -1j, big_t, a),
+        _Segment(e3, e4, 1.0, 0.0),
+        _Segment(e4, span, 0.0, -1.0, span),
     ]
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HBAR, PulseParams, SequenceParams, TwoLevelState, state_probability
+from .core import (HBAR, PulseParams, SequenceParams, TwoLevelState, _pulse_edges,
+                   state_probability)
 from .errors import DegenerateDriveError, InvalidSequenceError, StepSizeError
 
 __all__ = [
@@ -310,43 +311,30 @@ def _sequence_pulses(
     t_start: float,
     timing: str,
 ) -> tuple[PulseParams, PulseParams, PulseParams]:
-    """Build the three pulses of a pi/2 -- pi -- pi/2 sequence."""
-    tau_half = seq.tau_p / 2.0
+    """Build the three pulses of a pi/2 -- pi -- pi/2 sequence.
+
+    The first pulse starts at ``t_start``.  Under ``"dark-intervals"`` the
+    others start at ``t_start`` plus edges 2 and 4 of
+    :func:`gravsim.core._pulse_edges`; under ``"start-to-start"`` at
+    ``t_start + T`` and ``t_start + 2 T``.  The durations are tau_p/2, tau_p
+    and tau_p/2 under both.  ``SequenceParams`` requires T > tau_p, so the
+    pulses never overlap.
+    """
     big_t = seq.t_interrogation
     if timing == "dark-intervals":
-        # A dark interval of exactly T separates pulse end from next start.
-        t1 = t_start
-        t2 = t1 + tau_half + big_t
-        t3 = t2 + seq.tau_p + big_t
+        _, _, t2, _, t3, _ = _pulse_edges(big_t, seq.tau_p)
     elif timing == "start-to-start":
-        # Pulse starts are spaced by exactly T.
-        t1 = t_start
-        t2 = t1 + big_t
-        t3 = t1 + 2.0 * big_t
+        t2, t3 = big_t, 2.0 * big_t
     else:
         raise InvalidSequenceError(
             f"timing must be 'dark-intervals' or 'start-to-start', got {timing!r}"
         )
-    if timing == "start-to-start" and big_t < seq.tau_p:
-        raise InvalidSequenceError(
-            "start-to-start spacing makes the pulses overlap: "
-            f"T={big_t} < tau_p={seq.tau_p}"
-        )
-
-    def make(phase: float, start: float, dur: float) -> PulseParams:
-        return PulseParams(
-            rabi_mod=rabi_mod,
-            detuning=detuning,
-            duration=dur,
-            laser_phase=phase,
-            start_time=start,
-        )
-
+    tau, half = seq.tau_p, seq.tau_p / 2.0
     p1, p2, p3 = seq.phases
     return (
-        make(p1, t1, tau_half),
-        make(p2, t2, seq.tau_p),
-        make(p3, t3, tau_half),
+        PulseParams(rabi_mod, detuning, half, laser_phase=p1, start_time=t_start),
+        PulseParams(rabi_mod, detuning, tau, laser_phase=p2, start_time=t_start + t2),
+        PulseParams(rabi_mod, detuning, half, laser_phase=p3, start_time=t_start + t3),
     )
 
 
@@ -369,7 +357,8 @@ def run_sequence(
     Parameters
     ----------
     seq : SequenceParams
-        Sequence geometry (T, tau_p, phases).
+        Sequence geometry (T, tau_p, phases); T > tau_p, so the pulses
+        never overlap under either timing.
     detuning : float, optional
         Common drive detuning [rad/s].
     rabi_mod : float, optional
@@ -380,9 +369,10 @@ def run_sequence(
         Start time of the first pulse [s].
     timing : {"dark-intervals", "start-to-start"}
         Pulse placement convention.  "dark-intervals" (default) leaves a dark
-        interval of exactly T between a pulse's end and the next pulse's
-        start; the resulting fringe carries no detuning offset,
-        P = (1/2)[1 - cos(dphi_laser)] to first order in delta.
+        interval of T between a pulse's end and the next pulse's start: the
+        pulse edges of ``noise.sensitivity_g``, both read from
+        ``core._pulse_edges``.  The resulting fringe carries no detuning
+        offset, P = (1/2)[1 - cos(dphi_laser)] to first order in delta.
         "start-to-start" spaces the pulse starts by exactly T and yields the
         offset fringe law of :func:`mach_zehnder_probability`.
 
@@ -390,6 +380,11 @@ def run_sequence(
     -------
     float
         Probability of exiting in the excited state.
+
+    Raises
+    ------
+    InvalidSequenceError
+        If ``timing`` is neither of the two conventions.
     """
     if rabi_mod is None:
         rabi_mod = math.pi / seq.tau_p

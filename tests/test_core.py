@@ -68,6 +68,10 @@ def test_sequence_params_validation_and_derived():
         SequenceParams(t_interrogation=-0.1, tau_p=1e-5)
     with pytest.raises(InvalidSequenceError):
         SequenceParams(t_interrogation=0.1, tau_p=0.0)
+    # The dark interval must outlast the pi pulse, as in SensitivityProfile.
+    for big_t in (1e-5, 0.5e-5):
+        with pytest.raises(InvalidSequenceError, match="t_interrogation > tau_p"):
+            SequenceParams(t_interrogation=big_t, tau_p=1e-5)
     # NaN fails every comparison, so each check must be a positive one.
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidSequenceError, match="finite"):

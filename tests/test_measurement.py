@@ -10,7 +10,6 @@ from gravsim.errors import AmbiguousFringeError, FitFailureError
 from gravsim.measurement import (
     _fit_fringe,
     beta_grid,
-    detect,
     estimate_g,
     estimate_g_dual,
     ideal_fringe,
@@ -63,19 +62,6 @@ def test_ideal_fringe_null_and_periodicity():
     assert ideal_fringe(beta_null + period / 2.0, K_EFF, G_TRUE, big_t) == pytest.approx(
         1.0, abs=1e-9
     )
-
-
-def test_detect_is_deterministic_and_unbiased():
-    rng = np.random.default_rng(7)
-    first = detect(0.3, 1000, np.random.default_rng(42))
-    second = detect(0.3, 1000, np.random.default_rng(42))
-    assert first == second
-    draws = [detect(0.3, 1000, rng) for _ in range(300)]
-    assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
-    with pytest.raises(ValueError):
-        detect(0.5, 0, rng)
-    with pytest.raises(ValueError):
-        detect(1.5, 100, rng)
 
 
 def test_beta_grid_span():

@@ -32,6 +32,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.signal import periodogram
 
 import gravsim
+from gravsim.core import PulseParams, TwoLevelState, _pulse_edges
 from gravsim.errors import (
     CoverageError,
     DataFormatError,
@@ -70,6 +71,7 @@ from gravsim.noise import (
     write_psd_csv,
     write_series_csv,
 )
+from gravsim.twolevel import evolve_pulse
 
 SQ2 = math.sqrt(0.5)
 
@@ -160,6 +162,62 @@ class TestSensitivityG:
         val = sensitivity_g(0.05, self.profile)
         assert isinstance(val, float)
         assert val == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestSensitivityGByDefinition:
+    """g_s(t) is twice the response of the exit probability, at mid-fringe,
+    to a laser phase jump at time t (Cheinet et al., IEEE Trans. Instrum.
+    Meas. 57, 1141 (2008)).
+
+    The three pulses start at edges 0, 2 and 4 of ``core._pulse_edges`` and
+    go through the closed-form ``twolevel.evolve_pulse``.  The pulse that
+    contains t is split there, and every piece after t carries the jump; no
+    segment formula enters.  The three-segment comparison shape is not the
+    response of any pi/2 -- pi -- pi/2 sequence, so it has no such check.
+    """
+
+    JUMP = 1e-5
+
+    @staticmethod
+    def _exit_probability(big_t, tau_p, t, jump, last_phase):
+        edges = _pulse_edges(big_t, tau_p)
+        pulses = [(edges[0], 0.5 * tau_p, 0.0), (edges[2], tau_p, 0.0),
+                  (edges[4], 0.5 * tau_p, last_phase)]
+        pieces = []
+        for start, duration, phase in pulses:
+            if t <= start:
+                pieces.append((start, duration, phase + jump))
+            elif t < start + duration:
+                pieces.append((start, t - start, phase))
+                pieces.append((t, start + duration - t, phase + jump))
+            else:
+                pieces.append((start, duration, phase))
+        state = TwoLevelState.ground()
+        for start, duration, phase in pieces:
+            state = evolve_pulse(state, PulseParams(
+                rabi_mod=math.pi / tau_p, detuning=0.0, duration=duration,
+                laser_phase=phase, start_time=start,
+            ))
+        return abs(state.c_b) ** 2
+
+    @pytest.mark.parametrize(
+        "big_t, tau_p", [(0.05, 0.005), (0.1, 1e-5), (0.02, 5e-4)]
+    )
+    def test_phase_jump_response_is_sensitivity_g(self, big_t, tau_p):
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
+        times = np.linspace(0.0, profile.span, 501)
+        g_s = sensitivity_g(times, profile)
+        # The last phase sets mid-fringe on either slope; at -pi/2 the
+        # response, and so g_s, changes sign.
+        for last_phase, sign in ((0.5 * math.pi, 1.0), (-0.5 * math.pi, -1.0)):
+            # 2 dP/dphi by central difference in the jump.
+            response = np.array([
+                (self._exit_probability(big_t, tau_p, t, self.JUMP, last_phase)
+                 - self._exit_probability(big_t, tau_p, t, -self.JUMP, last_phase))
+                / self.JUMP
+                for t in times
+            ])
+            np.testing.assert_allclose(response, sign * g_s, rtol=0.0, atol=1e-9)
 
 
 class TestSensitivityGThreeSegment:

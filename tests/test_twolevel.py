@@ -438,8 +438,9 @@ def test_sequence_rejects_unknown_timing_and_overlap():
     seq = SequenceParams(t_interrogation=1e-3, tau_p=1e-5)
     with pytest.raises(InvalidSequenceError):
         run_sequence(seq, timing="centered")
-    short = SequenceParams(t_interrogation=0.5e-5, tau_p=1e-5)
+    # Pulses that would overlap are refused when the sequence is built.
     with pytest.raises(InvalidSequenceError):
+        short = SequenceParams(t_interrogation=0.5e-5, tau_p=1e-5)
         run_sequence(short, timing="start-to-start")
 
 
