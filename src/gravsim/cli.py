@@ -244,12 +244,7 @@ def _profile(cfg: RunConfig) -> SensitivityProfile:
     from .noise import SensitivityProfile
 
     seq = _sequence_params(cfg)
-    # The timing is valid; only pi / tau_p can still fail, by overflowing
-    # to inf when tau_p is subnormal.
-    try:
-        return SensitivityProfile.from_tau_p(seq.t_interrogation, seq.tau_p)
-    except ValueError as exc:
-        raise ConfigError(f"[sequence] values invalid: {exc}") from exc
+    return SensitivityProfile.from_tau_p(seq.t_interrogation, seq.tau_p)
 
 
 def _write_summary(

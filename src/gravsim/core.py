@@ -150,10 +150,11 @@ class PulseParams:
     start_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rabi_mod < 0.0:
-            raise ValueError(f"rabi_mod must be >= 0, got {self.rabi_mod}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        # Positive chains, so that NaN and inf fail them.
+        if not 0.0 <= self.rabi_mod < math.inf:
+            raise ValueError(f"rabi_mod must be finite and >= 0, got {self.rabi_mod}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
     @property
     def rabi(self) -> complex:
@@ -175,8 +176,8 @@ class SequenceParams:
     t_interrogation : float
         Dark interval T between pulses [s]; finite and longer than tau_p.
     tau_p : float
-        Duration of the central pi pulse [s], > 0; the outer pi/2 pulses
-        last tau_p/2 each.
+        Duration of the central pi pulse [s], > 0 and large enough that
+        pi/tau_p is finite; the outer pi/2 pulses last tau_p/2 each.
     phases : tuple of float
         Laser phases (phi_1, phi_2, phi_3) of the three pulses [rad].
     k_eff : float
@@ -191,10 +192,9 @@ class SequenceParams:
     def __post_init__(self) -> None:
         from .errors import InvalidSequenceError
 
-        # One positive chain, so that NaN and inf fail it.
-        if not 0.0 < self.tau_p < self.t_interrogation < math.inf:
+        if not _timing_valid(self.t_interrogation, self.tau_p):
             raise InvalidSequenceError(
-                "need finite t_interrogation > tau_p > 0, got "
+                "need finite t_interrogation > tau_p > 0 and finite pi/tau_p, got "
                 f"t_interrogation={self.t_interrogation}, tau_p={self.tau_p}"
             )
         if len(self.phases) != 3:
@@ -232,6 +232,32 @@ def _pulse_edges(big_t: float, tau_p: float) -> tuple[float, ...]:
     a = 0.5 * tau_p
     return (0.0, a, a + big_t, 3.0 * a + big_t, 3.0 * a + 2.0 * big_t,
             2.0 * big_t + 2.0 * tau_p)
+
+
+def _rabi_rate(tau_p: float) -> float:
+    """Rabi rate ``pi / tau_p`` [rad/s] that makes the central pulse a pi pulse."""
+    return math.pi / tau_p
+
+
+def _timing_valid(big_t: float, tau_p: float) -> bool:
+    """The one timing rule of the sequence: ``0 < tau_p < T < inf`` with a
+    finite Rabi rate (a subnormal ``tau_p`` overflows ``pi / tau_p``).
+
+    ``SequenceParams`` and ``noise.SensitivityProfile`` both apply it.
+    """
+    # One positive chain, so that NaN and inf fail it.
+    return 0.0 < tau_p < big_t < math.inf and _rabi_rate(tau_p) < math.inf
+
+
+def _dc_scale(big_t: float, tau_p: float) -> float:
+    """Scale factor ``S = (T + tau_p)(T + 2 tau_p / pi)`` [s^2] of the sequence.
+
+    A constant acceleration ``a`` gives the phase ``k_eff a S`` (Cheinet et
+    al., IEEE Trans. Instrum. Meas. 57, 1141 (2008)): ``S = integral t g_s
+    dt`` over the pulse edges of :func:`_pulse_edges`, which tends to
+    ``T^2`` for thin pulses.
+    """
+    return (big_t + tau_p) * (big_t + 2.0 * tau_p / math.pi)
 
 
 def state_probability(state: TwoLevelState | ThreeLevelState, which: str) -> float:

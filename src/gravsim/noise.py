@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_K_EFF, _pulse_edges, _write_csv
+from .core import (DEFAULT_K_EFF, _dc_scale, _pulse_edges, _rabi_rate, _timing_valid,
+                   _write_csv)
 from .errors import (
     CoverageError,
     DataFormatError,
@@ -94,11 +95,11 @@ class TimeSeries:
     Attributes
     ----------
     samples : numpy.ndarray
-        Sample values.
+        Sample values; finite.
     dt : float
         Sampling interval [s].
     t0 : float
-        Time of the first sample [s].
+        Time of the first sample [s]; finite.
     """
 
     samples: np.ndarray
@@ -109,6 +110,10 @@ class TimeSeries:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 1 or s.size < 2:
             raise ValueError("samples must be a 1-D array with >= 2 points")
+        if not np.isfinite(s).all():
+            raise ValueError("samples must be finite")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "samples", s)
@@ -165,41 +170,35 @@ class SensitivityProfile:
         Dark interval T between pulses [s].
     tau_p : float
         Pi-pulse duration [s]; the outer pi/2 pulses last tau_p/2.
-    omega_r : float
-        Rabi rate [rad/s]; tied to tau_p by the pi-pulse condition
-        ``omega_r * tau_p = pi``.
+
+    The Rabi rate follows from tau_p (see :attr:`omega_r`).
     """
 
     big_t: float
     tau_p: float
-    omega_r: float
 
     def __post_init__(self) -> None:
-        # Written as one positive chain, so that NaN and inf fail it.
-        if not 0.0 < self.tau_p < self.big_t < math.inf:
+        if not _timing_valid(self.big_t, self.tau_p):
             raise ValueError(
-                "need finite big_t > tau_p > 0, "
+                "need finite big_t > tau_p > 0 and finite pi/tau_p, "
                 f"got big_t={self.big_t}, tau_p={self.tau_p}"
-            )
-        if not abs(self.omega_r * self.tau_p - math.pi) <= 1e-9 * math.pi:
-            raise ValueError(
-                "pi-pulse condition omega_r * tau_p = pi violated: "
-                f"omega_r*tau_p = {self.omega_r * self.tau_p!r}"
             )
 
     @classmethod
     def from_tau_p(cls, big_t: float, tau_p: float) -> "SensitivityProfile":
-        """Profile with the Rabi rate implied by the pi-pulse condition."""
-        # tau_p = 0 gets an infinite rate, so that __post_init__ rejects it.
-        omega_r = math.pi / tau_p if tau_p else math.inf
-        return cls(big_t=big_t, tau_p=tau_p, omega_r=omega_r)
+        """Profile of dark interval ``big_t`` and pi-pulse duration ``tau_p``."""
+        return cls(big_t, tau_p)
 
     @classmethod
     def from_omega_r(cls, big_t: float, omega_r: float) -> "SensitivityProfile":
         """Profile with the pi-pulse duration implied by the Rabi rate."""
         # omega_r = 0 gets an infinite tau_p, so that __post_init__ rejects it.
-        tau_p = math.pi / omega_r if omega_r else math.inf
-        return cls(big_t=big_t, tau_p=tau_p, omega_r=omega_r)
+        return cls(big_t, math.pi / omega_r if omega_r else math.inf)
+
+    @property
+    def omega_r(self) -> float:
+        """Rabi rate ``pi / tau_p`` [rad/s] (the pi-pulse condition)."""
+        return _rabi_rate(self.tau_p)
 
     @property
     def span(self) -> float:
@@ -331,9 +330,9 @@ def sensitivity_g(
     Edge rule, both shapes: every segment owns its right edge, and the first
     also its left one, so at an edge ``g_s`` takes the earlier segment's
     value.  Both shapes come from one table, ``_segments``, which also
-    gives the weight ``w(t)``, the DC response and the three-segment
-    ``G(omega)``; the default ``G(omega)`` has a closed product form (see
-    :func:`transfer_function`).
+    gives the weight ``w(t)`` and the three-segment ``G(omega)``; the
+    default ``G(omega)`` and the DC response have closed forms (see
+    :func:`transfer_function` and :func:`dc_phase_response`).
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr)
@@ -398,6 +397,8 @@ def acceleration_phase(
     The sequence runs over ``[t_start, t_start + span]`` on the record's
     time base; samples outside contribute nothing.
     """
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     t_rel = accel.times - t_start
     kernel = k_eff * _weight(t_rel, profile)
     return float(np.trapezoid(kernel * accel.samples, dx=accel.dt))
@@ -408,23 +409,14 @@ def dc_phase_response(
     k_eff: float = DEFAULT_K_EFF,
     a0: float = 1.0,
 ) -> float:
-    """Phase from a constant acceleration ``a0`` via the double integral.
+    """Phase ``k_eff a0 S`` from a constant acceleration ``a0``.
 
-    ``integral w dt = integral t g_s dt`` by parts (``w`` vanishes at the
-    end), summed exactly over the segments of ``g_s``; for ``tau_p << T``
-    the result approaches the textbook ``k_eff a0 T^2``.
+    The double integral ``integral w dt = integral t g_s dt`` (by parts;
+    ``w`` vanishes at the end) is the closed form ``S = (T + tau_p)(T + 2
+    tau_p / pi)``; for ``tau_p << T`` it approaches the textbook ``k_eff a0
+    T^2``.
     """
-    w = profile.omega_r
-    total = 0.0
-    for seg in _segments(profile):
-        if seg.p:
-            # integral t f dt = [t F / w + f / w^2], F = f integrated
-            for t, sign in ((seg.hi, 1.0), (seg.lo, -1.0)):
-                total += sign * (t * seg.oscillation(w, t, integrated=True) / w
-                                 + seg.oscillation(w, t) / w**2)
-        else:
-            total += 0.5 * seg.level * (seg.hi - seg.lo) * (seg.hi + seg.lo)
-    return float(k_eff * a0 * total)
+    return float(k_eff * a0 * _dc_scale(profile.big_t, profile.tau_p))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +455,7 @@ def transfer_function(
     (``np.sinc(z) = sin(pi z) / (pi z)``), and ``|u|`` cancels the pole of
     ``omega^2 - omega_r^2 = omega_r^2 u (2 + u)``, leaving ``4 / (omega +
     omega_r)`` in front.  Every factor is finite for all ``omega >= 0``
-    without a branch, and ``G(0)`` is exactly 0.  The rewrite is exact when
-    ``omega_r tau_p = pi``; the 1e-9 slack a profile admits there moves
-    ``|G|`` by at most about 1e-13 of its peak.
+    without a branch, and ``G(0)`` is exactly 0.
 
     The three-segment variant keeps the segment sum over ``_segments``: on
     each segment ``g_s = level + Im(p e^{i omega_r (t - ref)})``, a sum of
@@ -640,9 +630,10 @@ def allan_from_acceleration_psd(
         Skip the band-coverage requirement (see
         :func:`phase_variance_from_psd`).
     """
-    if cycle_time is None or cycle_time < profile.span:
+    if cycle_time is None or not profile.span <= cycle_time < math.inf:
         raise ValueError(
-            f"cycle_time must be >= the sequence span {profile.span}, got {cycle_time}"
+            f"cycle_time must be finite and >= the sequence span {profile.span}, "
+            f"got {cycle_time}"
         )
     _check_coverage(s_a, profile, allow_partial, "acceleration PSD")
     # The fastest oscillation in omega comes from the largest time scale

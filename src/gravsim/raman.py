@@ -124,8 +124,6 @@ class EffectiveParams:
     ac_g, ac_e : complex
         Light shifts of the two ground states [rad/s]; :func:`raman_pulse`
         accepts only (numerically) real values.
-    delta_ac : complex
-        Differential light shift ``ac_e - ac_g`` [rad/s].
     phi_eff : float
         Effective drive phase ``phi2 - phi1`` [rad] (the argument of
         ``omega_eff`` contributes on top, exactly as a complex single-photon
@@ -135,8 +133,12 @@ class EffectiveParams:
     omega_eff: complex
     ac_g: complex
     ac_e: complex
-    delta_ac: complex
     phi_eff: float
+
+    @property
+    def delta_ac(self) -> complex:
+        """Differential light shift ``ac_e - ac_g`` [rad/s]."""
+        return self.ac_e - self.ac_g
 
 
 @dataclass(frozen=True)
@@ -294,7 +296,6 @@ def effective_params(lasers: LaserPair, big_delta: float) -> EffectiveParams:
         omega_eff=omega_eff,
         ac_g=ac_g,
         ac_e=ac_e,
-        delta_ac=ac_e - ac_g,
         phi_eff=lasers.phi2 - lasers.phi1,
     )
 

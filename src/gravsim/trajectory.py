@@ -20,6 +20,7 @@ Phase contributions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,8 @@ def boundary_velocity(z1: float, t1: float, z2: float, t2: float, g: float) -> f
 
     v1 = (z2 - z1)/(t2 - t1) + g (t2 - t1)/2.
     """
-    if t2 <= t1:
-        raise TimeOrderError(f"need t2 > t1, got t1={t1}, t2={t2}")
+    if not -math.inf < t1 < t2 < math.inf:
+        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
     dt = t2 - t1
     return (z2 - z1) / dt + 0.5 * g * dt
 
@@ -124,10 +125,10 @@ def classical_action(
     Raises
     ------
     TimeOrderError
-        If ``t2 <= t1``.
+        If ``t2 > t1`` fails or either time is not finite.
     """
-    if t2 <= t1:
-        raise TimeOrderError(f"need t2 > t1, got t1={t1}, t2={t2}")
+    if not -math.inf < t1 < t2 < math.inf:
+        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
     dt = t2 - t1
     dz = z2 - z1
     return (
@@ -159,8 +160,8 @@ def action_quadrature_oracle(
     n_steps : int, optional
         Number of grid intervals (rounded up to even).
     """
-    if t2 <= t1:
-        raise TimeOrderError(f"need t2 > t1, got t1={t1}, t2={t2}")
+    if not -math.inf < t1 < t2 < math.inf:
+        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     n = n_steps + (n_steps % 2)
@@ -198,10 +199,10 @@ def build_vertices(
     Raises
     ------
     TimeOrderError
-        If ``big_t <= 0``.
+        If ``big_t`` is not finite and positive.
     """
-    if big_t <= 0.0:
-        raise TimeOrderError(f"need big_t > 0, got {big_t}")
+    if not 0.0 < big_t < math.inf:
+        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
     v_r = hbar * k_eff / mass
     sag = 0.5 * g * big_t * big_t
 
@@ -241,8 +242,8 @@ def path_phase(
     formula is kept in this factored form so that perturbed vertices report
     their first-order phase sensitivity.
     """
-    if big_t <= 0.0:
-        raise TimeOrderError(f"need big_t > 0, got {big_t}")
+    if not 0.0 < big_t < math.inf:
+        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
     closure = (
         vertices.z_c + vertices.z_d - vertices.z_a - vertices.z_b - g * big_t * big_t
     )
@@ -284,8 +285,8 @@ def total_phase(
     Path and laser contributions combined for the closed diamond; the path
     part is identically zero, so only the laser sum survives.
     """
-    if big_t <= 0.0:
-        raise TimeOrderError(f"need big_t > 0, got {big_t}")
+    if not 0.0 < big_t < math.inf:
+        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
     p1, p2, p3 = phases
     return k_eff * g * big_t * big_t + p1 - 2.0 * p2 + p3
 
@@ -308,6 +309,6 @@ def chirped_phase(
     is the chirp-null condition used to read out g.  An array of chirp
     rates gives the phases elementwise.
     """
-    if big_t <= 0.0:
-        raise TimeOrderError(f"need big_t > 0, got {big_t}")
+    if not 0.0 < big_t < math.inf:
+        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
     return (beta - k_eff * g) * big_t * big_t + dphi_laser

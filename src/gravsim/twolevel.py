@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (HBAR, PulseParams, SequenceParams, TwoLevelState, _pulse_edges,
-                   state_probability)
+                   _rabi_rate, state_probability)
 from .errors import DegenerateDriveError, InvalidSequenceError, StepSizeError
 
 __all__ = [
@@ -387,7 +387,7 @@ def run_sequence(
         If ``timing`` is neither of the two conventions.
     """
     if rabi_mod is None:
-        rabi_mod = math.pi / seq.tau_p
+        rabi_mod = _rabi_rate(seq.tau_p)
     if state is None:
         state = TwoLevelState.ground()
     for pulse in _sequence_pulses(seq, rabi_mod, detuning, t_start, timing):

@@ -453,6 +453,8 @@ class TestConfigHandling:
             ("sensitivity", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
             ("psd-variance", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
             ("sensitivity", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
+            ("fringe", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
+            ("gsweep", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
             ("fringe", "[sequence]\nk_eff = 0\n", "k_eff"),
             ("fringe", "[sequence]\nt_interrogation = 1e-6\n", "t_interrogation"),
             ("fringe", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
@@ -462,7 +464,8 @@ class TestConfigHandling:
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
              "sensitivity-T_equal_tau_p", "psd_variance-T_equal_tau_p",
-             "sensitivity-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
+             "sensitivity-tau_p_subnormal", "fringe-tau_p_subnormal",
+             "gsweep-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
              "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-seed"],
     )
     def test_out_of_range_value_is_config_error(

@@ -55,6 +55,12 @@ def test_pulse_params_validation_and_properties():
         PulseParams(rabi_mod=-1.0, detuning=0.0, duration=1.0)
     with pytest.raises(ValueError):
         PulseParams(rabi_mod=1.0, detuning=0.0, duration=0.0)
+    # NaN fails every comparison, so each check must be a positive one.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rabi_mod must be finite"):
+            PulseParams(rabi_mod=bad, detuning=0.0, duration=1.0)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            PulseParams(rabi_mod=1.0, detuning=0.0, duration=bad)
     p = PulseParams(
         rabi_mod=2.0, detuning=0.0, duration=1.0, rabi_arg=math.pi / 2, laser_phase=0.3
     )
@@ -78,6 +84,9 @@ def test_sequence_params_validation_and_derived():
             SequenceParams(t_interrogation=bad, tau_p=1e-5)
         with pytest.raises(InvalidSequenceError, match="finite"):
             SequenceParams(t_interrogation=0.1, tau_p=bad)
+    # A subnormal tau_p overflows the Rabi rate pi / tau_p.
+    with pytest.raises(InvalidSequenceError, match="finite pi/tau_p"):
+        SequenceParams(t_interrogation=0.1, tau_p=1e-310)
     for k_eff in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidSequenceError, match="k_eff"):
             SequenceParams(t_interrogation=0.1, tau_p=1e-5, k_eff=k_eff)

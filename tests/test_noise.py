@@ -16,6 +16,7 @@ Oracle strategy:
   running-mean (convolve) forms.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -83,8 +84,11 @@ SQ2 = math.sqrt(0.5)
 
 class TestSensitivityProfile:
     def test_pi_pulse_condition_enforced(self):
-        with pytest.raises(ValueError, match="pi-pulse"):
-            SensitivityProfile(big_t=0.1, tau_p=0.01, omega_r=100.0)
+        # The Rabi rate is derived, never stored, so it cannot disagree.
+        for tau_p in (0.01, 1e-5, 1e-9, 3e-300):
+            profile = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=tau_p)
+            assert profile.omega_r == math.pi / tau_p
+        assert [f.name for f in dataclasses.fields(profile)] == ["big_t", "tau_p"]
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="big_t > tau_p"):
@@ -95,6 +99,9 @@ class TestSensitivityProfile:
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=0.0)
         with pytest.raises(ValueError, match="big_t > tau_p"):
             SensitivityProfile.from_omega_r(big_t=0.01, omega_r=0.0)
+        # pi / tau_p overflows to inf below about 1.7e-308.
+        with pytest.raises(ValueError, match="finite pi/tau_p"):
+            SensitivityProfile.from_tau_p(big_t=0.1, tau_p=1e-310)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -104,11 +111,11 @@ class TestSensitivityProfile:
         with pytest.raises(ValueError, match="finite big_t > tau_p"):
             SensitivityProfile.from_tau_p(big_t=0.1, tau_p=bad)
         with pytest.raises(ValueError, match="finite big_t > tau_p"):
-            SensitivityProfile(big_t=bad, tau_p=1e-5, omega_r=math.pi / 1e-5)
+            SensitivityProfile(big_t=bad, tau_p=1e-5)
         with pytest.raises(ValueError, match="finite big_t > tau_p"):
             SensitivityProfile.from_omega_r(big_t=0.1, omega_r=math.nan)
-        with pytest.raises(ValueError, match="pi-pulse"):
-            SensitivityProfile(big_t=0.1, tau_p=1e-5, omega_r=bad)
+        with pytest.raises(ValueError, match="finite big_t > tau_p"):
+            SensitivityProfile.from_omega_r(big_t=0.1, omega_r=bad)
 
     def test_constructors_agree(self):
         p1 = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=0.01)
@@ -353,9 +360,41 @@ class TestDcResponse:
         got = dc_phase_response(profile, k_eff=1.61e7, a0=9.81)
         assert got == pytest.approx(1.61e7 * 9.81 * 0.1**2, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "big_t, tau_p",
+        [(0.05, 0.005), (0.1, 1e-5), (0.02, 5e-4), (0.1, 1e-9), (0.08, 0.012)],
+    )
+    def test_matches_mpmath_quadrature(self, big_t, tau_p):
+        # integral t g_s dt by 40-digit tanh-sinh quadrature of each piece
+        # of the shape in sensitivity_g's docstring, with the exact Rabi
+        # rate pi / tau_p.  Measured gap: at most 8.4e-17 relative.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            big, a = mp.mpf(big_t), mp.mpf(tau_p) / 2
+            w, span = mp.pi / (2 * a), 2 * big + 4 * a
+            pieces = [
+                (lambda t: -mp.sin(w * t), 0, a),
+                (lambda t: -1, a, a + big),
+                (lambda t: -mp.cos(w * (t - big - a)), a + big, 3 * a + big),
+                (lambda t: 1, 3 * a + big, 3 * a + 2 * big),
+                (lambda t: mp.sin(w * (span - t)), 3 * a + 2 * big, span),
+            ]
+            expected = float(sum(mp.quad(lambda t: t * f(t), [lo, hi])
+                                 for f, lo, hi in pieces))
+        profile = SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
+        got = dc_phase_response(profile, k_eff=1.0, a0=1.0)
+        assert got == pytest.approx(expected, rel=2.2e-16, abs=0.0)
+
 
 class TestAccelerationPhase:
     profile = SensitivityProfile.from_tau_p(big_t=0.08, tau_p=0.012)
+
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, t_start):
+        # A NaN or infinite window holds no sample, so the phase would read 0.
+        accel = TimeSeries(samples=np.full(100, 2.5), dt=1e-3)
+        with pytest.raises(ValueError, match="t_start must be finite"):
+            acceleration_phase(accel, self.profile, t_start=t_start)
 
     def test_constant_acceleration_matches_dc_response(self):
         dt = 1e-5
@@ -581,6 +620,21 @@ class TestTransferFunction:
 # ---------------------------------------------------------------------------
 # PSD container and synthesis
 # ---------------------------------------------------------------------------
+
+
+class TestTimeSeries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # Otherwise both Allan estimators return NaN deviations, no error.
+        y = np.ones(64)
+        y[17] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            TimeSeries(samples=y, dt=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_t0_rejected(self, bad):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            TimeSeries(samples=np.ones(4), dt=0.1, t0=bad)
 
 
 class TestPsd:
@@ -1013,6 +1067,17 @@ class TestAllanFromAccelerationPsd:
             allan_from_acceleration_psd(
                 psd, self.profile, cycle_time=0.05, allow_partial=True
             )
+
+    @pytest.mark.parametrize("formula", ["printed", "shot-sampled"])
+    def test_non_finite_cycle_time_rejected(self, formula):
+        # NaN fails every comparison, so the check must be a positive one.
+        psd = Psd(freqs=np.array([1.0, 100.0]), values=np.array([1.0, 1.0]))
+        for cycle in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"cycle_time .* got {cycle}"):
+                allan_from_acceleration_psd(
+                    psd, self.profile, cycle_time=cycle, formula=formula,
+                    allow_partial=True,
+                )
 
     def test_unknown_formula_rejected(self):
         psd = Psd(freqs=np.array([1.0, 100.0]), values=np.array([1.0, 1.0]))

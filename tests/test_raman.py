@@ -162,7 +162,6 @@ def test_raman_pulse_rejects_complex_light_shifts():
             omega_eff=real.omega_eff,
             ac_g=ac_g,
             ac_e=ac_e,
-            delta_ac=ac_e - ac_g,
             phi_eff=real.phi_eff,
         )
         with pytest.raises(EliminationError, match="imaginary"):

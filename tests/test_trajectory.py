@@ -65,6 +65,14 @@ def test_classical_action_time_order_guard():
         classical_action(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(TimeOrderError):
         action_quadrature_oracle(0.0, 1.0, 1.0, 0.5)
+    # NaN fails every comparison, so each check must be a positive one.
+    for bad in (math.nan, math.inf, -math.inf):
+        for t1, t2 in ((bad, 1.0), (0.0, bad)):
+            for fn in (classical_action, action_quadrature_oracle):
+                with pytest.raises(TimeOrderError, match="finite t2 > t1"):
+                    fn(0.0, t1, 1.0, t2)
+            with pytest.raises(TimeOrderError, match="finite t2 > t1"):
+                boundary_velocity(0.0, t1, 1.0, t2, 9.81)
 
 
 @given(
@@ -228,3 +236,13 @@ def test_phase_functions_guard_time_order():
         total_phase(0.0)
     with pytest.raises(TimeOrderError):
         chirped_phase(0.0, big_t=-1.0)
+    # NaN fails every comparison, so each check must be a positive one.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(TimeOrderError, match="finite big_t > 0"):
+            build_vertices(0.0, 0.1, bad)
+        with pytest.raises(TimeOrderError, match="finite big_t > 0"):
+            path_phase(v, bad)
+        with pytest.raises(TimeOrderError, match="finite big_t > 0"):
+            total_phase(bad)
+        with pytest.raises(TimeOrderError, match="finite big_t > 0"):
+            chirped_phase(1.0, big_t=bad)
