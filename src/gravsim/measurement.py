@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DEFAULT_G, DEFAULT_K_EFF
 from .errors import AmbiguousFringeError, DataFormatError, FitFailureError
-from .trajectory import chirped_phase
+from .trajectory import _check_big_t, chirped_phase
 
 __all__ = [
     "FringeScan",
@@ -124,6 +124,7 @@ def beta_grid(
     center: float, span_fringes: float, n_points: int, big_t: float
 ) -> np.ndarray:
     """Uniform chirp grid spanning ``span_fringes`` fringe periods."""
+    _check_big_t(big_t)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     half = 0.5 * span_fringes * 2.0 * math.pi / (big_t * big_t)
@@ -277,6 +278,8 @@ def estimate_g(
 
     Raises
     ------
+    TimeOrderError
+        If ``big_t`` is not finite and positive.
     AmbiguousFringeError
         If the scan spans fewer than 1.5 fringe periods or samples a period
         with fewer than 8 points.
@@ -284,6 +287,7 @@ def estimate_g(
         If a chirp rate or measured fraction is not finite, the fit design
         is singular or the fringe has no contrast.
     """
+    _check_big_t(big_t)
     betas = np.asarray(scan.betas, dtype=float)
     y = np.asarray(scan.measured, dtype=float)
     period = 2.0 * math.pi / (big_t * big_t)
@@ -338,12 +342,16 @@ def estimate_g_dual(
 
     Raises
     ------
+    TimeOrderError
+        If ``big_t_a`` or ``big_t_b`` is not finite and positive.
     AmbiguousFringeError
         If no pairing matches to better than a tenth of the finer lattice
         spacing, or two distinct pairings match comparably well.
     FitFailureError
         If either scan's :func:`estimate_g` fit fails.
     """
+    _check_big_t(big_t_a)
+    _check_big_t(big_t_b)
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)
     est_b = estimate_g(scan_b, k_eff, big_t_b, dphi_laser)
     lat_a = 2.0 * math.pi / (k_eff * big_t_a * big_t_a)

@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -516,27 +516,46 @@ def _required_band(profile: SensitivityProfile) -> tuple[float, float]:
     return low, high
 
 
-def _check_coverage(
+def _check_cycle_time(profile: SensitivityProfile, cycle_time: float | None) -> None:
+    """Refuse a shot repetition interval shorter than the sequence or not finite."""
+    if cycle_time is None or not profile.span <= cycle_time < math.inf:
+        raise ValueError(
+            f"cycle_time must be finite and >= the sequence span {profile.span}, "
+            f"got {cycle_time}"
+        )
+
+
+def _uncovered_tails(
     psd: Psd, profile: SensitivityProfile, allow_partial: bool, what: str
-) -> None:
+) -> list[tuple[float, float, int, float]]:
+    """The sides of :func:`_required_band` that ``psd`` leaves uncovered.
+
+    Without ``allow_partial`` an uncovered side raises
+    :class:`CoverageError`.  Otherwise each side gives its flat one-decade
+    tail ``(lo, hi, points, edge value)``, clipped to the required band:
+    the low side first, then the high side.
+    """
     low, high = _required_band(profile)
     tab_lo = float(psd.freqs[0])
     tab_hi = float(psd.freqs[-1])
-    if tab_lo > low * (1.0 + 1e-9) or tab_hi < high * (1.0 - 1e-9):
-        if not allow_partial:
-            raise CoverageError(
-                f"{what}: tabulated band [{tab_lo:.3e}, {tab_hi:.3e}] rad/s does "
-                f"not cover the required [{low:.3e}, {high:.3e}] rad/s; pass "
-                "allow_partial=True to integrate over the tabulated band only"
-            )
+    tails = []
+    if tab_lo > low * (1.0 + 1e-9):
+        tails.append((max(low, tab_lo / 10.0), tab_lo, 501, float(psd.values[0])))
+    if tab_hi < high * (1.0 - 1e-9):
+        tails.append((tab_hi, min(high, 10.0 * tab_hi), 2001, float(psd.values[-1])))
+    if tails and not allow_partial:
+        raise CoverageError(
+            f"{what}: tabulated band [{tab_lo:.3e}, {tab_hi:.3e}] rad/s does "
+            f"not cover the required [{low:.3e}, {high:.3e}] rad/s; pass "
+            "allow_partial=True to integrate over the tabulated band only"
+        )
+    return tails
 
 
 def _integration_grid(psd: Psd, finest_time_scale: float) -> np.ndarray:
     """Linear omega grid resolving the integrand's fastest oscillation."""
     lo = float(psd.freqs[0])
     hi = float(psd.freqs[-1])
-    if hi <= lo:
-        raise ValueError("PSD band is empty")
     d_omega = (2.0 * math.pi / finest_time_scale) / 32.0
     n = int(math.ceil((hi - lo) / d_omega)) + 1
     if n > _MAX_GRID_POINTS:
@@ -573,22 +592,16 @@ def phase_variance_from_psd(
     missing side.  A band whose grid would need more than
     ``_MAX_GRID_POINTS`` points raises :class:`ResolutionError`.
     """
-    _check_coverage(s_phi, profile, allow_partial, "phase-noise PSD")
+    tails = _uncovered_tails(s_phi, profile, allow_partial, "phase-noise PSD")
     grid = _integration_grid(s_phi, profile.span)
     weighted = (grid * np.asarray(transfer_function(grid, profile))) ** 2
     variance = float(np.trapezoid(weighted * s_phi.value_at(grid), grid))
 
     truncation = 0.0
-    low, high = _required_band(profile)
-    tab_lo, tab_hi = float(s_phi.freqs[0]), float(s_phi.freqs[-1])
-    if tab_lo > low * (1.0 + 1e-9):
-        tail = np.linspace(max(low, tab_lo / 10.0), tab_lo, 501)
+    for lo, hi, points, edge in tails:
+        tail = np.linspace(lo, hi, points)
         gains = (tail * np.asarray(transfer_function(tail, profile))) ** 2
-        truncation += float(s_phi.values[0]) * float(np.trapezoid(gains, tail))
-    if tab_hi < high * (1.0 - 1e-9):
-        tail = np.linspace(tab_hi, min(high, 10.0 * tab_hi), 2001)
-        gains = (tail * np.asarray(transfer_function(tail, profile))) ** 2
-        truncation += float(s_phi.values[-1]) * float(np.trapezoid(gains, tail))
+        truncation += edge * float(np.trapezoid(gains, tail))
     return VarianceResult(variance=variance, truncation_estimate=truncation)
 
 
@@ -625,29 +638,32 @@ def allan_from_acceleration_psd(
         reproduces (see :func:`monte_carlo_vibration_allan`).  The two
         differ in general (the printed form carries different dimensions);
         both are exposed so budgets can be compared against either
-        convention.
+        convention.  A table that starts at ``omega = 0`` is refused by
+        the printed form, whose weight diverges there.
     allow_partial : bool, optional
         Skip the band-coverage requirement (see
         :func:`phase_variance_from_psd`).
     """
-    if cycle_time is None or not profile.span <= cycle_time < math.inf:
-        raise ValueError(
-            f"cycle_time must be finite and >= the sequence span {profile.span}, "
-            f"got {cycle_time}"
-        )
-    _check_coverage(s_a, profile, allow_partial, "acceleration PSD")
+    _check_cycle_time(profile, cycle_time)
+    _uncovered_tails(s_a, profile, allow_partial, "acceleration PSD")
     # The fastest oscillation in omega comes from the largest time scale
     # (sin^2(omega * cycle_time / 2) for the shot-sampled form).
     grid = _integration_grid(s_a, max(profile.span, cycle_time))
     gain = np.asarray(transfer_function(grid, profile))
     s_vals = s_a.value_at(grid)
     if formula == "printed":
+        if grid[0] == 0.0:
+            raise ValueError(
+                "printed formula diverges on a PSD table that starts at omega = 0: "
+                "|G/omega^2|^2 grows as 1/omega^2 there"
+            )
         integrand = (gain / grid**2) ** 2 * s_vals
         return float(k_eff**2 / cycle_time * np.trapezoid(integrand, grid))
     if formula == "shot-sampled":
-        integrand = (
-            (gain / grid) ** 2 * np.sin(0.5 * grid * cycle_time) ** 2 * s_vals
-        )
+        # |G| -> omega S as omega -> 0, so a node at omega = 0 takes the
+        # integrand's limit 0.
+        ratio = np.divide(gain, grid, out=np.zeros_like(grid), where=grid > 0.0)
+        integrand = ratio**2 * np.sin(0.5 * grid * cycle_time) ** 2 * s_vals
         return float(2.0 * k_eff**2 * np.trapezoid(integrand, grid))
     raise ValueError(f"formula must be 'printed' or 'shot-sampled', got {formula!r}")
 
@@ -770,6 +786,24 @@ def synthesize_noise_with_derivative(
 # ---------------------------------------------------------------------------
 
 
+def _shot_step(
+    psd: Psd, profile: SensitivityProfile, oversample: int, pulse_steps: float
+) -> float:
+    """Time step of a shot window: ``oversample`` steps per period of the
+    PSD's top frequency, and at least ``pulse_steps`` per pi pulse."""
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
+    omega_max = float(psd.freqs[-1])
+    return min(2.0 * math.pi / (oversample * omega_max), profile.tau_p / pulse_steps)
+
+
+def _trapezoid_weights(kernel: np.ndarray, dt: float) -> np.ndarray:
+    """``kernel`` times the trapezoid-rule weights of step ``dt``."""
+    trap = np.full(kernel.size, dt)
+    trap[0] = trap[-1] = 0.5 * dt
+    return kernel * trap
+
+
 def monte_carlo_phase_variance(
     s_phi: Psd,
     profile: SensitivityProfile,
@@ -807,19 +841,11 @@ def monte_carlo_phase_variance(
         raise ValueError("n_shots must be >= 2")
     if duration_factor < 4:
         raise ValueError("duration_factor must be >= 4")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    omega_max = float(s_phi.freqs[-1])
-    dt = min(
-        2.0 * math.pi / (oversample * omega_max), profile.tau_p / 16.0
-    )
+    dt = _shot_step(s_phi, profile, oversample, 16.0)
     n = int(round(profile.span / dt))
     dt = profile.span / n
     t = dt * np.arange(n + 1)
-    kernel = sensitivity_g(t, profile)
-    trap = np.full(n + 1, dt)
-    trap[0] = trap[-1] = 0.5 * dt
-    weights = kernel * trap
+    weights = _trapezoid_weights(sensitivity_g(t, profile), dt)
     amps, omega_k, n_record = _bins(s_phi, duration_factor * profile.span, dt)
     live = np.flatnonzero(amps)
     if live.size == 0:
@@ -873,17 +899,10 @@ def monte_carlo_vibration_allan(
     last shot's window go unused.  ``dt`` and the windows do not depend on that
     length, but the Fourier grid, and so each seed's draw, does.
     """
-    if not profile.span <= cycle_time < math.inf:
-        raise ValueError(
-            f"cycle_time must be finite and >= the sequence span {profile.span}, "
-            f"got {cycle_time}"
-        )
+    _check_cycle_time(profile, cycle_time)
     if n_shots < 3:
         raise ValueError("n_shots must be >= 3")
-    if oversample < 1:
-        raise ValueError(f"oversample must be >= 1, got {oversample}")
-    omega_max = float(s_a.freqs[-1])
-    dt0 = min(2.0 * math.pi / (oversample * omega_max), profile.tau_p / 8.0)
+    dt0 = _shot_step(s_a, profile, oversample, 8.0)
     steps_per_cycle = int(math.ceil(cycle_time / dt0))
     dt = cycle_time / steps_per_cycle
     n_record = _smooth_length(
@@ -892,10 +911,7 @@ def monte_carlo_vibration_allan(
     series = synthesize_noise(s_a, n_record * dt, dt, seed)
     n_window = int(round(profile.span / dt)) + 1
     t_rel = dt * np.arange(n_window)
-    kernel = k_eff * _weight(t_rel, profile)
-    trap = np.full(n_window, dt)
-    trap[0] = trap[-1] = 0.5 * dt
-    weights = kernel * trap
+    weights = _trapezoid_weights(k_eff * _weight(t_rel, profile), dt)
     starts = np.arange(n_shots) * steps_per_cycle
     index = starts[:, None] + np.arange(n_window)[None, :]
     phases = series.samples[index] @ weights
@@ -908,21 +924,22 @@ def monte_carlo_vibration_allan(
 
 
 def _allan(
-    series: TimeSeries,
-    tau_avgs: Sequence[float],
-    estimate: Callable[[int], tuple[float, int] | str],
-    none_left: str,
+    series: TimeSeries, tau_avgs: Sequence[float], overlapping: bool
 ) -> AllanResult:
     """Allan statistics for each requested averaging time, snapped down to
     a whole number ``m`` of samples.
 
-    ``estimate(m)`` returns the Allan variance and the number of blocks (or
-    differences) behind it, or the reason ``m`` does not fit the series;
-    such times, those below one sample, and those snapping to an ``m``
-    already reported are omitted with a log record.  ``none_left`` is the
-    error text when no time survives; a time that is not finite raises a
-    ``ValueError`` naming it.
+    Both estimators sum the squared second differences of one mean-centred
+    prefix sum: at every start index (``overlapping``) or at every ``m``-th.
+    A time below one sample, one snapping to an ``m`` already reported, and
+    one whose two blocks of ``m`` samples exceed the series (``2 m > N``)
+    are omitted with a log record; if none survives,
+    :class:`InsufficientDataError` is raised.  A time that is not finite
+    raises a ``ValueError`` naming it.
     """
+    n = series.samples.size
+    c = _centred_prefix_sum(series.samples)
+    work = _allan_work(c.size)
     taus, adevs, counts = [], [], []
     seen: set[int] = set()
     for tau in tau_avgs:
@@ -936,17 +953,20 @@ def _allan(
             logger.warning("omitting tau=%g s: snaps to m=%d samples, as an "
                            "earlier tau did", tau, m)
             continue
-        result = estimate(m)
-        if isinstance(result, str):
-            logger.warning("omitting tau=%g s: %s", tau, result)
+        if 2 * m > n:
+            logger.warning("omitting tau=%g s: two blocks of m=%d samples exceed "
+                           "the %d-sample series", tau, m, n)
             continue
         seen.add(m)
-        avar, count = result
+        power, n_terms = _second_difference_power(c, m, 1 if overlapping else m, work)
         taus.append(m * series.dt)
-        adevs.append(math.sqrt(avar))
-        counts.append(count)
+        adevs.append(math.sqrt(power / (2.0 * m * m * n_terms)))
+        # Non-overlapping: n_terms differences of n_terms + 1 blocks.
+        counts.append(n_terms if overlapping else n_terms + 1)
     if not taus:
-        raise InsufficientDataError(none_left)
+        raise InsufficientDataError(
+            "no requested averaging time fits two blocks in the series"
+        )
     return AllanResult(
         tau_avgs=np.array(taus), adevs=np.array(adevs), n_blocks=np.array(counts)
     )
@@ -1047,21 +1067,7 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
     InsufficientDataError
         If no requested averaging time survives.
     """
-    y = series.samples
-    c = _centred_prefix_sum(y)
-    work = _allan_work(c.size)
-
-    def estimate(m: int) -> tuple[float, int] | str:
-        n_blocks = y.size // m
-        if n_blocks < 2:
-            return f"only {n_blocks} block(s) of {m} samples"
-        power, n_diffs = _second_difference_power(c, m, m, work)
-        return power / (2.0 * m * m * n_diffs), n_blocks
-
-    return _allan(
-        series, tau_avgs, estimate,
-        "no requested averaging time leaves at least two blocks",
-    )
+    return _allan(series, tau_avgs, overlapping=False)
 
 
 def allan_deviation_overlapping(
@@ -1081,20 +1087,7 @@ def allan_deviation_overlapping(
     reuses.  Smoother than the non-overlapping estimator at large tau (the
     reported ``n_blocks`` is the number of overlapping differences).
     """
-    y = series.samples
-    c = _centred_prefix_sum(y)
-    work = _allan_work(c.size)
-
-    def estimate(m: int) -> tuple[float, int] | str:
-        if 2 * m > y.size:
-            return "series too short for overlapping blocks"
-        power, n_terms = _second_difference_power(c, m, 1, work)
-        return power / (2.0 * m * m * n_terms), n_terms
-
-    return _allan(
-        series, tau_avgs, estimate,
-        "no requested averaging time fits the series even once",
-    )
+    return _allan(series, tau_avgs, overlapping=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,14 +1183,21 @@ def read_psd_csv(path: str | Path) -> Psd:
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
-    """Load a uniformly sampled series from CSV columns ``t,y``."""
+    """Load a uniformly sampled series from CSV columns ``t,y``.
+
+    ``dt`` is the mean step ``(t[-1] - t[0]) / (n - 1)``; every step must
+    match it to ``1e-6 dt`` plus four ulps of the largest ``|t|``.
+    """
     data = _read_rows(path, ["t", "y"])
     t = data[:, 0]
     if t.size < 2:
         raise DataFormatError(f"{path}: need at least two samples")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6 * dt):
+    # The mean step, with each step allowed the rounding of the times
+    # themselves: at an epoch time such as 1.3e9 s one ulp of t is 2.4e-7 s,
+    # above 1e-6 of a 10-ms step.
+    dt = float((t[-1] - t[0]) / (t.size - 1))
+    slack = 1e-6 * dt + 4.0 * float(np.spacing(np.abs(t).max()))
+    if dt <= 0.0 or np.any(np.abs(np.diff(t) - dt) > slack):
         raise DataFormatError(f"{path}: time grid is not uniformly increasing")
     return TimeSeries(samples=data[:, 1], dt=dt, t0=float(t[0]))
 

@@ -89,6 +89,12 @@ class TrajectoryVertices:
     z_d0: float
 
 
+def _check_big_t(big_t: float) -> None:
+    """Refuse a dark interval ``big_t`` that is not finite and positive."""
+    if not 0.0 < big_t < math.inf:
+        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+
+
 def boundary_velocity(z1: float, t1: float, z2: float, t2: float, g: float) -> float:
     """Initial velocity of the free-fall path through (t1, z1) and (t2, z2).
 
@@ -201,8 +207,7 @@ def build_vertices(
     TimeOrderError
         If ``big_t`` is not finite and positive.
     """
-    if not 0.0 < big_t < math.inf:
-        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+    _check_big_t(big_t)
     v_r = hbar * k_eff / mass
     sag = 0.5 * g * big_t * big_t
 
@@ -242,8 +247,7 @@ def path_phase(
     formula is kept in this factored form so that perturbed vertices report
     their first-order phase sensitivity.
     """
-    if not 0.0 < big_t < math.inf:
-        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+    _check_big_t(big_t)
     closure = (
         vertices.z_c + vertices.z_d - vertices.z_a - vertices.z_b - g * big_t * big_t
     )
@@ -285,8 +289,7 @@ def total_phase(
     Path and laser contributions combined for the closed diamond; the path
     part is identically zero, so only the laser sum survives.
     """
-    if not 0.0 < big_t < math.inf:
-        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+    _check_big_t(big_t)
     p1, p2, p3 = phases
     return k_eff * g * big_t * big_t + p1 - 2.0 * p2 + p3
 
@@ -309,6 +312,5 @@ def chirped_phase(
     is the chirp-null condition used to read out g.  An array of chirp
     rates gives the phases elementwise.
     """
-    if not 0.0 < big_t < math.inf:
-        raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+    _check_big_t(big_t)
     return (beta - k_eff * g) * big_t * big_t + dphi_laser

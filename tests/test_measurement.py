@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gravsim.errors import AmbiguousFringeError, FitFailureError
+from gravsim.errors import AmbiguousFringeError, FitFailureError, TimeOrderError
 from gravsim.measurement import (
     _fit_fringe,
     beta_grid,
@@ -70,6 +70,22 @@ def test_beta_grid_span():
     assert grid.size == 41
     assert grid[20] == pytest.approx(100.0)
     assert grid[-1] - grid[0] == pytest.approx(2.0 * 2.0 * math.pi / big_t**2)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_non_positive_or_non_finite_big_t_rejected(bad):
+    # The same refusal as chirped_phase, not a ZeroDivisionError, a NaN grid
+    # or a singular fit design.
+    scan = make_scan()
+    match = f"need finite big_t > 0, got {bad}"
+    with pytest.raises(TimeOrderError, match=match):
+        beta_grid(K_EFF * G_TRUE, 2.0, 41, bad)
+    with pytest.raises(TimeOrderError, match=match):
+        estimate_g(scan, K_EFF, bad)
+    with pytest.raises(TimeOrderError, match=match):
+        estimate_g_dual(scan, 0.1, scan, bad, K_EFF)
+    with pytest.raises(TimeOrderError, match=match):
+        estimate_g_dual(scan, bad, scan, 0.1, K_EFF)
 
 
 # ---------------------------------------------------------------------------

@@ -1079,6 +1079,27 @@ class TestAllanFromAccelerationPsd:
                     allow_partial=True,
                 )
 
+    def test_table_from_omega_zero(self):
+        # Near 0, |G| ~ omega S: the shot-sampled integrand tends to 0, so a
+        # table from omega = 0 reads as one from just above it; the printed
+        # weight grows as 1/omega^2, diverges, and is refused.
+        top = 2.0 * math.pi * 50.0
+        values = np.array([1e-7, 1e-7])
+        at_zero = allan_from_acceleration_psd(
+            Psd(np.array([0.0, top]), values), self.profile, cycle_time=0.25,
+            formula="shot-sampled", allow_partial=True,
+        )
+        near_zero = allan_from_acceleration_psd(
+            Psd(np.array([1e-9, top]), values), self.profile, cycle_time=0.25,
+            formula="shot-sampled", allow_partial=True,
+        )
+        assert at_zero == pytest.approx(near_zero, rel=1e-9)
+        with pytest.raises(ValueError, match="omega = 0"):
+            allan_from_acceleration_psd(
+                Psd(np.array([0.0, top]), values), self.profile, cycle_time=0.25,
+                formula="printed", allow_partial=True,
+            )
+
     def test_unknown_formula_rejected(self):
         psd = Psd(freqs=np.array([1.0, 100.0]), values=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="formula"):
@@ -1181,6 +1202,32 @@ class TestVibrationMonteCarlo:
 # ---------------------------------------------------------------------------
 
 
+#: (N, m) at the omission rule 2m > N: m = N//2 is kept, m = N//2 + 1 not.
+_OMISSION_CASES = [(n, n // 2 + k) for n in (4, 5, 100, 101) for k in (0, 1)]
+
+
+def _check_omission_rule(estimator, n, m, count, caplog):
+    """Both estimators keep ``m`` with ``count`` blocks (or differences)
+    while ``2m <= N``, and otherwise omit it with one log text and, when no
+    time is left, raise one error text."""
+    series = TimeSeries(samples=np.arange(float(n)), dt=1.0)
+    with caplog.at_level("WARNING", logger="gravsim.noise"):
+        result = estimator(series, [float(m), 1.0])
+    omitted = (f"omitting tau={m} s: two blocks of m={m} samples exceed the "
+               f"{n}-sample series")
+    if 2 * m <= n:
+        np.testing.assert_array_equal(result.tau_avgs, [m, 1.0])
+        assert result.n_blocks[0] == count
+        assert omitted not in caplog.text
+        return
+    np.testing.assert_array_equal(result.tau_avgs, [1.0])
+    assert omitted in caplog.text
+    with pytest.raises(InsufficientDataError,
+                       match="^no requested averaging time fits two blocks in "
+                             "the series$"):
+        estimator(series, [float(m)])
+
+
 class TestAllanDeviation:
     def test_alternating_series_hand_value(self):
         # [DERIVED] alternating +-1 at tau = dt: all adjacent block-mean
@@ -1248,12 +1295,10 @@ class TestAllanDeviation:
         allan_deviation_overlapping(series, [0.1, 4.0])
         assert capsys.readouterr().err == ""
 
-    def test_too_long_tau_omitted_with_log(self, caplog):
-        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
-        with caplog.at_level("WARNING", logger="gravsim.noise"):
-            result = allan_deviation(series, [60.0, 4.0])
-        assert result.tau_avgs.size == 1
-        assert "omitting tau=60 s: only 1 block(s) of 60 samples" in caplog.text
+    @pytest.mark.parametrize("n, m", _OMISSION_CASES)
+    def test_too_long_tau_omitted_with_log(self, caplog, n, m):
+        # m = N//2 leaves two blocks; m = N//2 + 1 is omitted.
+        _check_omission_rule(allan_deviation, n, m, 2, caplog)
 
     def test_all_invalid_raises(self):
         series = TimeSeries(samples=np.arange(10.0), dt=1.0)
@@ -1294,15 +1339,10 @@ class TestAllanDeviationOverlapping:
         np.testing.assert_allclose(result.tau_avgs, [4.0])
         assert "omitting tau=0.1 s: shorter than one sample" in caplog.text
 
-    def test_too_long_tau_omitted_with_log(self, caplog):
-        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
-        with caplog.at_level("WARNING", logger="gravsim.noise"):
-            result = allan_deviation_overlapping(series, [60.0, 4.0])
-        np.testing.assert_allclose(result.tau_avgs, [4.0])
-        assert (
-            "omitting tau=60 s: series too short for overlapping blocks"
-            in caplog.text
-        )
+    @pytest.mark.parametrize("n, m", _OMISSION_CASES)
+    def test_too_long_tau_omitted_with_log(self, caplog, n, m):
+        # m = N//2 leaves N - 2m + 1 differences; m = N//2 + 1 is omitted.
+        _check_omission_rule(allan_deviation_overlapping, n, m, n - 2 * m + 1, caplog)
 
     def test_white_noise_slope(self):
         rng = np.random.default_rng(42)
@@ -1580,6 +1620,22 @@ class TestCsvInterfaces:
     def test_non_uniform_series_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,y\n0.0,1.0\n1.0,2.0\n2.5,3.0\n")
+        with pytest.raises(DataFormatError, match="uniform"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("t0, dt", [(1.3e9, 0.01), (3.15e7, 1e-3)])
+    def test_epoch_times_read_as_uniform(self, tmp_path, t0, dt):
+        # One ulp of t at these sizes exceeds 1e-6 dt, so the step check
+        # must allow the rounding of the times; a 1 % glitch still fails.
+        # dt = span / (n - 1) is off by about ulp(t0) / span, 2e-10 here.
+        path = tmp_path / "epoch.csv"
+        t = t0 + dt * np.arange(10_000)
+        path.write_text("t,y\n" + "".join(f"{x:.17g},1.0\n" for x in t))
+        loaded = read_series_csv(path)
+        assert loaded.dt == pytest.approx(dt, rel=1e-9)
+        assert loaded.t0 == t0
+        t[5_000:] += 0.01 * dt
+        path.write_text("t,y\n" + "".join(f"{x:.17g},1.0\n" for x in t))
         with pytest.raises(DataFormatError, match="uniform"):
             read_series_csv(path)
 
