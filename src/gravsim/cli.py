@@ -54,6 +54,7 @@ from .errors import (
     InsufficientDataError,
     ResolutionError,
     StepSizeError,
+    TimeOrderError,
 )
 
 if TYPE_CHECKING:
@@ -329,8 +330,10 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     n_points = int(cfg.get("scan", "n_points"))
     n_atoms = int(cfg.get("scan", "n_atoms"))
     seed = int(cfg.get("io", "seed"))
-    if n_atoms < 0:
-        raise ConfigError(f"[scan] n_atoms must be >= 0, got {n_atoms}")
+    if not 0 <= n_atoms <= measurement._MAX_ATOMS:
+        raise ConfigError(
+            f"[scan] n_atoms must be in [0, {measurement._MAX_ATOMS}], got {n_atoms}"
+        )
     if n_atoms > 0 and seed < 0:
         raise ConfigError(f"[io] seed must be >= 0 for a noisy scan, got {seed}")
     try:
@@ -342,6 +345,8 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"[scan] values invalid: {exc}") from exc
+    except TimeOrderError as exc:
+        raise ConfigError(f"[sequence] t_interrogation invalid: {exc}") from exc
     scan = measurement.simulate_scan(
         betas,
         k_eff=seq.k_eff,

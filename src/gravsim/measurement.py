@@ -44,6 +44,8 @@ _MIN_SPAN_PERIODS = 1.5
 _MIN_POINTS_PER_PERIOD = 8.0
 #: Fitted contrast, relative to the largest datum, below which it is zero.
 _CONTRAST_FLOOR = 1e-12
+#: Most atoms per shot: ``Generator.binomial`` takes n up to 2^63 - 1.
+_MAX_ATOMS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ def simulate_scan(
             n_atoms=0,
             seed=seed,
         )
-    if n_atoms < 0:
-        raise ValueError(f"n_atoms must be >= 0, got {n_atoms}")
+    if not 0 <= n_atoms <= _MAX_ATOMS:
+        raise ValueError(f"n_atoms must be in [0, {_MAX_ATOMS}], got {n_atoms}")
     if seed is None:
         raise ValueError("a seed is required for a noisy scan")
     if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):

@@ -90,9 +90,12 @@ class TrajectoryVertices:
 
 
 def _check_big_t(big_t: float) -> None:
-    """Refuse a dark interval ``big_t`` that is not finite and positive."""
+    """Refuse a dark interval ``big_t`` that is not finite and positive, or
+    whose square, the fringe scale ``T^2``, overflows or underflows."""
     if not 0.0 < big_t < math.inf:
         raise TimeOrderError(f"need finite big_t > 0, got {big_t}")
+    if not 0.0 < big_t * big_t < math.inf:
+        raise TimeOrderError(f"need big_t**2 finite and nonzero, got big_t = {big_t}")
 
 
 def boundary_velocity(z1: float, t1: float, z2: float, t2: float, g: float) -> float:

@@ -292,10 +292,11 @@ def test_criterion_7_sensitivity_formalism():
         formula="printed",
         allow_partial=True,
     )
-    # Regression pins of the program's omega grid: a dense quadrature of the
-    # same integrals differs by 5.2e-5 (shot-sampled) and 5.2e-4 (printed).
-    assert shot == pytest.approx(8079.657610294464, rel=1e-9)
-    assert printed == pytest.approx(108.76622358048965, rel=1e-9)
+    # Oracle: composite Simpson over omega of the closed-form |G| written
+    # out independently in perfbench/reference.py, at a step of 6.25e-4
+    # rad/s; halving the step from 1.25e-3 moves either value by < 6e-16.
+    assert shot == pytest.approx(8080.076711062827, rel=1e-9)
+    assert printed == pytest.approx(108.70976040167223, rel=1e-9)
     vib_mc = monte_carlo_vibration_allan(
         accel_band, profile, k_eff=k_eff, cycle_time=0.25, n_shots=420, seed=0
     )

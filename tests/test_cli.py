@@ -366,7 +366,8 @@ class TestPsdVariance:
 
     def test_unresolvable_band_refused_with_coverage_code(self, tmp_path, capsys):
         # At the default T = 0.1 s, tau_p = 10 us a fully covering band runs
-        # to 100 omega_r = 3.1e7 rad/s: about 41M grid points at span/32.
+        # to 100 omega_r = 3.1e7 rad/s: about 318,000 panels of 4 periods
+        # 2 pi / span, 24 nodes each.
         wide = tmp_path / "wide.csv"
         noise.write_psd_csv(
             wide, noise.Psd(freqs=np.array([0.5, 4e7]), values=np.array([1e-12, 1e-12]))
@@ -375,7 +376,7 @@ class TestPsdVariance:
         assert main(["psd-variance", "--config", cfg, "--out", str(tmp_path)]) == 5
         err = capsys.readouterr().err
         assert "coverage error" in err
-        assert "needs 40747741 grid points; at most 4000001" in err
+        assert "needs 7640304 quadrature nodes; at most 4000001" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_frequency_is_data_error(self, tmp_path, capsys, cell):
@@ -459,14 +460,19 @@ class TestConfigHandling:
             ("fringe", "[sequence]\nt_interrogation = 1e-6\n", "t_interrogation"),
             ("fringe", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
             ("fringe", "[scan]\nn_atoms = -5\n", "n_atoms"),
+            # Past 2^63 - 1, the largest n numpy's binomial draw accepts.
+            ("fringe", "[scan]\nn_atoms = 100000000000000000000\n", "n_atoms"),
             ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n", "seed"),
+            # T^2 overflows: the fringe period 2 pi / T^2 would be 0.
+            ("fringe", "[sequence]\nt_interrogation = 1e200\n", "t_interrogation"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
              "sensitivity-T_equal_tau_p", "psd_variance-T_equal_tau_p",
              "sensitivity-tau_p_subnormal", "fringe-tau_p_subnormal",
              "gsweep-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
-             "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-seed"],
+             "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-n_atoms_overflow",
+             "fringe-seed", "fringe-T_squared_overflow"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key

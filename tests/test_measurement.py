@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ def test_non_positive_or_non_finite_big_t_rejected(bad):
         estimate_g_dual(scan, 0.1, scan, bad, K_EFF)
     with pytest.raises(TimeOrderError, match=match):
         estimate_g_dual(scan, bad, scan, 0.1, K_EFF)
+
+
+@pytest.mark.parametrize("bad", [1e200, 1e-200])
+def test_big_t_whose_square_is_not_finite_and_nonzero_rejected(bad):
+    # 2 pi / T^2 would be 0 or inf: a zero-width grid and a division by zero.
+    scan = make_scan()
+    match = re.escape(f"need big_t**2 finite and nonzero, got big_t = {bad}")
+    with pytest.raises(TimeOrderError, match=match):
+        beta_grid(K_EFF * G_TRUE, 2.0, 41, bad)
+    with pytest.raises(TimeOrderError, match=match):
+        estimate_g(scan, K_EFF, bad)
+    with pytest.raises(TimeOrderError, match=match):
+        estimate_g_dual(scan, 0.1, scan, bad, K_EFF)
+
+
+def test_atom_number_beyond_binomial_range_rejected():
+    # Generator.binomial takes n up to 2^63 - 1; one more is refused before
+    # any draw, and the largest is accepted.
+    with pytest.raises(ValueError, match="n_atoms must be in"):
+        make_scan(n_atoms=2**63, seed=5)
+    scan = make_scan(n_atoms=2**63 - 1, seed=5)
+    assert np.all((scan.measured >= 0.0) & (scan.measured <= 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Oracle strategy:
 * the transfer function against an in-test dense trapezoid of
   g_s(t) e^{-i omega t}, against 50-digit mpmath values of the five
   segment integrals, and against the thin-pulse closed form;
-* PSD integrals against narrowband concentration limits and against
-  time-domain Monte-Carlo with frozen seeds;
+* PSD integrals against narrowband concentration limits, against a
+  pulse-pair lag form in the time domain, and against time-domain
+  Monte-Carlo with frozen seeds; the Gauss-Legendre rules against
+  monomials and numpy's leggauss;
 * Allan estimators against hand-evaluated block arithmetic, slope laws
   for white and random-walk noise, and direct block-sum (reduceat) and
   running-mean (convolve) forms.
@@ -29,8 +31,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.signal import periodogram
+from scipy.special import spherical_jn
 
 import gravsim
 from gravsim.core import PulseParams, TwoLevelState, _pulse_edges
@@ -49,7 +53,10 @@ from gravsim.noise import (
     _band_phases,
     _bins,
     _centred_prefix_sum,
-    _integration_grid,
+    _PANEL_ORDERS,
+    _PANEL_SIZES,
+    _gauss_legendre,
+    _panel_rule,
     _second_difference_power,
     _smooth_length,
     acceleration_phase,
@@ -790,18 +797,6 @@ class TestSynthesizeNoise:
 class TestPhaseVarianceFromPsd:
     profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
 
-    @pytest.mark.parametrize("on_nodes", [True, False])
-    def test_integration_grid_is_union_with_breakpoints(self, on_nodes):
-        # finest_time_scale = 1 s puts 511 nodes on [1, 101], so the
-        # 1001-point floor applies: nodes fall on 1 + k/10.
-        nodes = np.linspace(1.0, 101.0, 1001)
-        interior = nodes[[137, 500, 862]] if on_nodes else [3.0 + 1 / 3, 50.05, 77.777]
-        freqs = np.array([1.0, *interior, 101.0])
-        psd = Psd(freqs=freqs, values=np.ones(freqs.size))
-        grid = _integration_grid(psd, 1.0)
-        assert np.array_equal(grid, np.union1d(nodes, freqs))
-        assert grid.size == (1001 if on_nodes else 1004)
-
     def test_narrowband_concentration(self):
         # A PSD concentrated near omega_0 with total weight W gives
         # sigma^2 -> (omega_0 |G(omega_0)|)^2 W.
@@ -858,6 +853,167 @@ class TestPhaseVarianceFromPsd:
             duration_factor=8,
         )
         assert measured == pytest.approx(predicted, rel=0.25)
+
+
+def _lag_form_phase_variance(psd, profile, nodes):
+    """Oracle: the phase variance as a double integral over pulse pairs.
+
+    g_s is continuous and vanishes at both ends, so omega G(omega) is the
+    Fourier transform of h = g_s', which is nonzero only on the three
+    pulses, and sigma^2 = sum over pulse pairs (b, c) of the integral of
+    h(t) h(t') R(t - t') over both pulses, with R(u) = integral S cos(omega
+    u) d omega in closed form on each linear segment of S.  Each pulse takes
+    ``nodes`` Gauss-Legendre nodes in its local time s; the lag is the
+    pulse-centre offset plus the local difference, so that no node time of
+    order T is rounded before the subtraction.
+    """
+    f, v = psd.freqs, psd.values
+    centre, half = 0.5 * (f[1:] + f[:-1]), 0.5 * (f[1:] - f[:-1])
+    level, slope = 0.5 * (v[1:] + v[:-1]), np.diff(v) / np.diff(f)
+
+    def autocovariance(u):
+        # S = level + slope (omega - centre): only the level meets the part
+        # of the cosine even about the centre, only the slope the odd part.
+        u = u[..., None]
+        return np.sum(
+            2.0 * half * level * np.cos(centre * u) * spherical_jn(0, half * u)
+            - 2.0 * slope * half**2 * np.sin(centre * u) * spherical_jn(1, half * u),
+            axis=-1,
+        )
+
+    w, a, big_t = profile.omega_r, 0.5 * profile.tau_p, profile.big_t
+    pulses = [  # (centre, half-length, h(s)), s = t - centre
+        (0.5 * a, 0.5 * a, lambda s: -w * np.cos(w * (s + 0.5 * a))),
+        (big_t + 2.0 * a, a, lambda s: w * np.cos(w * s)),
+        (2.0 * big_t + 3.5 * a, 0.5 * a, lambda s: -w * np.cos(w * (s - 0.5 * a))),
+    ]
+    x, wt = leggauss(nodes)
+    total = 0.0
+    for cb, hb, fb in pulses:
+        for cc, hc, fc in pulses:
+            sb, sc = hb * x, hc * x
+            lags = (cb - cc) + (sb[:, None] - sc[None, :])
+            total += float((fb(sb) * hb * wt) @ autocovariance(lags) @ (fc(sc) * hc * wt))
+    return total
+
+
+class TestPanelRule:
+    """Gauss-Legendre panels of the PSD integrals."""
+
+    crit7 = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+    cli = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=1e-5)
+    # Sloped, with kinks: five breakpoints from 20 Hz to 10 kHz.
+    sloped = Psd(
+        freqs=2.0 * math.pi * np.array([20.0, 150.0, 700.0, 3e3, 1e4]),
+        values=1e-8 * np.array([3.0, 1.0, 2.0, 0.5, 0.1]),
+    )
+
+    @pytest.mark.parametrize("order", _PANEL_ORDERS)
+    def test_rule_is_gauss_legendre(self, order):
+        x, w = _gauss_legendre(order)
+        ref_x, ref_w = leggauss(order)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-15)
+        # leggauss's own weights are off by up to 1.5e-15 at 24 nodes
+        # against a 50-digit evaluation; 1e-15 of the weight sum 2.
+        np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=2e-15)
+        for k in range(2 * order):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert w @ x**k == pytest.approx(exact, rel=1e-14, abs=1e-15)
+        assert _gauss_legendre(order)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize(
+        "freqs, time_scale",
+        [
+            (2.0 * math.pi * np.array([20.0, 150.0, 700.0, 3e3, 1e4]), 0.2),
+            # Breakpoints 1e-3 apart, at an edge of the grading, and from 0.
+            (np.array([1e-3, 0.5, 0.501, 1e-3 * 2**10, 7.0, 400.0]), 1.0),
+            (np.array([0.0, 0.3, 90.0, 90.0 + 1e-9, 1e3]), 0.11),
+        ],
+        ids=["sloped", "clustered", "from_zero"],
+    )
+    def test_no_panel_straddles_a_breakpoint(self, freqs, time_scale):
+        # On each tabulated interval the nodes inside must integrate t^k,
+        # t = (omega - left) / width, exactly for k <= 3: a panel across a
+        # breakpoint would put part of its rule on each side.
+        nodes, weights = _panel_rule(Psd(freqs, np.ones(freqs.size)), time_scale)
+        assert np.all((nodes > freqs[0]) & (nodes < freqs[-1]))
+        assert not np.isin(nodes, freqs).any()
+        interval = np.searchsorted(freqs, nodes) - 1
+        for i, (left, right) in enumerate(zip(freqs[:-1], freqs[1:])):
+            inside = interval == i
+            t = (nodes[inside] - left) / (right - left)
+            for k in range(4):
+                assert weights[inside] @ t**k == pytest.approx(
+                    (right - left) / (k + 1), rel=1e-13)
+
+    def test_panels_graded_toward_positive_low_edge(self):
+        # From lo = 1e-3 rad/s the panel edges double until the panels are 4
+        # periods 2 pi / time_scale wide; each cell [lo 2^k, lo 2^(k+1)]
+        # holds whole panels, and the first node sits within lo of lo.
+        lo, time_scale = 1e-3, 1.0
+        nodes, weights = _panel_rule(Psd(np.array([lo, 100.0]), np.ones(2)),
+                                     time_scale)
+        widest = _PANEL_SIZES[-1] * 2.0 * math.pi / time_scale
+        k = np.arange(math.ceil(math.log2(widest / lo)))
+        for left in lo * 2.0**k:
+            inside = (nodes > left) & (nodes < 2.0 * left)
+            assert weights[inside].sum() == pytest.approx(left, rel=1e-13)
+        assert nodes.min() < 2.0 * lo
+        # A table from omega = 0 has no pole there to grade toward.
+        flat, _ = _panel_rule(Psd(np.array([0.0, 100.0]), np.ones(2)), time_scale)
+        assert flat.min() > 1e-3 * widest
+
+    @pytest.mark.parametrize("timing", ["crit7", "cli"])
+    def test_phase_variance_matches_lag_form(self, timing, monkeypatch):
+        profile = getattr(self, timing)
+        got = phase_variance_from_psd(self.sloped, profile, allow_partial=True).variance
+        # Enough lag-form nodes for R's fastest oscillation, 2 pi 10 kHz,
+        # across the pi pulse (314 rad at tau_p = 5 ms).
+        oracle = _lag_form_phase_variance(self.sloped, profile,
+                                          200 if timing == "crit7" else 16)
+        assert got == pytest.approx(oracle, rel=1e-12)
+        monkeypatch.setattr(gravsim.noise, "_PANEL_SIZES",
+                            tuple(0.5 * s for s in _PANEL_SIZES))
+        denser = phase_variance_from_psd(self.sloped, profile, allow_partial=True)
+        assert denser.variance == pytest.approx(got, rel=1e-13)
+
+    @pytest.mark.parametrize("formula, cycle_time", [
+        ("printed", 0.25), ("shot-sampled", 0.25), ("shot-sampled", 0.11),
+    ])
+    def test_vibration_converged_under_doubling(self, formula, cycle_time,
+                                                monkeypatch):
+        # cycle_time = span: sin^2(omega cycle_time / 2) doubles the lags of
+        # |G|^2, so the shot-sampled panels follow span + cycle_time.
+        psd = Psd(2.0 * math.pi * np.array([1.0, 7.0, 1e3, 2e4]),
+                  np.array([1e-7, 3e-7, 1e-8, 1e-9]))
+        args = (psd, self.crit7, 1.61e7, cycle_time, formula, True)
+        got = allan_from_acceleration_psd(*args)
+        monkeypatch.setattr(gravsim.noise, "_PANEL_SIZES",
+                            tuple(0.5 * s for s in _PANEL_SIZES))
+        assert allan_from_acceleration_psd(*args) == pytest.approx(got, rel=1e-13)
+
+    def test_dense_table_fewer_nodes_than_trapezoid(self):
+        # 10,000 log-spaced rows from 10 Hz to 10 kHz at the CLI timing: the
+        # 32-points-per-period trapezoid with every breakpoint took 73,942
+        # nodes; a row narrower than 0.05 periods costs 4 nodes here.
+        freqs = 2.0 * math.pi * np.geomspace(10.0, 1e4, 10_000)
+        psd = Psd(freqs, np.full(freqs.size, 1e-9))
+        nodes, _ = _panel_rule(psd, self.cli.span)
+        d_omega = 2.0 * math.pi / self.cli.span / 32.0
+        trapezoid = math.ceil((freqs[-1] - freqs[0]) / d_omega) + 1 + freqs.size - 2
+        assert nodes.size < trapezoid
+        assert trapezoid == 73_942
+
+    def test_node_budget_counts_every_panel(self, monkeypatch):
+        # Period 2 pi: [1, 2], [2, 4] and [4, 8] are one left edge wide and
+        # take 12 nodes; [8, 16], [16, 32] and three panels on [32, 100] are
+        # over one period wide and take 24.  3 * 12 + 5 * 24 = 156.
+        monkeypatch.setattr(gravsim.noise, "_MAX_GRID_POINTS", 155)
+        psd = Psd(np.array([1.0, 100.0]), np.ones(2))
+        with pytest.raises(ResolutionError, match="needs 156 quadrature nodes; at "
+                           "most 155 are allowed"):
+            _panel_rule(psd, 1.0)
 
 
 def _time_domain_phase_variance(
