@@ -49,7 +49,6 @@ __all__ = [
     "acceleration_phase",
     "dc_phase_response",
     "transfer_function",
-    "transfer_function_square_profile",
     "phase_variance_from_psd",
     "allan_from_acceleration_psd",
     "synthesize_noise",
@@ -95,6 +94,10 @@ _PANEL_ORDERS = (4, 6, 12, 24)
 #: every averaging time.  At 8,192 doubles a third of the kernel's time went
 #: to per-block dispatch; 2^17 doubles is slower again.
 _ALLAN_BLOCK = 1 << 15
+
+#: What ``np.sinc`` puts in place of an exact zero before it divides:
+#: ``np.finfo(float).eps``, without the cost of building a finfo at import.
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -433,11 +436,24 @@ def dc_phase_response(
 # ---------------------------------------------------------------------------
 
 
+def _sinc(y: np.ndarray) -> np.ndarray:
+    """``sin(y) / y``, ``np.sinc(y / pi)`` without its copies.
+
+    ``y`` is taken as ``np.sinc`` forms it, ``pi z`` for ``np.sinc(z)``, and
+    overwritten: an exact zero becomes ``eps``, whose ratio is exactly 1, as
+    in ``np.sinc``.  Every other element rounds as ``np.sinc``'s does.
+    """
+    y[y == 0.0] = _EPS
+    out = np.sin(y)
+    out /= y
+    return out
+
+
 def _exp_integral(kappa: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``integral_lo^hi e^{i kappa t} dt``, finite as ``kappa -> 0``."""
     length = hi - lo
     return (np.exp(0.5j * kappa * (lo + hi)) * length
-            * np.sinc(kappa * length / (2.0 * math.pi)))
+            * _sinc(math.pi * (kappa * length / (2.0 * math.pi))))
 
 
 def transfer_function(
@@ -472,9 +488,8 @@ def transfer_function(
     omega``.  Its ramps last T/2 each, not a pi-pulse length, so no product
     of this kind holds for it.
 
-    In the thin-pulse limit the magnitude approaches
-    ``(4/omega) sin^2(omega T / 2)`` (see
-    :func:`transfer_function_square_profile`).
+    In the thin-pulse limit ``tau_p -> 0`` the magnitude approaches that of
+    a square ``g_s``, ``(4/omega) sin^2(omega T / 2)``.
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr < 0.0):
@@ -493,24 +508,12 @@ def transfer_function(
     else:
         u = omega_arr / w - 1.0
         x = 0.5 * profile.big_t * omega_arr
-        bracket = (0.5 * math.pi * np.sinc(0.25 * u) * np.cos(x + 0.25 * math.pi * u)
-                   + 0.5 * w * profile.big_t * np.sinc(x / math.pi))
+        bracket = (0.5 * math.pi * _sinc(math.pi * (0.25 * u))
+                   * np.cos(x + 0.25 * math.pi * u)
+                   + 0.5 * w * profile.big_t * _sinc(math.pi * (x / math.pi)))
         mags = (4.0 / (omega_arr + w)
                 * np.abs(np.sin(0.5 * profile.t_mid * omega_arr) * bracket))
     return mags if np.ndim(omega) else float(mags[0])
-
-
-def transfer_function_square_profile(
-    omega: np.ndarray | float, big_t: float
-) -> np.ndarray | float:
-    """Thin-pulse (square g_s) transfer magnitude ``(4/omega) sin^2(omega T/2)``.
-
-    The ``omega -> 0`` limit is zero (DC rejection)."""
-    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.zeros_like(omega_arr)
-    nz = omega_arr != 0.0
-    out[nz] = 4.0 / omega_arr[nz] * np.sin(0.5 * omega_arr[nz] * big_t) ** 2
-    return out if np.ndim(omega) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +766,25 @@ def allan_from_acceleration_psd(
 # ---------------------------------------------------------------------------
 
 
-def _bins(
-    target: Psd, duration: float, dt: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Deterministic synthesis grid: (bin amplitudes, their omega_k, n samples).
+class _Band(NamedTuple):
+    """The bins of a synthesis grid that carry power (see :func:`_bins`)."""
+
+    k: np.ndarray  # rfft indices, increasing
+    amps: np.ndarray  # sqrt(2 S(omega_k) d_omega), all nonzero
+    omega: np.ndarray  # omega_k = k d_omega
+    n: int  # samples of the grid
+
+
+def _bins(target: Psd, duration: float, dt: float) -> _Band:
+    """Deterministic synthesis grid of ``n = round(duration / dt)`` samples,
+    reduced to its powered bins.
 
     Bin ``k = 1 .. n // 2`` sits at ``omega_k = k d_omega`` with amplitude
-    ``sqrt(2 S(omega_k) d_omega)``; for even ``n`` the Nyquist amplitude is
-    zero, since that bin cannot carry a phase.
+    ``sqrt(2 S(omega_k) d_omega)``; for even ``n`` the Nyquist bin is left
+    out, since it cannot carry a phase.  ``S`` is zero outside the table, so
+    only the bins from one below its first frequency to one above its last
+    are evaluated, and those with a nonzero amplitude are returned.  Each
+    value is the one a grid of all ``n // 2`` bins gives.
     """
     if not (0.0 < duration < math.inf and 0.0 < dt < math.inf):
         raise ValueError(
@@ -797,12 +811,13 @@ def _bins(
                 f"{100.0 / min_freq_hz:.3e} s, 100 periods)"
             )
     d_omega = 2.0 * math.pi / (n * dt)
-    k = np.arange(1, n // 2 + 1)
+    first = max(1, int(float(target.freqs[0]) / d_omega) - 1)
+    last = min((n - 1) // 2, int(omega_max / d_omega) + 1)
+    k = np.arange(first, last + 1)
     omega_k = k * d_omega
     amps = np.sqrt(2.0 * target.value_at(omega_k) * d_omega)
-    if n % 2 == 0:
-        amps[-1] = 0.0
-    return amps, omega_k, n
+    powered = amps != 0.0
+    return _Band(k[powered], amps[powered], omega_k[powered], n)
 
 
 def _band_phases(live: np.ndarray, seed) -> np.ndarray:
@@ -821,19 +836,18 @@ def _band_phases(live: np.ndarray, seed) -> np.ndarray:
 
 def _spectrum(
     target: Psd, duration: float, dt: float, seed
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Common synthesis core: returns (rfft spectrum, its omega_k, n samples).
+) -> tuple[np.ndarray, _Band]:
+    """Common synthesis core: returns (rfft spectrum, its powered band).
 
-    Only bins with power get a phasor, and only their phases are drawn; the
-    others stay exactly zero.
+    Only the powered bins get a phasor, and only their phases are drawn
+    (rfft bin ``k`` takes draw ``k - 1``); the others stay exactly zero.
     """
-    amps, omega_k, n = _bins(target, duration, dt)
-    live = np.flatnonzero(amps)
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    if live.size:
-        phasors = np.exp(1j * _band_phases(live, seed))
-        spectrum[1 + live] = 0.5 * n * amps[live] * phasors
-    return spectrum, omega_k, n
+    band = _bins(target, duration, dt)
+    spectrum = np.zeros(band.n // 2 + 1, dtype=complex)
+    if band.k.size:
+        phasors = np.exp(1j * _band_phases(band.k - 1, seed))
+        spectrum[band.k] = 0.5 * band.n * band.amps * phasors
+    return spectrum, band
 
 
 def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSeries:
@@ -851,8 +865,8 @@ def synthesize_noise(target: Psd, duration: float, dt: float, seed) -> TimeSerie
         If ``dt`` cannot represent the top tabulated frequency, or the
         duration covers fewer than 100 periods of the lowest one.
     """
-    spectrum, _, n = _spectrum(target, duration, dt, seed)
-    return TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
+    spectrum, band = _spectrum(target, duration, dt, seed)
+    return TimeSeries(samples=np.fft.irfft(spectrum, band.n), dt=dt)
 
 
 def synthesize_noise_with_derivative(
@@ -865,10 +879,10 @@ def synthesize_noise_with_derivative(
     a finite difference.  The first element is bit-identical to
     ``synthesize_noise(target, duration, dt, seed)``.
     """
-    spectrum, omega_k, n = _spectrum(target, duration, dt, seed)
-    series = TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
-    spectrum[1:] = 1j * omega_k * spectrum[1:]
-    return series, TimeSeries(samples=np.fft.irfft(spectrum, n), dt=dt)
+    spectrum, band = _spectrum(target, duration, dt, seed)
+    series = TimeSeries(samples=np.fft.irfft(spectrum, band.n), dt=dt)
+    spectrum[band.k] = 1j * band.omega * spectrum[band.k]
+    return series, TimeSeries(samples=np.fft.irfft(spectrum, band.n), dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +908,62 @@ def _trapezoid_weights(kernel: np.ndarray, dt: float) -> np.ndarray:
     return kernel * trap
 
 
+def _smooth_length(n: int) -> int:
+    """Least ``2^a 3^b 5^c`` that is at least ``n``.
+
+    numpy's pocketfft transforms such a length with its radix-2/3/5 passes;
+    a large prime factor (640,177 = 89 x 7,193) sends it to Bluestein's
+    algorithm, over ten times slower at that size.  It sizes the vibration
+    Monte Carlo's Fourier grid and the FFTs of :func:`_window_transform`.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _window_transform(weights: np.ndarray, n: int, bins: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(weights, n)[bins]`` for increasing ``bins`` and at most
+    ``n`` weights, by one chirp-z convolution (Rabiner, Schafer & Rader,
+    1969).
+
+    Over the band's span of K bins, ``k = k0 + m`` with ``0 <= m < K``, and
+    ``2 j m = j^2 + m^2 - (m - j)^2`` turns ``W_k = sum_j w_j e^{-2 pi i j k
+    / n}`` into ``conj(c_m) sum_j (w_j e^{-i pi (j^2 + 2 j k0) / n}) c_{m -
+    j}`` with the chirp ``c_l = e^{i pi l^2 / n}``.  That sum is a linear
+    convolution of the J weights with ``c`` over ``-J < l < K``, done by
+    FFTs of length ``_smooth_length(J + K - 1)``, so the cost follows the
+    window and the band, not ``n``.  Every exponent is an integer reduced
+    mod 2n before it is scaled to an angle, so no angle exceeds 2 pi and
+    none carries the rounding of a large ``j^2``.
+    """
+    count = weights.size
+    k0 = int(bins[0])
+    span = int(bins[-1]) - k0 + 1
+    size = _smooth_length(count + span - 1)
+    period = 2 * n
+    j = np.arange(count)
+    lags = np.arange(max(count, span))  # c_{-l} = c_l
+    chirp = np.exp(1j * (math.pi / n) * (lags * lags % period))
+    modulated = np.zeros(size, dtype=complex)
+    modulated[:count] = weights * np.exp(
+        -1j * (math.pi / n) * ((j * j + (2 * k0 % period) * j) % period))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:span] = chirp[:span]
+    kernel[size - count + 1:] = chirp[count - 1 : 0 : -1]
+    # In place: the window costs three arrays of the FFT length, not six.
+    np.fft.fft(modulated, out=modulated)
+    modulated *= np.fft.fft(kernel, out=kernel)
+    conv = np.fft.ifft(modulated, out=modulated)
+    m = bins - k0
+    return np.conj(chirp[m]) * conv[m]
+
+
 def monte_carlo_phase_variance(
     s_phi: Psd,
     profile: SensitivityProfile,
@@ -911,12 +981,14 @@ def monte_carlo_phase_variance(
     function returns the mean-square phase over the shots.
 
     No record is synthesized.  The trapezoid is linear in the spectrum, so
-    with ``W = conj(rfft(weights, N))`` (trapezoid weights zero-padded to
+    with ``W_k = rfft(weights, N)[k]`` (the trapezoid weights zero-padded to
     the record length N) a shot's phase is ``Re sum_k C_k e^{i theta_k}``,
-    ``C_k = i omega_k a_k W_k``, over the bins with nonzero amplitude
-    ``a_k``.  ``C`` is built once; each shot draws the phases ``theta`` of
-    the band those bins span, and no others, and takes one dot product,
-    equal to the time-domain trapezoid of the inverse FFT up to rounding.
+    ``C_k = i omega_k a_k conj(W_k)``, over the bins with nonzero amplitude
+    ``a_k``.  ``W`` is taken on those bins only, by the chirp-z transform
+    of :func:`_window_transform`, and ``C`` is built once; each shot draws
+    the phases ``theta`` of the band those bins span, and no others, and
+    takes one dot product, equal to the time-domain trapezoid of the inverse
+    FFT up to rounding.
 
     Each shot's record is ``duration_factor`` times longer than the
     sequence span.  This matters: a record built on these bins is periodic
@@ -936,35 +1008,16 @@ def monte_carlo_phase_variance(
     dt = profile.span / n
     t = dt * np.arange(n + 1)
     weights = _trapezoid_weights(sensitivity_g(t, profile), dt)
-    amps, omega_k, n_record = _bins(s_phi, duration_factor * profile.span, dt)
-    live = np.flatnonzero(amps)
-    if live.size == 0:
+    band = _bins(s_phi, duration_factor * profile.span, dt)
+    if band.k.size == 0:
         return 0.0
-    window = np.conj(np.fft.rfft(weights, n_record)[1 + live])
-    coeffs = 1j * omega_k[live] * amps[live] * window
+    window = np.conj(_window_transform(weights, band.n, band.k))
+    coeffs = 1j * band.omega * band.amps * window
     phases = np.empty(n_shots)
     for shot in range(n_shots):
-        theta = _band_phases(live, [seed, shot])
+        theta = _band_phases(band.k - 1, [seed, shot])
         phases[shot] = coeffs.real @ np.cos(theta) - coeffs.imag @ np.sin(theta)
     return float(np.mean(phases**2))
-
-
-def _smooth_length(n: int) -> int:
-    """Least ``2^a 3^b 5^c`` that is at least ``n``.
-
-    numpy's pocketfft transforms such a length with its radix-2/3/5 passes;
-    a large prime factor (640,177 = 89 x 7,193) sends it to Bluestein's
-    algorithm, over ten times slower at that size.
-    """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def monte_carlo_vibration_allan(
@@ -976,18 +1029,27 @@ def monte_carlo_vibration_allan(
     seed: int = 0,
     oversample: int = 32,
 ) -> float:
-    """Time-domain check of the shot-sampled vibration Allan variance.
+    """Monte-Carlo check of the shot-sampled vibration Allan variance.
 
-    Synthesizes one long acceleration record, computes each shot's phase
-    ``k_eff integral w(t) a(t) dt`` on consecutive windows spaced by
-    ``cycle_time``, and returns the two-sample (Allan) variance of the shot
-    phases, ``mean(diff^2)/2``.
+    Shot ``q`` reads one acceleration record, the random-phase series of
+    :func:`synthesize_noise` on ``n`` samples of step ``dt`` from ``seed``:
+    its phase is the trapezoid ``k_eff integral w(t) a(t) dt`` over the
+    window that starts ``q`` cycles in.  The function returns the two-sample
+    (Allan) variance of the shot phases, :func:`allan_deviation` at one
+    cycle, squared.
 
-    The record covers ``n_shots`` cycles, one sequence span and one sample,
-    rounded up to the least 5-smooth number of samples (``2^a 3^b 5^c``), so
-    its inverse FFT never takes the Bluestein path; the samples after the
-    last shot's window go unused.  ``dt`` and the windows do not depend on that
-    length, but the Fourier grid, and so each seed's draw, does.
+    No record is synthesized.  With ``s`` samples per cycle, bin amplitudes
+    ``a_k``, phases ``theta_k`` and ``W_k = rfft(weights, n)[k]`` (the
+    window's trapezoid weights, from :func:`_window_transform` on the
+    powered bins), shot ``q``'s phase is ``Re sum_k a_k e^{i theta_k}
+    conj(W_k) e^{2 pi i k q s / n}``.  The last factor depends on ``k`` only
+    modulo ``M = n / gcd(n, s)``, so the terms fold into ``M`` sums, and one
+    inverse FFT of length ``M`` gives every shot.
+
+    ``n`` is the least 5-smooth number (``2^a 3^b 5^c``) of samples that
+    holds ``n_shots`` cycles, one sequence span and one sample.  It fixes
+    the Fourier grid and so each seed's draw; ``M`` divides it, so ``M`` is
+    5-smooth too.  ``dt`` and the windows do not depend on ``n``.
     """
     _check_cycle_time(profile, cycle_time)
     if n_shots < 3:
@@ -998,14 +1060,22 @@ def monte_carlo_vibration_allan(
     n_record = _smooth_length(
         int(round((n_shots * cycle_time + profile.span + dt) / dt))
     )
-    series = synthesize_noise(s_a, n_record * dt, dt, seed)
-    n_window = int(round(profile.span / dt)) + 1
-    t_rel = dt * np.arange(n_window)
+    band = _bins(s_a, n_record * dt, dt)
+    if band.k.size == 0:
+        return 0.0
+    t_rel = dt * np.arange(int(round(profile.span / dt)) + 1)
     weights = _trapezoid_weights(k_eff * _weight(t_rel, profile), dt)
-    starts = np.arange(n_shots) * steps_per_cycle
-    index = starts[:, None] + np.arange(n_window)[None, :]
-    phases = series.samples[index] @ weights
-    return float(np.mean(np.diff(phases) ** 2) / 2.0)
+    terms = (band.amps * np.exp(1j * _band_phases(band.k - 1, seed))
+             * np.conj(_window_transform(weights, band.n, band.k)))
+    common = math.gcd(band.n, steps_per_cycle)
+    fold = band.n // common
+    residues = band.k % fold
+    folded = (np.bincount(residues, weights=terms.real, minlength=fold)
+              + 1j * np.bincount(residues, weights=terms.imag, minlength=fold))
+    sums = np.fft.ifft(folded, norm="forward")
+    phases = sums.real[np.arange(n_shots) * (steps_per_cycle // common) % fold]
+    adev = allan_deviation(TimeSeries(phases, cycle_time), [cycle_time]).adevs[0]
+    return float(adev**2)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from gravsim.noise import (
     _panel_rule,
     _second_difference_power,
     _smooth_length,
+    _window_transform,
     acceleration_phase,
     allan_deviation,
     allan_deviation_overlapping,
@@ -74,7 +75,6 @@ from gravsim.noise import (
     synthesize_noise,
     synthesize_noise_with_derivative,
     transfer_function,
-    transfer_function_square_profile,
     write_allan_csv,
     write_psd_csv,
     write_series_csv,
@@ -459,6 +459,17 @@ def _mp_transfer(omega: float, profile: SensitivityProfile) -> float:
             - sin_cos(span, 3 * a + 2 * big_t, span)[0]
         )
         return float(abs(g))
+
+
+def transfer_function_square_profile(omega, big_t):
+    """Thin-pulse (square g_s) transfer magnitude ``(4/omega) sin^2(omega T/2)``.
+
+    The ``omega -> 0`` limit is zero (DC rejection)."""
+    omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
+    out = np.zeros_like(omega_arr)
+    nz = omega_arr != 0.0
+    out[nz] = 4.0 / omega_arr[nz] * np.sin(0.5 * omega_arr[nz] * big_t) ** 2
+    return out if np.ndim(omega) else float(out[0])
 
 
 class TestTransferFunction:
@@ -1102,15 +1113,21 @@ class TestMonteCarloPhaseVariance:
         ):
             dt = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 16.0)
             dt = profile.span / int(round(profile.span / dt))
-            amps, omega_k, n_record = _bins(psd, factor * profile.span, dt)
-            assert n_record % 2 == parity
-            live = np.flatnonzero(amps)
-            assert 0 < live[0] and live[-1] < omega_k.size - 1
+            band = _bins(psd, factor * profile.span, dt)
+            assert band.n % 2 == parity
+            # The powered bins of the full grid, and their amplitudes.
+            d_omega = 2.0 * math.pi / (band.n * dt)
+            full = np.sqrt(2.0 * psd.value_at(np.arange(1, band.n // 2 + 1) * d_omega)
+                           * d_omega)
+            np.testing.assert_array_equal(band.k, np.flatnonzero(full) + 1)
+            np.testing.assert_array_equal(band.amps, full[band.k - 1])
+            live = band.k - 1  # rfft bin k takes draw k - 1
+            assert 0 < live[0] and live[-1] < band.n // 2 - 1
             for shot in range(3):
                 np.testing.assert_array_equal(
                     _band_phases(live, [5, shot]),
                     np.random.default_rng([5, shot]).uniform(
-                        0.0, 2.0 * math.pi, omega_k.size
+                        0.0, 2.0 * math.pi, band.n // 2
                     )[live],
                 )
 
@@ -1295,9 +1312,56 @@ def _brute_smooth_length(n):
         k += 1
 
 
+def _sliced_record_vibration_allan(psd, profile, k_eff, cycle, n_shots, seed,
+                                   oversample=32):
+    """Oracle: synthesize the acceleration record and slice it into shots.
+
+    The record has the least 5-smooth length that holds ``n_shots`` cycles,
+    one span and one sample; shot q is the trapezoid of ``k_eff w(t) a(t)``
+    over the window starting at sample ``q s``, and the Allan variance is
+    ``mean(diff^2) / 2``.  Returns it, the record length and the length
+    needed.
+    """
+    dt0 = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 8.0)
+    steps = int(math.ceil(cycle / dt0))
+    dt = cycle / steps
+    needed = int(round((n_shots * cycle + profile.span + dt) / dt))
+    n = _smooth_length(needed)
+    series = synthesize_noise(psd, n * dt, dt, seed)
+    assert series.samples.size == n
+    weights = sensitivity_a(dt * np.arange(int(round(profile.span / dt)) + 1),
+                            profile, k_eff) * dt
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    index = steps * np.arange(n_shots)[:, None] + np.arange(weights.size)
+    phases = series.samples[index] @ weights
+    return float(np.mean(np.diff(phases) ** 2) / 2.0), n, needed
+
+
+class TestWindowTransform:
+    """The chirp-z transform against numpy's zero-padded rfft."""
+
+    @pytest.mark.parametrize(
+        "n, count, bins",
+        [
+            (1000, 37, np.arange(1, 501)),  # even n, k = 1 to n // 2
+            (1001, 37, np.arange(1, 501)),  # odd n, k = 1 to n // 2
+            (999, 400, np.r_[3:40, 300:499]),  # an interior gap
+            (4096, 1, np.array([1, 2048])),  # one weight, the two ends
+            (648_000, 177, np.arange(405, 20251)),  # the vibration window
+        ],
+    )
+    def test_matches_zero_padded_rfft(self, n, count, bins):
+        weights = np.random.default_rng(count).normal(size=count)
+        expected = np.fft.rfft(weights, n)[bins]
+        got = _window_transform(weights, n, bins)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale)
+
+
 class TestVibrationMonteCarlo:
-    """The record behind :func:`monte_carlo_vibration_allan`: its 5-smooth
-    length, and the estimator's mean over seeds."""
+    """The spectral shots of :func:`monte_carlo_vibration_allan`: the
+    5-smooth grid they stand for, and the estimator's mean over seeds."""
 
     profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
     band = Psd(
@@ -1310,24 +1374,28 @@ class TestVibrationMonteCarlo:
         assert got == [_brute_smooth_length(n) for n in range(1, 5001)]
 
     @pytest.mark.parametrize("n_shots, expected", [(1600, 648_000), (150, 60_750)])
-    def test_record_synthesized_at_smooth_length(self, monkeypatch, n_shots, expected):
-        lengths = []
-        original = gravsim.noise.synthesize_noise
-
-        def spy(target, duration, dt, seed):
-            series = original(target, duration, dt, seed)
-            lengths.append((series.samples.size, dt))
-            return series
-
-        monkeypatch.setattr(gravsim.noise, "synthesize_noise", spy)
+    def test_matches_sliced_record_oracle(self, n_shots, expected):
+        # The record the spectral shots stand for, synthesized at the same
+        # 5-smooth length and sliced into trapezoid windows, gives the same
+        # Allan variance; the Monte Carlo itself allocates no array of n
+        # samples.
         cycle = 0.25
-        monte_carlo_vibration_allan(
-            self.band, self.profile, cycle_time=cycle, n_shots=n_shots, seed=1
+        oracle, n, needed = _sliced_record_vibration_allan(
+            self.band, self.profile, 1.61e7, cycle, n_shots, seed=1
         )
-        [(n, dt)] = lengths
-        needed = int(round((n_shots * cycle + self.profile.span + dt) / dt))
         assert n == expected
         assert n >= needed and _brute_smooth_length(n) == n
+        tracemalloc.start()
+        try:
+            measured = monte_carlo_vibration_allan(
+                self.band, self.profile, k_eff=1.61e7, cycle_time=cycle,
+                n_shots=n_shots, seed=1,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert measured == pytest.approx(oracle, rel=1e-12)
+        assert peak < 8 * n
 
     def test_non_finite_cycle_time_rejected(self):
         for cycle in (math.nan, math.inf):
