@@ -20,8 +20,9 @@ fully resolved configuration and seed as ``#`` comment lines and uses LF
 endings and 15-significant-digit scientific notation, so reruns with the
 same inputs are byte-identical.
 
-Exit codes: 0 success, 2 configuration errors, 3 data errors, 4 convergence
-failures, 5 coverage/resolution refusals.
+Exit codes: 0 success; a refusal exits with its error class's ``exit_code``
+(2 configuration errors, 3 data errors, 4 convergence failures, 5
+coverage/resolution refusals) after one ``label: message`` stderr line.
 """
 
 from __future__ import annotations
@@ -44,18 +45,7 @@ from .core import (
     TwoLevelState,
     _write_csv,
 )
-from .errors import (
-    AmbiguousFringeError,
-    ConfigError,
-    CoverageError,
-    DataFormatError,
-    FitFailureError,
-    GravsimError,
-    InsufficientDataError,
-    ResolutionError,
-    StepSizeError,
-    TimeOrderError,
-)
+from .errors import ConfigError, DataFormatError, GravsimError, TimeOrderError
 
 if TYPE_CHECKING:
     from .noise import SensitivityProfile
@@ -292,7 +282,9 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
     closed = np.empty(n_points)
     oracle = np.empty(n_points)
     ground = TwoLevelState.ground()
-    for i, t in enumerate(times):
+    # Longest first: the oracle's step budget refuses before any other work.
+    for i in reversed(range(n_points)):
+        t = times[i]
         if t == 0.0:
             closed[i] = oracle[i] = 0.0  # still in the ground state
             continue
@@ -330,12 +322,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     n_points = int(cfg.get("scan", "n_points"))
     n_atoms = int(cfg.get("scan", "n_atoms"))
     seed = int(cfg.get("io", "seed"))
-    if not 0 <= n_atoms <= measurement._MAX_ATOMS:
-        raise ConfigError(
-            f"[scan] n_atoms must be in [0, {measurement._MAX_ATOMS}], got {n_atoms}"
-        )
-    if n_atoms > 0 and seed < 0:
-        raise ConfigError(f"[io] seed must be >= 0 for a noisy scan, got {seed}")
     try:
         betas = measurement.beta_grid(
             center=center,
@@ -343,19 +329,19 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
             n_points=n_points,
             big_t=seq.t_interrogation,
         )
+        scan = measurement.simulate_scan(
+            betas,
+            k_eff=seq.k_eff,
+            g_true=gravity,
+            big_t=seq.t_interrogation,
+            dphi_laser=seq.dphi_laser,
+            n_atoms=n_atoms,
+            seed=seed if n_atoms > 0 else None,
+        )
     except ValueError as exc:
         raise ConfigError(f"[scan] values invalid: {exc}") from exc
     except TimeOrderError as exc:
         raise ConfigError(f"[sequence] t_interrogation invalid: {exc}") from exc
-    scan = measurement.simulate_scan(
-        betas,
-        k_eff=seq.k_eff,
-        g_true=gravity,
-        big_t=seq.t_interrogation,
-        dphi_laser=seq.dphi_laser,
-        n_atoms=n_atoms,
-        seed=seed if n_atoms > 0 else None,
-    )
     estimate = measurement.estimate_g(
         scan, k_eff=seq.k_eff, big_t=seq.t_interrogation, dphi_laser=seq.dphi_laser
     )
@@ -426,6 +412,17 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
     n_time = int(cfg.get("sensitivity", "n_time_points"))
     if n_time < 2:
         raise ConfigError("[sensitivity] n_time_points must be >= 2")
+    cycles_lo = cfg.get_float("sensitivity", "transfer_min_cycles")
+    cycles_hi = cfg.get_float("sensitivity", "transfer_max_cycles")
+    n_omega = int(cfg.get("sensitivity", "transfer_points"))
+    if not (0.0 <= cycles_lo < cycles_hi) or n_omega < 2:
+        raise ConfigError("[sensitivity] transfer grid is invalid")
+    # The grid's last omega, computed as the array below computes it.
+    if not math.isfinite(_TWO_PI * cycles_hi / profile.big_t):
+        raise ConfigError(
+            f"[sensitivity] transfer_max_cycles = {cycles_hi} overflows the "
+            f"omega grid at t_interrogation = {profile.big_t}"
+        )
     times = np.linspace(0.0, profile.span, n_time)
     gs = noise.sensitivity_g(times, profile, three_segment=three_segment_gs)
     _write_csv(
@@ -433,11 +430,6 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
         ["t", "g_s"], [times, gs],
         cfg.echo_lines("sensitivity"),
     )
-    cycles_lo = cfg.get_float("sensitivity", "transfer_min_cycles")
-    cycles_hi = cfg.get_float("sensitivity", "transfer_max_cycles")
-    n_omega = int(cfg.get("sensitivity", "transfer_points"))
-    if not (0.0 <= cycles_lo < cycles_hi) or n_omega < 2:
-        raise ConfigError("[sensitivity] transfer grid is invalid")
     omegas = (
         _TWO_PI * np.linspace(cycles_lo, cycles_hi, n_omega) / profile.big_t
     )
@@ -485,25 +477,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI config file (default: "
                        f"${ENV_CONFIG} if set, else built-in defaults)")
         p.add_argument("--seed", type=int, help="override [io] seed")
         p.add_argument("--out", help="override [io] out_dir")
+        p.set_defaults(run=run)
         return p
 
-    add("rabi", "single-pulse population dynamics, closed form vs ODE oracle")
+    # Each runner looks its cmd_* up when called, so a replaced module
+    # attribute (a wrapper, a test double) is the one that runs.
+    add("rabi", "single-pulse population dynamics, closed form vs ODE oracle",
+        lambda cfg, out_dir, args: cmd_rabi(cfg, out_dir))
     for name in ("fringe", "gsweep"):
-        add(name, "chirp-rate fringe scan and gravity estimate")
-    add("allan", "Allan deviation of a time-series CSV")
-    p = add("sensitivity", "sensitivity-function and transfer-function tables")
+        add(name, "chirp-rate fringe scan and gravity estimate",
+            lambda cfg, out_dir, args: cmd_fringe(cfg, out_dir))
+    add("allan", "Allan deviation of a time-series CSV",
+        lambda cfg, out_dir, args: cmd_allan(cfg, out_dir))
+    p = add("sensitivity", "sensitivity-function and transfer-function tables",
+            lambda cfg, out_dir, args: cmd_sensitivity(
+                cfg, out_dir, three_segment_gs=bool(args.three_segment_gs)))
     p.add_argument(
         "--three-segment-gs", action="store_true",
         help="use the three-segment sensitivity variant (half-interval ramps, "
         "support (0, 2T)) instead of the default five-segment shape",
     )
-    add("psd-variance", "phase variance from a phase-noise PSD")
+    add("psd-variance", "phase variance from a phase-noise PSD",
+        lambda cfg, out_dir, args: cmd_psd_variance(cfg, out_dir))
     return parser
 
 
@@ -516,17 +517,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg.values["io"]["out_dir"] = args.out
     out_dir = Path(str(cfg.get("io", "out_dir")))
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "rabi":
-        return cmd_rabi(cfg, out_dir)
-    if args.command in ("fringe", "gsweep"):
-        return cmd_fringe(cfg, out_dir)
-    if args.command == "allan":
-        return cmd_allan(cfg, out_dir)
-    if args.command == "sensitivity":
-        return cmd_sensitivity(cfg, out_dir, three_segment_gs=bool(args.three_segment_gs))
-    if args.command == "psd-variance":
-        return cmd_psd_variance(cfg, out_dir)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.run(cfg, out_dir, args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -536,21 +527,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, InsufficientDataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (AmbiguousFringeError, FitFailureError, StepSizeError) as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 4
-    except (CoverageError, ResolutionError) as exc:
-        print(f"coverage error: {exc}", file=sys.stderr)
-        return 5
-    except GravsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except GravsimError as exc:  # each error class carries its code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -151,7 +151,13 @@ def simulate_scan(
     n_atoms : int, optional
         Atoms per shot; 0 (default) returns a noiseless scan.
     seed : int, optional
-        Master seed; required when ``n_atoms > 0``.
+        Master seed, ``>= 0``; required when ``n_atoms > 0``.
+
+    Raises
+    ------
+    ValueError
+        If ``n_atoms`` is outside [0, 2^63 - 1], or a noisy scan has no
+        seed or a negative one.
 
     Notes
     -----
@@ -174,8 +180,8 @@ def simulate_scan(
         )
     if not 0 <= n_atoms <= _MAX_ATOMS:
         raise ValueError(f"n_atoms must be in [0, {_MAX_ATOMS}], got {n_atoms}")
-    if seed is None:
-        raise ValueError("a seed is required for a noisy scan")
+    if seed is None or seed < 0:
+        raise ValueError(f"a seed >= 0 is required for a noisy scan, got seed={seed}")
     if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):
         raise ValueError("ideal fringe fractions must lie in [0, 1]")
     p = np.clip(probs, 0.0, 1.0)

@@ -27,12 +27,7 @@ import numpy as np
 
 from .core import _NORM_TOL, DEFAULT_K_EFF, HBAR, ThreeLevelState
 from .errors import EliminationError, InvalidStateError
-from .twolevel import (
-    _check_oracle_step,
-    _rk4_lab_frame,
-    mach_zehnder_probability,
-    propagator_matrix,
-)
+from .twolevel import _rk4_lab_frame, mach_zehnder_probability, propagator_matrix
 
 __all__ = [
     "LaserPair",
@@ -417,12 +412,12 @@ def three_level_ode_oracle(
     Raises
     ------
     StepSizeError
-        If ``dt`` is not positive or too coarse.
+        If ``dt`` is not positive or too coarse, or ``duration`` needs more
+        than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
     """
     fastest = max(
         abs(dets.delta1), abs(dets.delta2), abs(lasers.rabi_gi), abs(lasers.rabi_ei)
     )
-    _check_oracle_step(dt, fastest)
     g = -0.5j * complex(lasers.rabi_gi).conjugate() * cmath.exp(-1j * lasers.phi1)
     e = -0.5j * complex(lasers.rabi_ei).conjugate() * cmath.exp(-1j * lasers.phi2)
     a0 = np.array(
@@ -434,6 +429,7 @@ def three_level_ode_oracle(
         [state.c_g, state.c_i, state.c_e],
         t0,
         duration,
-        max(1, math.ceil(duration / dt)),
+        dt,
+        fastest,
     )
     return ThreeLevelState(c_g=c_g, c_i=c_i, c_e=c_e, p=state.p)

@@ -98,13 +98,18 @@ def _check_big_t(big_t: float) -> None:
         raise TimeOrderError(f"need big_t**2 finite and nonzero, got big_t = {big_t}")
 
 
+def _check_times(t1: float, t2: float) -> None:
+    """Refuse endpoint times that are not finite with ``t1 < t2``."""
+    if not -math.inf < t1 < t2 < math.inf:
+        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
+
+
 def boundary_velocity(z1: float, t1: float, z2: float, t2: float, g: float) -> float:
     """Initial velocity of the free-fall path through (t1, z1) and (t2, z2).
 
     v1 = (z2 - z1)/(t2 - t1) + g (t2 - t1)/2.
     """
-    if not -math.inf < t1 < t2 < math.inf:
-        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
+    _check_times(t1, t2)
     dt = t2 - t1
     return (z2 - z1) / dt + 0.5 * g * dt
 
@@ -136,8 +141,7 @@ def classical_action(
     TimeOrderError
         If ``t2 > t1`` fails or either time is not finite.
     """
-    if not -math.inf < t1 < t2 < math.inf:
-        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
+    _check_times(t1, t2)
     dt = t2 - t1
     dz = z2 - z1
     return (
@@ -169,8 +173,7 @@ def action_quadrature_oracle(
     n_steps : int, optional
         Number of grid intervals (rounded up to even).
     """
-    if not -math.inf < t1 < t2 < math.inf:
-        raise TimeOrderError(f"need finite t2 > t1, got t1={t1}, t2={t2}")
+    _check_times(t1, t2)
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     n = n_steps + (n_steps % 2)

@@ -42,6 +42,8 @@ __all__ = [
 
 #: Minimum number of integrator steps per Rabi period required of the oracle.
 _ORACLE_RESOLUTION = 100.0
+#: Most RK4 steps one oracle call may take: about 10 s of stepping.
+_MAX_ORACLE_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -395,12 +397,14 @@ def run_sequence(
     return state_probability(state, "b")
 
 
-def _check_oracle_step(dt: float, rate: float) -> None:
-    """Refuse an oracle step that is not positive or resolves the fastest
-    ``rate`` [rad/s] by fewer than ``_ORACLE_RESOLUTION`` steps per period.
+def _check_oracle_step(dt: float, rate: float, duration: float) -> int:
+    """Number of RK4 steps ``max(1, ceil(duration / dt))`` over ``duration``.
 
-    The limit carries a relative slack of 1e-9, so a ``dt`` computed as the
-    limit itself passes despite rounding.
+    Refuses a step that is not positive, that resolves the fastest ``rate``
+    [rad/s] by fewer than ``_ORACLE_RESOLUTION`` steps per period, or whose
+    count exceeds ``_MAX_ORACLE_STEPS`` (an infinite or NaN ratio too).  The
+    resolution limit carries a relative slack of 1e-9, so a ``dt`` computed
+    as the limit itself passes despite rounding.
     """
     if dt <= 0.0:
         raise StepSizeError(f"dt must be > 0, got {dt}")
@@ -411,6 +415,13 @@ def _check_oracle_step(dt: float, rate: float) -> None:
                 f"dt={dt} too coarse: need <= {limit:.3e} to resolve "
                 f"{rate:.3e} rad/s"
             )
+    ratio = duration / dt
+    if not ratio <= _MAX_ORACLE_STEPS:
+        raise StepSizeError(
+            f"dt={dt} over duration {duration} needs {ratio:.3e} RK4 steps; "
+            f"at most {_MAX_ORACLE_STEPS} are allowed"
+        )
+    return max(1, math.ceil(ratio))
 
 
 def _rk4_lab_frame(
@@ -419,9 +430,15 @@ def _rk4_lab_frame(
     amplitudes: list[complex],
     t0: float,
     duration: float,
-    n_steps: int,
+    dt: float,
+    rate: float,
 ) -> list[complex]:
     """Classic RK4 for ``dc/dt = A(t) c``, ``A(t)_jk = a0_jk e^{i(nu_j - nu_k) t}``.
+
+    ``dt`` is the requested step and ``rate`` [rad/s] the fastest rate it
+    must resolve: :func:`_check_oracle_step` refuses the pair or gives the
+    step count, and the step is shrunk so that the count lands exactly on
+    ``t0 + duration``.
 
     With ``D(t) = diag(e^{i nu t})`` the generator obeys ``A(t + s) =
     D(t) A(s) D(t)^dag``, so every RK4 step is the first step's map ``P``
@@ -429,6 +446,7 @@ def _rk4_lab_frame(
     The loop advances ``b = D(t)^dag c`` by the constant ``D(h)^dag P``, one
     matrix-vector product per step, and returns ``c`` at ``t0 + duration``.
     """
+    n_steps = _check_oracle_step(dt, rate, duration)
     h = duration / n_steps
 
     def generator(s: float) -> np.ndarray:
@@ -478,9 +496,9 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
     Raises
     ------
     StepSizeError
-        If ``dt`` is not positive or too coarse for the pulse.
+        If ``dt`` is not positive or too coarse for the pulse, or the pulse
+        needs more than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
     """
-    _check_oracle_step(dt, math.hypot(pulse.rabi_mod, pulse.detuning))
     drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
     a0 = np.array([[0.0, drive], [-drive.conjugate(), 0.0]])
     c_b, c_a = _rk4_lab_frame(
@@ -489,6 +507,7 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
         [state.c_b, state.c_a],
         pulse.start_time,
         pulse.duration,
-        max(1, math.ceil(pulse.duration / dt)),
+        dt,
+        math.hypot(pulse.rabi_mod, pulse.detuning),
     )
     return TwoLevelState(c_a=c_a, c_b=c_b)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravsim import noise
+from gravsim import cli, errors, noise
 from gravsim.cli import _SCHEMA, load_config, main
 
 
@@ -74,6 +74,28 @@ class TestRabi:
         cfg = write_config(tmp_path, "[pulse]\nrabi_hz = 0.0\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[pulse]\nduration = 1e6\n",
+            "[pulse]\ndetuning_hz = 1e300\n",
+            "[pulse]\noracle_dt = 1e-300\n",
+            # duration / dt overflows to inf.
+            "[pulse]\noracle_dt = 5e-324\n",
+        ],
+        ids=["duration", "detuning_hz", "oracle_dt", "oracle_dt_subnormal"],
+    )
+    def test_oracle_step_budget_is_convergence_error(self, tmp_path, capsys, text):
+        # Each asks 2e13 to inf RK4 steps per output time; the longest time
+        # is refused first, before any file is written.
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["rabi", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: ") and err.count("\n") == 1
+        assert "RK4 steps; at most 10000000 are allowed" in err
+        assert not any(out.iterdir())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert main(["rabi", "--out", str(tmp_path)]) == 0
@@ -309,6 +331,12 @@ class TestSensitivity:
         assert main(args) == 0
         assert [f.read_bytes() for f in files] == first
 
+    def test_largest_finite_transfer_grid_is_written(self, tmp_path):
+        cfg = write_config(tmp_path, "[sensitivity]\ntransfer_max_cycles = 1e305\n")
+        assert main(["sensitivity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, data = read_table(tmp_path / "sensitivity_transfer.csv")
+        assert data.shape == (79, 2) and np.isfinite(data).all()
+
 
 class TestPsdVariance:
     @pytest.fixture()
@@ -465,6 +493,9 @@ class TestConfigHandling:
             ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n", "seed"),
             # T^2 overflows: the fringe period 2 pi / T^2 would be 0.
             ("fringe", "[sequence]\nt_interrogation = 1e200\n", "t_interrogation"),
+            # 2 pi * 1e308 / T overflows the omega grid.
+            ("sensitivity", "[sensitivity]\ntransfer_max_cycles = 1e308\n",
+             "transfer_max_cycles"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
@@ -472,7 +503,8 @@ class TestConfigHandling:
              "sensitivity-tau_p_subnormal", "fringe-tau_p_subnormal",
              "gsweep-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
              "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-n_atoms_overflow",
-             "fringe-seed", "fringe-T_squared_overflow"],
+             "fringe-seed", "fringe-T_squared_overflow",
+             "sensitivity-omega_overflow"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key
@@ -487,6 +519,33 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_error_class_sets_exit_code_and_label(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # The README's exit codes; every other class falls back to 3.
+        documented = {
+            "ConfigError": (2, "config error"),
+            "DataFormatError": (3, "data error"),
+            "InsufficientDataError": (3, "data error"),
+            "AmbiguousFringeError": (4, "convergence error"),
+            "FitFailureError": (4, "convergence error"),
+            "StepSizeError": (4, "convergence error"),
+            "CoverageError": (5, "coverage error"),
+            "ResolutionError": (5, "coverage error"),
+        }
+        code, label = documented.get(name, (3, "error"))
+        cls = getattr(errors, name)
+
+        def refuse(cfg, out_dir):
+            raise cls("refused here")
+
+        # The subcommand table looks cmd_rabi up when it runs.
+        monkeypatch.setattr(cli, "cmd_rabi", refuse)
+        assert main(["rabi", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"{label}: refused here\n"
+        assert (cls.exit_code, cls.label) == (code, label)
 
     def test_readme_config_block_resolves_to_defaults(self, tmp_path):
         # The documented block sets every key, each to its default, with

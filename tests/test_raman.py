@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import gravsim.twolevel
 from gravsim.core import HBAR, RB87_MASS, ThreeLevelState
 from gravsim.errors import EliminationError, StepSizeError
 from gravsim.raman import (
@@ -294,6 +295,30 @@ def test_oracle_step_guard_slack():
         three_level_ode_oracle(
             ThreeLevelState.ground(), lasers, dets, duration=1e-6,
             dt=limit * (1.0 + 1e-6),
+        )
+
+
+def test_oracle_step_budget(monkeypatch):
+    # The budget lives in the RK4 driver both oracles share.
+    lasers = make_lasers()
+    dets = RamanDetunings(delta1=1e6, delta2=1e6, delta_two_photon=0.0)
+    dt = 2.0**-30
+    args = (ThreeLevelState.ground(), lasers, dets, 100 * dt, dt)
+    monkeypatch.setattr(gravsim.twolevel, "_MAX_ORACLE_STEPS", 100)
+    at_budget = three_level_ode_oracle(*args)
+    monkeypatch.undo()
+    assert at_budget == three_level_ode_oracle(*args)
+    monkeypatch.setattr(gravsim.twolevel, "_MAX_ORACLE_STEPS", 99)
+    with pytest.raises(StepSizeError, match=r"needs 1\.000e\+02 RK4 steps; at most "
+                       r"99 are allowed"):
+        three_level_ode_oracle(*args)
+
+
+def test_oracle_infinite_step_ratio_refused():
+    dets = RamanDetunings(delta1=1e6, delta2=1e6, delta_two_photon=0.0)
+    with pytest.raises(StepSizeError, match=r"needs inf RK4 steps"):
+        three_level_ode_oracle(
+            ThreeLevelState.ground(), make_lasers(), dets, duration=1e-4, dt=5e-324
         )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import gravsim.twolevel
 from gravsim.core import PulseParams, SequenceParams, TwoLevelState
 from gravsim.errors import (
     DegenerateDriveError,
@@ -279,6 +280,27 @@ def test_ode_oracle_step_guard_slack():
     with pytest.raises(StepSizeError, match=r"dt=.* too coarse: need <= 6\.283e-07 "
                        r"to resolve 1\.000e\+05 rad/s"):
         ode_oracle(TwoLevelState.ground(), pulse, dt=limit * (1.0 + 1e-6))
+
+
+def test_ode_oracle_step_budget(monkeypatch):
+    # 100 steps of an exactly representable dt land exactly on the duration.
+    dt = 2.0**-24
+    pulse = PulseParams(rabi_mod=1e5, detuning=2e4, duration=100 * dt)
+    monkeypatch.setattr(gravsim.twolevel, "_MAX_ORACLE_STEPS", 100)
+    at_budget = ode_oracle(TwoLevelState.ground(), pulse, dt)
+    monkeypatch.undo()
+    assert at_budget == ode_oracle(TwoLevelState.ground(), pulse, dt)
+    monkeypatch.setattr(gravsim.twolevel, "_MAX_ORACLE_STEPS", 99)
+    with pytest.raises(StepSizeError, match=r"needs 1\.000e\+02 RK4 steps; at most "
+                       r"99 are allowed"):
+        ode_oracle(TwoLevelState.ground(), pulse, dt)
+
+
+def test_ode_oracle_infinite_step_ratio_refused():
+    # duration / dt overflows to inf: refused, not an OverflowError from ceil.
+    pulse = PulseParams(rabi_mod=1e5, detuning=0.0, duration=1e-4)
+    with pytest.raises(StepSizeError, match=r"needs inf RK4 steps"):
+        ode_oracle(TwoLevelState.ground(), pulse, dt=5e-324)
 
 
 def test_ode_oracle_norm_conservation():
