@@ -43,6 +43,10 @@ DEFAULT_K_EFF = 1.610e7
 #: permitted step; physics tests assert much tighter norms where required.
 _NORM_TOL = 1e-6
 
+#: Machine epsilon of a double, ``np.finfo(float).eps``, without the cost of
+#: building a finfo.
+_EPS = math.ulp(1.0)
+
 
 @dataclass(frozen=True)
 class TwoLevelState:

@@ -20,11 +20,13 @@ in which they are drawn.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_G, DEFAULT_K_EFF
+from .core import _EPS, DEFAULT_G, DEFAULT_K_EFF
 from .errors import AmbiguousFringeError, DataFormatError, FitFailureError
 from .trajectory import _check_big_t, chirped_phase
 
@@ -46,6 +48,8 @@ _MIN_POINTS_PER_PERIOD = 8.0
 _CONTRAST_FLOOR = 1e-12
 #: Most atoms per shot: ``Generator.binomial`` takes n up to 2^63 - 1.
 _MAX_ATOMS = 2**63 - 1
+#: Each thread's detector, built by :func:`_thread_detector` on first use.
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,32 @@ def beta_grid(
     return center + np.linspace(-half, half, n_points)
 
 
+def _thread_detector() -> tuple[np.random.Philox, Callable[..., int], dict]:
+    """This thread's Philox bit generator, its ``binomial``, and its state.
+
+    The state is the plain-int form of ``Philox(key=key, counter=counter)``
+    with an empty buffer: the setter reads plain ints faster than uint64
+    arrays, and re-seating one bit generator is cheaper than building one
+    per point or per scan.  A scan writes its key and each point's counter
+    into the dict and assigns the whole dict to ``state`` before every
+    draw, so no draw depends on what the thread drew before it.
+    """
+    try:
+        return _THREAD.detector
+    except AttributeError:
+        bit_gen = np.random.Philox(key=0)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _THREAD.detector = (bit_gen, np.random.Generator(bit_gen).binomial, state)
+        return _THREAD.detector
+
+
 def simulate_scan(
     betas: np.ndarray,
     k_eff: float = DEFAULT_K_EFF,
@@ -164,9 +194,12 @@ def simulate_scan(
     Point ``i`` of a noisy scan draws ``Binomial(n_atoms, p_i)``, with
     ``p_i`` the ideal fraction clipped to [0, 1], exactly as
     ``Generator(Philox(key=key, counter=[0, 0, 0, i]))`` would (the key is
-    described in the module docstring).  One generator serves the whole
-    scan: before each point its Philox state is re-seated, through the
-    public ``state`` setter, from a plain-int copy with counter word 3 = i.
+    described in the module docstring).  Each thread keeps one Philox bit
+    generator and its ``binomial``, built on the thread's first noisy scan.
+    Before each point the full Philox state (the scan's key, counter
+    ``(0, 0, 0, i)`` and an empty buffer) is re-seated through the public
+    ``state`` setter from a plain-int copy, so a point draws the same
+    whatever its thread drew before, and threads share no state.
     """
     betas = np.asarray(betas, dtype=float)
     probs = np.asarray(ideal_fringe(betas, k_eff, g_true, big_t, dphi_laser))
@@ -182,24 +215,16 @@ def simulate_scan(
         raise ValueError(f"n_atoms must be in [0, {_MAX_ATOMS}], got {n_atoms}")
     if seed is None or seed < 0:
         raise ValueError(f"a seed >= 0 is required for a noisy scan, got seed={seed}")
-    if not np.all((probs >= -1e-9) & (probs <= 1.0 + 1e-9)):
+    # An empty grid reaches FringeScan's own refusal; NaN fails both bounds.
+    lo, hi = probs.min(initial=math.inf), probs.max(initial=-math.inf)
+    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
         raise ValueError("ideal fringe fractions must lie in [0, 1]")
-    p = np.clip(probs, 0.0, 1.0)
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    bit_gen = np.random.Philox(key=key)
-    binomial = np.random.Generator(bit_gen).binomial
-    # The state of a fresh Philox(key=key, counter=[0, 0, 0, i]), in plain
-    # ints: the setter reads them faster than uint64 arrays, and re-seating
-    # it is cheaper than building a generator per point.
-    counter = [0, 0, 0, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key.tolist()},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    p = np.clip(probs, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else probs
+    bit_gen, binomial, state = _thread_detector()
+    counter = state["state"]["counter"]
+    state["state"]["key"] = (
+        np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    )
 
     def detect_point(i: int, p_i: float) -> int:
         counter[3] = i
@@ -215,6 +240,43 @@ def simulate_scan(
     )
 
 
+def _gram_adjugate(
+    gram: np.ndarray, n: int
+) -> tuple[tuple[tuple[float, ...], ...], float]:
+    """Adjugate and determinant of the symmetric 3x3 Gram matrix ``G``.
+
+    ``G^-1 = adj(G) / det(G)``, with ``det(G)`` expanded along the first
+    row.  ``G`` sums ``n`` terms per entry, so both are refused when they
+    are rounding: ``det(G)`` within ``n eps`` of ``G00 G11 G22`` (its bound
+    by Hadamard's inequality), or ``trace(G) trace(adj G) / det(G)`` past
+    ``1 / (n eps)``.  That ratio, ``trace(G) trace(G^-1)``, lies between
+    ``cond(G)`` and ``9 cond(G)``: about 10 on a fringe scan.  Neither test
+    alone refuses every dependent design: on equal phases the determinant
+    and the cofactors are all rounding, so their ratio may look sound.
+
+    Raises
+    ------
+    FitFailureError
+        If ``G`` is singular to the rounding of its n-term sums.
+    """
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
+    c00 = g11 * g22 - g12 * g12
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    c11 = g00 * g22 - g02 * g02
+    c12 = g01 * g02 - g00 * g12
+    c22 = g00 * g11 - g01 * g01
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    if not det > n * _EPS * g00 * g11 * g22:
+        raise FitFailureError(f"fringe design is singular (det(G) = {det:.3e})")
+    cond_bound = (g00 + g11 + g22) * (c00 + c11 + c22) / det
+    if not 0.0 < cond_bound < 1.0 / (n * _EPS):
+        raise FitFailureError(
+            f"fringe design is singular to rounding (cond(G) ~ {cond_bound:.3e})"
+        )
+    return ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22)), det
+
+
 def _fit_fringe(
     x: np.ndarray, y: np.ndarray
 ) -> tuple[float, float, float, float, float]:
@@ -224,13 +286,16 @@ def _fit_fringe(
     is linear in ``(A, C, S) = (A, -B cos psi0, -B sin psi0)`` on the design
     ``X = [1, cos x, sin x]`` (the known-frequency three-parameter sine fit
     of IEEE Std 1057), so the normal equations give the exact optimum: with
-    the Gram matrix ``G = X^T X``, ``(A, C, S) = G^-1 X^T y``.  ``G^-1`` is
-    also the covariance shape, so the fit is one 3x3 inverse.  ``sse`` is
-    the sum of the explicit residuals ``X (A, C, S) - y``.
+    the Gram matrix ``G = X^T X``, one BLAS product, ``(A, C, S) = G^-1 X^T
+    y``.  ``G`` is 3x3, so ``G^-1 = adj(G) / det(G)`` is solved in closed
+    form from six cofactors (:func:`_gram_adjugate`); ``G^-1`` is also the
+    covariance shape.  ``sse`` is the sum of the explicit residuals
+    ``X (A, C, S) - y``.
     ``psi0 = atan2(-S, -C)`` lies in [-pi, pi], the fringe nearest ``x = 0``.
     ``sigma_psi0`` propagates ``sigma^2 G^-1``, with
-    ``sigma^2 = sse / (n - 3)``, through the gradient of ``psi0``; this equals
-    the Gauss-Newton variance in the ``(A, B, psi0)`` parametrisation.
+    ``sigma^2 = sse / (n - 3)``, through the gradient ``(0, -S, C) / B^2`` of
+    ``psi0``, from the same cofactors; this equals the Gauss-Newton variance
+    in the ``(A, B, psi0)`` parametrisation.
 
     Raises
     ------
@@ -238,31 +303,26 @@ def _fit_fringe(
         If ``G`` is singular to the rounding of its n-term sums, or the
         fitted contrast is zero to the rounding of the data.
     """
-    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    gram = design.T @ design
-    try:
-        cov = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        raise FitFailureError("fringe design is singular") from None
-    # trace(G) trace(G^-1) lies between cond(G) and 9 cond(G): about 10 on a
-    # fringe scan, and past 1/(n eps), or not positive, when the columns of
-    # X are dependent to the rounding of G's n-term sums.
-    cond_bound = float(np.trace(gram)) * float(np.trace(cov))
-    if not 0.0 < cond_bound < 1.0 / (x.size * np.finfo(float).eps):
-        raise FitFailureError(
-            f"fringe design is singular to rounding (cond(G) ~ {cond_bound:.3e})"
-        )
-    coef = cov @ (design.T @ y)
-    a, c, s = (float(v) for v in coef)
+    design = np.empty((x.size, 3))
+    design[:, 0] = 1.0
+    design[:, 1] = np.cos(x)
+    design[:, 2] = np.sin(x)
+    adj, det = _gram_adjugate(design.T @ design, x.size)
+    (c00, c01, c02), (_, c11, c12), (_, _, c22) = adj
+    r0, r1, r2 = (design.T @ y).tolist()
+    a = (c00 * r0 + c01 * r1 + c02 * r2) / det
+    c = (c01 * r0 + c11 * r1 + c12 * r2) / det
+    s = (c02 * r0 + c12 * r1 + c22 * r2) / det
     b = math.hypot(c, s)
     # A contrast at the rounding level of the data leaves psi0 undefined.
     if b <= _CONTRAST_FLOOR * float(np.max(np.abs(y))):
         raise FitFailureError(f"fringe contrast {b:.3e} is zero to rounding")
     psi0 = math.atan2(-s, -c)
-    residual = design @ coef - y
+    residual = design @ np.array([a, c, s]) - y
     sse = float(residual @ residual)
-    grad = np.array([0.0, -s, c]) / (b * b)
-    sigma_psi0 = math.sqrt(sse / (x.size - 3) * float(grad @ cov @ grad))
+    b2 = b * b
+    grad_cov_grad = (s * s * c11 - 2.0 * c * s * c12 + c * c * c22) / (det * b2 * b2)
+    sigma_psi0 = math.sqrt(sse / (x.size - 3) * grad_cov_grad)
     return a, b, psi0, sse, sigma_psi0
 
 
@@ -299,7 +359,8 @@ def estimate_g(
     betas = np.asarray(scan.betas, dtype=float)
     y = np.asarray(scan.measured, dtype=float)
     period = 2.0 * math.pi / (big_t * big_t)
-    span = float(betas.max() - betas.min())
+    beta_max, beta_min = float(betas.max()), float(betas.min())
+    span = beta_max - beta_min
     # A NaN or infinite chirp rate makes the span non-finite.
     if not (math.isfinite(span) and np.isfinite(y).all()):
         raise FitFailureError(
@@ -316,7 +377,7 @@ def estimate_g(
             f"scan samples {points_per_period:.1f} points per fringe period; "
             f"need >= {_MIN_POINTS_PER_PERIOD}"
         )
-    center = 0.5 * (float(betas.max()) + float(betas.min()))
+    center = 0.5 * (beta_max + beta_min)
     x = (betas - center) * big_t * big_t
     _, _, psi0, sse, sigma_psi0 = _fit_fringe(x, y)
     beta_null = center + psi0 / (big_t * big_t)
@@ -350,6 +411,8 @@ def estimate_g_dual(
 
     Raises
     ------
+    ValueError
+        If ``max_fringe_offset`` is not an integer >= 0.
     TimeOrderError
         If ``big_t_a`` or ``big_t_b`` is not finite and positive.
     AmbiguousFringeError
@@ -358,6 +421,10 @@ def estimate_g_dual(
     FitFailureError
         If either scan's :func:`estimate_g` fit fails.
     """
+    if not isinstance(max_fringe_offset, (int, np.integer)) or max_fringe_offset < 0:
+        raise ValueError(
+            f"max_fringe_offset must be an integer >= 0, got {max_fringe_offset!r}"
+        )
     _check_big_t(big_t_a)
     _check_big_t(big_t_b)
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)

@@ -29,8 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_K_EFF, _dc_scale, _pulse_edges, _rabi_rate, _timing_valid,
-                   _write_csv)
+from .core import (_EPS, DEFAULT_K_EFF, _dc_scale, _pulse_edges, _rabi_rate,
+                   _timing_valid, _write_csv)
 from .errors import (
     CoverageError,
     DataFormatError,
@@ -94,11 +94,6 @@ _PANEL_ORDERS = (4, 6, 12, 24)
 #: every averaging time.  At 8,192 doubles a third of the kernel's time went
 #: to per-block dispatch; 2^17 doubles is slower again.
 _ALLAN_BLOCK = 1 << 15
-
-#: What ``np.sinc`` puts in place of an exact zero before it divides:
-#: ``np.finfo(float).eps``, without the cost of building a finfo at import.
-_EPS = math.ulp(1.0)
-
 
 @dataclass(frozen=True)
 class TimeSeries:

@@ -402,7 +402,7 @@ def three_level_ode_oracle(
         Single-photon detunings for this momentum class (build with
         :func:`detunings`).
     duration : float
-        Integration span [s].
+        Integration span [s]; must be finite and positive.
     dt : float
         Requested step [s]; must resolve the fastest of ``|delta1|``,
         ``|delta2|`` and the coupling moduli by at least a factor of 100.
@@ -411,6 +411,8 @@ def three_level_ode_oracle(
 
     Raises
     ------
+    TimeOrderError
+        If ``duration`` is not finite and positive.
     StepSizeError
         If ``dt`` is not positive or too coarse, or ``duration`` needs more
         than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.

@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import (HBAR, PulseParams, SequenceParams, TwoLevelState, _pulse_edges,
                    _rabi_rate, state_probability)
-from .errors import DegenerateDriveError, InvalidSequenceError, StepSizeError
+from .errors import (DegenerateDriveError, InvalidSequenceError, StepSizeError,
+                     TimeOrderError)
 
 __all__ = [
     "RotatingFrameHamiltonian",
@@ -400,12 +401,16 @@ def run_sequence(
 def _check_oracle_step(dt: float, rate: float, duration: float) -> int:
     """Number of RK4 steps ``max(1, ceil(duration / dt))`` over ``duration``.
 
-    Refuses a step that is not positive, that resolves the fastest ``rate``
-    [rad/s] by fewer than ``_ORACLE_RESOLUTION`` steps per period, or whose
-    count exceeds ``_MAX_ORACLE_STEPS`` (an infinite or NaN ratio too).  The
-    resolution limit carries a relative slack of 1e-9, so a ``dt`` computed
-    as the limit itself passes despite rounding.
+    Refuses a ``duration`` that is not finite and positive
+    (:class:`TimeOrderError`), and a step that is not positive, that
+    resolves the fastest ``rate`` [rad/s] by fewer than
+    ``_ORACLE_RESOLUTION`` steps per period, or whose count exceeds
+    ``_MAX_ORACLE_STEPS`` (an infinite or NaN ratio too).  The resolution
+    limit carries a relative slack of 1e-9, so a ``dt`` computed as the
+    limit itself passes despite rounding.
     """
+    if not 0.0 < duration < math.inf:
+        raise TimeOrderError(f"oracle duration must be finite and > 0, got {duration}")
     if dt <= 0.0:
         raise StepSizeError(f"dt must be > 0, got {dt}")
     if rate > 0.0:

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from gravsim.errors import AmbiguousFringeError, FitFailureError, TimeOrderError
 from gravsim.measurement import (
     _fit_fringe,
+    _gram_adjugate,
     beta_grid,
     estimate_g,
     estimate_g_dual,
@@ -194,6 +197,65 @@ def test_every_point_is_philox_stream_at_its_index(n_atoms):
     np.testing.assert_array_equal(scan.measured, expected)
 
 
+def in_fresh_thread(fn):
+    """fn() run in a new thread, whose detector is built for it."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=30.0)
+    assert not worker.is_alive()
+    return out[0]
+
+
+def test_interleaved_seeds_match_fresh_scans():
+    # One thread's detector serves seeds A, B, A in turn, at atom numbers
+    # that take numpy's BTPE and inversion samplers; each scan equals the
+    # same scan on a detector that has drawn nothing before.
+    runs = [(11, 10_000), (12, 20), (11, 10_000)]
+    fresh = [
+        in_fresh_thread(lambda: make_scan(n_atoms=n, seed=seed).measured)
+        for seed, n in runs
+    ]
+    for (seed, n), expected in zip(runs, fresh):
+        scan = make_scan(n_atoms=n, seed=seed)
+        np.testing.assert_array_equal(scan.measured, expected)
+
+
+def test_threads_draw_what_a_sequential_run_draws():
+    # Three workers of 200 scans each, with the switch interval cut so that
+    # they interleave mid-scan: each scan equals its sequential twin.
+    betas = beta_grid(K_EFF * G_TRUE, 2.0, 20, 0.1)
+    seeds = [range(1_000 * j, 1_000 * j + 200) for j in (1, 2, 3)]
+
+    def run(worker_seeds):
+        return [
+            simulate_scan(betas, K_EFF, G_TRUE, 0.1, 0.0, 1_000, seed).measured
+            for seed in worker_seeds
+        ]
+
+    expected = [run(worker_seeds) for worker_seeds in seeds]
+    results = [None] * len(seeds)
+    start = threading.Barrier(len(seeds), timeout=30.0)
+
+    def work(j):
+        start.wait()
+        results[j] = run(seeds[j])
+
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for got, want in zip(results, expected):
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
 def test_detection_streams_are_independent_unit_binomials():
     # Over the 103,308 points with p in [0.1, 0.9], the z-scores of the
     # detected counts have zero mean, unit variance, no lag-1 correlation
@@ -296,6 +358,14 @@ def test_dual_interrogation_time_disambiguation():
         estimate_g_dual(scan_a, t_a, make_scan(big_t=t_a), t_a, K_EFF)
 
 
+@pytest.mark.parametrize("offset", [-1, 1.5])
+def test_bad_fringe_offset_refused_before_either_fit(offset):
+    # A narrow scan would fail its own fit; the offset is refused first.
+    narrow = make_scan(span_fringes=1.0)
+    with pytest.raises(ValueError, match=rf"max_fringe_offset .*got {offset}"):
+        estimate_g_dual(narrow, 0.1, narrow, 0.071, K_EFF, max_fringe_offset=offset)
+
+
 # ---------------------------------------------------------------------------
 # Fringe fit against oracles independent of the fit
 # ---------------------------------------------------------------------------
@@ -350,6 +420,21 @@ def test_fit_sigma_is_gauss_newton_variance(noisy_scan_data):
         jac = fit_jacobian(x, b, psi0)
         cov = np.linalg.inv(jac.T @ jac) * sse / (x.size - 3)
         assert sigma_psi0 == pytest.approx(math.sqrt(cov[2, 2]), rel=1e-9)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_adjugate_covariance_matches_inverse(noisy_scan_data, shift):
+    # adj(G) / det(G) against LAPACK's inverse of the same Gram matrix.  A
+    # centred scan leaves G01 G02 - G00 G12 at rounding; the shifted phases
+    # make every cofactor count.
+    for x, _ in noisy_scan_data:
+        x = x + shift
+        design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+        gram = design.T @ design
+        adj, det = _gram_adjugate(gram, x.size)
+        inverse = np.linalg.inv(gram)
+        err = np.max(np.abs(np.array(adj) / det - inverse))
+        assert err <= 1e-12 * np.max(np.abs(inverse))
 
 
 def mp_fit(x, y):

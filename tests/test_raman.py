@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import gravsim.twolevel
 from gravsim.core import HBAR, RB87_MASS, ThreeLevelState
-from gravsim.errors import EliminationError, StepSizeError
+from gravsim.errors import EliminationError, StepSizeError, TimeOrderError
 from gravsim.raman import (
     EffectiveParams,
     LaserPair,
@@ -275,6 +275,19 @@ def test_oracle_step_guard():
     with pytest.raises(StepSizeError):
         three_level_ode_oracle(
             ThreeLevelState.ground(), lasers, dets, duration=1e-4, dt=-1.0
+        )
+
+
+@pytest.mark.parametrize("duration", [-1e-7, 0.0, math.nan, math.inf])
+def test_oracle_refuses_non_positive_or_non_finite_duration(duration):
+    # Refused before any step: without the check, -1e-7 ran one RK4 step of
+    # that size, 0 returned the input and NaN asked for "nan RK4 steps".
+    dets = RamanDetunings(
+        delta1=2.0 * math.pi * 1e6, delta2=2.0 * math.pi * 1e6, delta_two_photon=0.0
+    )
+    with pytest.raises(TimeOrderError, match=rf"duration .*got {duration}$"):
+        three_level_ode_oracle(
+            ThreeLevelState.ground(), make_lasers(), dets, duration=duration, dt=1e-9
         )
 
 
