@@ -15,10 +15,12 @@ CSV tables plus flat ``key=value`` summary blocks:
 
 Configuration is INI-style (``--config`` flag, else the ``GRAVSIM_CONFIG``
 environment variable, else built-in defaults); unknown sections or keys are
-rejected with the offending name spelled out.  Every output file embeds the
-fully resolved configuration and seed as ``#`` comment lines and uses LF
-endings and 15-significant-digit scientific notation, so reruns with the
-same inputs are byte-identical.
+rejected with the offending name spelled out.  The resolved configuration
+is a plain ``cfg[section][key]`` dict of typed values, in which a key set
+to ``auto`` reads ``None``.  Every output file embeds it, seed included, as
+``#`` comment lines (``None`` echoed as ``auto``) and uses LF endings and
+15-significant-digit scientific notation, so reruns with the same inputs
+are byte-identical.
 
 Exit codes: 0 success; a refusal exits with its error class's ``exit_code``
 (2 configuration errors, 3 data errors, 4 convergence failures, 5
@@ -32,9 +34,8 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -53,11 +54,12 @@ if TYPE_CHECKING:
 # Each subcommand imports the one module it runs, inside its cmd_* function,
 # so a fresh process loads (and, without bytecode caches, compiles) no other.
 
-__all__ = ["main", "load_config", "RunConfig"]
+__all__ = ["main", "load_config"]
 
 ENV_CONFIG = "GRAVSIM_CONFIG"
 
-# value kinds: float | int | bool | str | autofloat ("auto" or a float)
+# value kinds: float | int | bool | str | autofloat (a float, or "auto",
+# read as None)
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "constants": {
         "gravity": ("float", DEFAULT_G),
@@ -74,12 +76,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "rabi_hz": ("float", 1e5),
         "detuning_hz": ("float", 0.0),
         "laser_phase": ("float", 0.0),
-        "duration": ("autofloat", "auto"),
+        "duration": ("autofloat", None),
         "n_points": ("int", 201),
-        "oracle_dt": ("autofloat", "auto"),
+        "oracle_dt": ("autofloat", None),
     },
     "scan": {
-        "center": ("autofloat", "auto"),
+        "center": ("autofloat", None),
         "span_fringes": ("float", 2.0),
         "n_points": ("int", 50),
         "n_atoms": ("int", 0),
@@ -88,8 +90,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "psd_file": ("str", ""),
         "series_file": ("str", ""),
         "allow_partial": ("bool", False),
-        "tau_min": ("autofloat", "auto"),
-        "tau_max": ("autofloat", "auto"),
+        "tau_min": ("autofloat", None),
+        "tau_max": ("autofloat", None),
         "n_tau": ("int", 20),
         "overlapping": ("bool", False),
     },
@@ -108,36 +110,22 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved configuration: schema defaults overlaid with the
-    config file and command-line overrides."""
+#: The resolved configuration: ``cfg[section][key]``, typed by ``_SCHEMA``.
+Config = dict[str, dict[str, Any]]
 
-    values: dict[str, dict[str, object]]
 
-    def get(self, section: str, key: str) -> object:
-        return self.values[section][key]
-
-    def get_float(self, section: str, key: str) -> float:
-        return float(self.values[section][key])  # type: ignore[arg-type]
-
-    def get_auto(self, section: str, key: str) -> float | None:
-        """Value of an auto-or-number key; None when set to ``auto``."""
-        raw = self.values[section][key]
-        if isinstance(raw, str):
-            return None
-        return float(raw)  # type: ignore[arg-type]
-
-    def echo_lines(self, command: str) -> list[str]:
-        """Comment lines embedding the resolved config, stable across runs."""
-        lines = [f"gravsim {command}"]
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                lines.append(f"{section}.{key} = {_fmt(self.values[section][key])}")
-        return lines
+def echo_lines(cfg: Config, command: str) -> list[str]:
+    """Comment lines embedding the resolved config, stable across runs."""
+    lines = [f"gravsim {command}"]
+    for section in sorted(cfg):
+        for key in sorted(cfg[section]):
+            lines.append(f"{section}.{key} = {_fmt(cfg[section][key])}")
+    return lines
 
 
 def _fmt(value: object) -> str:
+    if value is None:
+        return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -148,7 +136,7 @@ def _fmt(value: object) -> str:
 def _parse_value(kind: str, raw: str, where: str) -> object:
     try:
         if kind == "autofloat" and raw.strip().lower() == "auto":
-            return "auto"
+            return None
         if kind in ("float", "autofloat"):
             value = float(raw)
             if not math.isfinite(value):
@@ -168,13 +156,13 @@ def _parse_value(kind: str, raw: str, where: str) -> object:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None) -> Config:
     """Resolve the configuration: defaults, overlaid with the INI file.
 
     Unknown sections or keys are rejected with the known alternatives
     listed.  File paths referenced under ``[noise]`` must exist.
     """
-    values: dict[str, dict[str, object]] = {
+    values: Config = {
         section: {key: default for key, (_, default) in keys.items()}
         for section, keys in _SCHEMA.items()
     }
@@ -208,30 +196,27 @@ def load_config(path: str | None) -> RunConfig:
                 )
     for key in ("psd_file", "series_file"):
         file_ref = values["noise"][key]
-        if file_ref and not Path(str(file_ref)).is_file():
+        if file_ref and not Path(file_ref).is_file():
             raise DataFormatError(
                 f"referenced {key} does not exist: {file_ref}"
             )
-    return RunConfig(values=values)
+    return values
 
 
-def _sequence_params(cfg: RunConfig) -> SequenceParams:
+def _sequence_params(cfg: Config) -> SequenceParams:
+    sequence = cfg["sequence"]
     try:
         return SequenceParams(
-            t_interrogation=cfg.get_float("sequence", "t_interrogation"),
-            tau_p=cfg.get_float("sequence", "tau_p"),
-            phases=(
-                cfg.get_float("sequence", "phi1"),
-                cfg.get_float("sequence", "phi2"),
-                cfg.get_float("sequence", "phi3"),
-            ),
-            k_eff=cfg.get_float("sequence", "k_eff"),
+            t_interrogation=sequence["t_interrogation"],
+            tau_p=sequence["tau_p"],
+            phases=(sequence["phi1"], sequence["phi2"], sequence["phi3"]),
+            k_eff=sequence["k_eff"],
         )
-    except (GravsimError, ValueError) as exc:
+    except GravsimError as exc:
         raise ConfigError(f"[sequence] values invalid: {exc}") from exc
 
 
-def _profile(cfg: RunConfig) -> SensitivityProfile:
+def _profile(cfg: Config) -> SensitivityProfile:
     from .noise import SensitivityProfile
 
     seq = _sequence_params(cfg)
@@ -239,10 +224,10 @@ def _profile(cfg: RunConfig) -> SensitivityProfile:
 
 
 def _write_summary(
-    path: Path, cfg: RunConfig, command: str, entries: list[tuple[str, object]]
+    path: Path, cfg: Config, command: str, entries: list[tuple[str, object]]
 ) -> None:
     with path.open("w", newline="\n") as fh:
-        for line in cfg.echo_lines(command):
+        for line in echo_lines(cfg, command):
             fh.write(f"# {line}\n")
         for key, value in entries:
             fh.write(f"{key}={_fmt(value)}\n")
@@ -253,18 +238,18 @@ def _write_summary(
 # ---------------------------------------------------------------------------
 
 
-def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     from . import twolevel
 
-    rabi = _TWO_PI * cfg.get_float("pulse", "rabi_hz")
+    rabi = _TWO_PI * cfg["pulse"]["rabi_hz"]
     if rabi < 0.0:
         raise ConfigError(f"[pulse] rabi_hz must be >= 0, got {rabi / _TWO_PI}")
-    detuning = _TWO_PI * cfg.get_float("pulse", "detuning_hz")
-    laser_phase = cfg.get_float("pulse", "laser_phase")
-    n_points = int(cfg.get("pulse", "n_points"))
+    detuning = _TWO_PI * cfg["pulse"]["detuning_hz"]
+    laser_phase = cfg["pulse"]["laser_phase"]
+    n_points = cfg["pulse"]["n_points"]
     if n_points < 2:
         raise ConfigError("[pulse] n_points must be >= 2")
-    duration = cfg.get_auto("pulse", "duration")
+    duration = cfg["pulse"]["duration"]
     if duration is None:
         if rabi <= 0.0:
             raise ConfigError(
@@ -275,7 +260,7 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
     if duration <= 0.0:
         raise ConfigError(f"[pulse] duration must be > 0, got {duration}")
     omega_r = math.hypot(rabi, detuning)
-    dt = cfg.get_auto("pulse", "oracle_dt")
+    dt = cfg["pulse"]["oracle_dt"]
     if dt is None:
         dt = _TWO_PI / (200.0 * omega_r) if omega_r > 0.0 else duration / 200.0
     times = np.linspace(0.0, duration, n_points)
@@ -302,7 +287,7 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
         out_dir / "rabi.csv",
         ["t", "p_excited_closed", "p_excited_oracle"],
         [times, closed, oracle],
-        cfg.echo_lines("rabi"),
+        echo_lines(cfg, "rabi"),
     )
     _write_summary(
         out_dir / "rabi_summary.txt", cfg, "rabi",
@@ -311,22 +296,31 @@ def cmd_rabi(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_fringe(cfg: Config, out_dir: Path) -> int:
     from . import measurement
 
     seq = _sequence_params(cfg)
-    gravity = cfg.get_float("constants", "gravity")
-    center = cfg.get_auto("scan", "center")
+    gravity = cfg["constants"]["gravity"]
+    # Every point's phase holds the null chirp rate k_eff g and the laser
+    # phase dphi_laser; either one overflowing leaves a fringe of NaN.
+    if not math.isfinite(seq.k_eff * gravity):
+        raise ConfigError(
+            f"[constants] gravity = {gravity} overflows k_eff * gravity "
+            f"at k_eff = {seq.k_eff}"
+        )
+    if not math.isfinite(seq.dphi_laser):
+        raise ConfigError(
+            f"[sequence] phi1 - 2 phi2 + phi3 overflows, got phases {seq.phases}"
+        )
+    center = cfg["scan"]["center"]
     if center is None:
         center = seq.k_eff * gravity
-    n_points = int(cfg.get("scan", "n_points"))
-    n_atoms = int(cfg.get("scan", "n_atoms"))
-    seed = int(cfg.get("io", "seed"))
+    n_atoms = cfg["scan"]["n_atoms"]
     try:
         betas = measurement.beta_grid(
             center=center,
-            span_fringes=cfg.get_float("scan", "span_fringes"),
-            n_points=n_points,
+            span_fringes=cfg["scan"]["span_fringes"],
+            n_points=cfg["scan"]["n_points"],
             big_t=seq.t_interrogation,
         )
         scan = measurement.simulate_scan(
@@ -336,7 +330,7 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
             big_t=seq.t_interrogation,
             dphi_laser=seq.dphi_laser,
             n_atoms=n_atoms,
-            seed=seed if n_atoms > 0 else None,
+            seed=cfg["io"]["seed"] if n_atoms > 0 else None,
         )
     except ValueError as exc:
         raise ConfigError(f"[scan] values invalid: {exc}") from exc
@@ -349,7 +343,7 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         out_dir / "fringe.csv",
         ["beta", "p_excited"],
         [scan.betas, scan.probabilities],
-        cfg.echo_lines("fringe"),
+        echo_lines(cfg, "fringe"),
     )
     _write_summary(
         out_dir / "fringe_summary.txt", cfg, "fringe",
@@ -363,18 +357,18 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_allan(cfg: Config, out_dir: Path) -> int:
     import logging
 
     from . import noise
 
-    series_file = str(cfg.get("noise", "series_file"))
+    series_file = cfg["noise"]["series_file"]
     if not series_file:
         raise ConfigError("[noise] series_file is required for the allan command")
     series = noise.read_series_csv(series_file)
-    tau_min = cfg.get_auto("noise", "tau_min")
-    tau_max = cfg.get_auto("noise", "tau_max")
-    n_tau = int(cfg.get("noise", "n_tau"))
+    tau_min = cfg["noise"]["tau_min"]
+    tau_max = cfg["noise"]["tau_max"]
+    n_tau = cfg["noise"]["n_tau"]
     if n_tau < 1:
         raise ConfigError("[noise] n_tau must be >= 1")
     if tau_min is None:
@@ -388,7 +382,7 @@ def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
     taus = np.geomspace(tau_min, tau_max, n_tau)
     estimator = (
         noise.allan_deviation_overlapping
-        if bool(cfg.get("noise", "overlapping"))
+        if cfg["noise"]["overlapping"]
         else noise.allan_deviation
     )
     # The omitted averaging times go to stderr, one plain line each.
@@ -400,21 +394,21 @@ def cmd_allan(cfg: RunConfig, out_dir: Path) -> int:
     finally:
         noise.logger.removeHandler(handler)
     noise.write_allan_csv(
-        out_dir / "allan.csv", result, comments=cfg.echo_lines("allan")
+        out_dir / "allan.csv", result, comments=echo_lines(cfg, "allan")
     )
     return 0
 
 
-def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> int:
+def cmd_sensitivity(cfg: Config, out_dir: Path, three_segment_gs: bool) -> int:
     from . import noise
 
     profile = _profile(cfg)
-    n_time = int(cfg.get("sensitivity", "n_time_points"))
+    n_time = cfg["sensitivity"]["n_time_points"]
     if n_time < 2:
         raise ConfigError("[sensitivity] n_time_points must be >= 2")
-    cycles_lo = cfg.get_float("sensitivity", "transfer_min_cycles")
-    cycles_hi = cfg.get_float("sensitivity", "transfer_max_cycles")
-    n_omega = int(cfg.get("sensitivity", "transfer_points"))
+    cycles_lo = cfg["sensitivity"]["transfer_min_cycles"]
+    cycles_hi = cfg["sensitivity"]["transfer_max_cycles"]
+    n_omega = cfg["sensitivity"]["transfer_points"]
     if not (0.0 <= cycles_lo < cycles_hi) or n_omega < 2:
         raise ConfigError("[sensitivity] transfer grid is invalid")
     # The grid's last omega, computed as the array below computes it.
@@ -428,7 +422,7 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
     _write_csv(
         out_dir / "sensitivity_gs.csv",
         ["t", "g_s"], [times, gs],
-        cfg.echo_lines("sensitivity"),
+        echo_lines(cfg, "sensitivity"),
     )
     omegas = (
         _TWO_PI * np.linspace(cycles_lo, cycles_hi, n_omega) / profile.big_t
@@ -439,21 +433,21 @@ def cmd_sensitivity(cfg: RunConfig, out_dir: Path, three_segment_gs: bool) -> in
     _write_csv(
         out_dir / "sensitivity_transfer.csv",
         ["omega_rad_per_s", "transfer_mag"], [omegas, mags],
-        cfg.echo_lines("sensitivity"),
+        echo_lines(cfg, "sensitivity"),
     )
     return 0
 
 
-def cmd_psd_variance(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_psd_variance(cfg: Config, out_dir: Path) -> int:
     from . import noise
 
-    psd_file = str(cfg.get("noise", "psd_file"))
+    psd_file = cfg["noise"]["psd_file"]
     if not psd_file:
         raise ConfigError("[noise] psd_file is required for the psd-variance command")
     psd = noise.read_psd_csv(psd_file)
     profile = _profile(cfg)
     result = noise.phase_variance_from_psd(
-        psd, profile, allow_partial=bool(cfg.get("noise", "allow_partial"))
+        psd, profile, allow_partial=cfg["noise"]["allow_partial"]
     )
     _write_summary(
         out_dir / "psd_variance_summary.txt", cfg, "psd-variance",
@@ -497,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         lambda cfg, out_dir, args: cmd_allan(cfg, out_dir))
     p = add("sensitivity", "sensitivity-function and transfer-function tables",
             lambda cfg, out_dir, args: cmd_sensitivity(
-                cfg, out_dir, three_segment_gs=bool(args.three_segment_gs)))
+                cfg, out_dir, three_segment_gs=args.three_segment_gs))
     p.add_argument(
         "--three-segment-gs", action="store_true",
         help="use the three-segment sensitivity variant (half-interval ramps, "
@@ -512,10 +506,10 @@ def _run(args: argparse.Namespace) -> int:
     config_path = args.config or os.environ.get(ENV_CONFIG) or None
     cfg = load_config(config_path)
     if args.seed is not None:
-        cfg.values["io"]["seed"] = int(args.seed)
+        cfg["io"]["seed"] = args.seed
     if args.out is not None:
-        cfg.values["io"]["out_dir"] = args.out
-    out_dir = Path(str(cfg.get("io", "out_dir")))
+        cfg["io"]["out_dir"] = args.out
+    out_dir = Path(cfg["io"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return args.run(cfg, out_dir, args)
 

@@ -16,6 +16,8 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .errors import InvalidSequenceError, InvalidStateError
+
 __all__ = [
     "HBAR",
     "DEFAULT_G",
@@ -48,6 +50,13 @@ _NORM_TOL = 1e-6
 _EPS = math.ulp(1.0)
 
 
+def _check_norm(norm: float, label: str) -> None:
+    """The one state-norm rule: the squared amplitudes' sum ``norm`` must be
+    finite and within ``_NORM_TOL`` of 1.  ``label`` names the sum."""
+    if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
+        raise InvalidStateError(f"{label} = {norm!r}, expected 1 within {_NORM_TOL}")
+
+
 @dataclass(frozen=True)
 class TwoLevelState:
     """Normalized amplitudes of a two-level atom.
@@ -69,13 +78,7 @@ class TwoLevelState:
     c_b: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.c_a) ** 2 + abs(self.c_b) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            from .errors import InvalidStateError
-
-            raise InvalidStateError(
-                f"|c_a|^2 + |c_b|^2 = {norm!r}, expected 1 within {_NORM_TOL}"
-            )
+        _check_norm(abs(self.c_a) ** 2 + abs(self.c_b) ** 2, "|c_a|^2 + |c_b|^2")
 
     @classmethod
     def ground(cls) -> "TwoLevelState":
@@ -111,13 +114,10 @@ class ThreeLevelState:
     p: float = 0.0
 
     def __post_init__(self) -> None:
-        norm = abs(self.c_g) ** 2 + abs(self.c_i) ** 2 + abs(self.c_e) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            from .errors import InvalidStateError
-
-            raise InvalidStateError(
-                f"three-level norm = {norm!r}, expected 1 within {_NORM_TOL}"
-            )
+        _check_norm(
+            abs(self.c_g) ** 2 + abs(self.c_i) ** 2 + abs(self.c_e) ** 2,
+            "three-level norm",
+        )
 
     @classmethod
     def ground(cls, p: float = 0.0) -> "ThreeLevelState":
@@ -194,8 +194,6 @@ class SequenceParams:
     k_eff: float = DEFAULT_K_EFF
 
     def __post_init__(self) -> None:
-        from .errors import InvalidSequenceError
-
         if not _timing_valid(self.t_interrogation, self.tau_p):
             raise InvalidSequenceError(
                 "need finite t_interrogation > tau_p > 0 and finite pi/tau_p, got "

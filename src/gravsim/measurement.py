@@ -19,9 +19,10 @@ in which they are drawn.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,23 @@ def ideal_fringe(
 def beta_grid(
     center: float, span_fringes: float, n_points: int, big_t: float
 ) -> np.ndarray:
-    """Uniform chirp grid spanning ``span_fringes`` fringe periods."""
+    """Uniform chirp grid spanning ``span_fringes`` fringe periods.
+
+    Raises
+    ------
+    TimeOrderError
+        If ``big_t`` or its square is not finite and positive.
+    ValueError
+        If ``n_points < 2``, or the grid's width is not finite.
+    """
     _check_big_t(big_t)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     half = 0.5 * span_fringes * 2.0 * math.pi / (big_t * big_t)
+    if not math.isfinite(2.0 * half):  # the width np.linspace steps across
+        raise ValueError(
+            f"span_fringes = {span_fringes} overflows the chirp grid at T = {big_t}"
+        )
     return center + np.linspace(-half, half, n_points)
 
 
@@ -186,13 +199,15 @@ def simulate_scan(
     Raises
     ------
     ValueError
-        If ``n_atoms`` is outside [0, 2^63 - 1], or a noisy scan has no
-        seed or a negative one.
+        If ``n_atoms`` is outside [0, 2^63 - 1], a noisy scan has no seed
+        or a negative one, or a noisy scan meets a NaN ideal fraction
+        (``Generator.binomial`` refuses it).
 
     Notes
     -----
     Point ``i`` of a noisy scan draws ``Binomial(n_atoms, p_i)``, with
-    ``p_i`` the ideal fraction clipped to [0, 1], exactly as
+    ``p_i`` the ideal fraction (``0.5 (1 - cos phi)``, which rounding keeps
+    inside [0, 1]), exactly as
     ``Generator(Philox(key=key, counter=[0, 0, 0, i]))`` would (the key is
     described in the module docstring).  Each thread keeps one Philox bit
     generator and its ``binomial``, built on the thread's first noisy scan.
@@ -215,11 +230,6 @@ def simulate_scan(
         raise ValueError(f"n_atoms must be in [0, {_MAX_ATOMS}], got {n_atoms}")
     if seed is None or seed < 0:
         raise ValueError(f"a seed >= 0 is required for a noisy scan, got seed={seed}")
-    # An empty grid reaches FringeScan's own refusal; NaN fails both bounds.
-    lo, hi = probs.min(initial=math.inf), probs.max(initial=-math.inf)
-    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
-        raise ValueError("ideal fringe fractions must lie in [0, 1]")
-    p = np.clip(probs, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else probs
     bit_gen, binomial, state = _thread_detector()
     counter = state["state"]["counter"]
     state["state"]["key"] = (
@@ -232,7 +242,7 @@ def simulate_scan(
         return binomial(n_atoms, p_i)
 
     counts = np.fromiter(
-        map(detect_point, range(p.size), p.tolist()), dtype=float, count=p.size
+        map(detect_point, range(probs.size), probs.tolist()), float, count=probs.size
     )
     measured = counts / n_atoms
     return FringeScan(
@@ -403,18 +413,28 @@ def estimate_g_dual(
     """Disambiguate the fringe identification with two interrogation times.
 
     Each scan pins g only modulo its own fringe lattice
-    ``2 pi / (k_eff T^2)``.  Enumerating small integer fringe offsets for
-    both scans and picking the pairing where the two estimates coincide
-    selects the common solution; the returned value is the
+    ``lat = 2 pi / (k_eff T^2)``.  The pairing of fringe offsets
+    ``(ma, mb)``, each in ``[-m, m]`` with ``m = max_fringe_offset``, where
+    the shifted estimates ``g_a + ma lat_a`` and ``g_b + mb lat_b``
+    coincide selects the common solution; the returned value is the
     inverse-variance-weighted mean (or the plain mean if both fits are
     noiseless).
+
+    One pass over ``ma`` finds it.  The ``mb`` nearest to ``g_a + ma
+    lat_a`` is one rounding of ``(g_a + ma lat_a - g_b) / lat_b``, clamped
+    to ``[-m, m]``; that ``mb`` and its two neighbours hold both the best
+    and the runner-up of all ``(2m + 1)^2`` pairings, the two the
+    ambiguity test compares.  (A neighbour is the runner-up only on a
+    lattice finer than about 2.2e-12 m/s^2, where twice the test's 1e-12
+    floor exceeds ``0.9 lat_b``.)  Work and memory are linear in ``m``.
 
     Raises
     ------
     ValueError
         If ``max_fringe_offset`` is not an integer >= 0.
     TimeOrderError
-        If ``big_t_a`` or ``big_t_b`` is not finite and positive.
+        If ``big_t_a`` or ``big_t_b`` is not finite and positive (each is
+        checked by its scan's :func:`estimate_g`, scan a first).
     AmbiguousFringeError
         If no pairing matches to better than a tenth of the finer lattice
         spacing, or two distinct pairings match comparably well.
@@ -425,29 +445,27 @@ def estimate_g_dual(
         raise ValueError(
             f"max_fringe_offset must be an integer >= 0, got {max_fringe_offset!r}"
         )
-    _check_big_t(big_t_a)
-    _check_big_t(big_t_b)
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)
     est_b = estimate_g(scan_b, k_eff, big_t_b, dphi_laser)
     lat_a = 2.0 * math.pi / (k_eff * big_t_a * big_t_a)
     lat_b = 2.0 * math.pi / (k_eff * big_t_b * big_t_b)
-    offsets = range(-max_fringe_offset, max_fringe_offset + 1)
-    pairings = sorted(
-        (
-            (abs((est_a.g_hat + ma * lat_a) - (est_b.g_hat + mb * lat_b)), ma, mb)
-            for ma in offsets
-            for mb in offsets
-        ),
-    )
+    m = max_fringe_offset
+
+    def pairings() -> Iterator[tuple[float, int, int]]:
+        for ma in range(-m, m + 1):
+            g_a = est_a.g_hat + ma * lat_a
+            near = round(min(max((g_a - est_b.g_hat) / lat_b, -m - 1.0), m + 1.0))
+            for mb in range(max(near - 1, -m), min(near + 1, m) + 1):
+                yield abs(g_a - (est_b.g_hat + mb * lat_b)), ma, mb
+
+    (best_gap, ma, mb), *runner_up = heapq.nsmallest(2, pairings())
     gap_tol = 0.1 * min(lat_a, lat_b)
-    best_gap, ma, mb = pairings[0]
     if best_gap > gap_tol:
         raise AmbiguousFringeError(
             f"no fringe pairing agrees to {gap_tol:.3e} m/s^2 "
             f"(best gap {best_gap:.3e})"
         )
-    distinct = [p for p in pairings[1:] if (p[1], p[2]) != (ma, mb)]
-    if distinct and distinct[0][0] < 2.0 * max(best_gap, 1e-12):
+    if runner_up and runner_up[0][0] < 2.0 * max(best_gap, 1e-12):
         raise AmbiguousFringeError(
             "two fringe pairings are comparably consistent; widen the scans "
             "or separate the interrogation times further"

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NORM_TOL, DEFAULT_K_EFF, HBAR, ThreeLevelState
-from .errors import EliminationError, InvalidStateError
+from .core import DEFAULT_K_EFF, HBAR, ThreeLevelState, _check_norm
+from .errors import EliminationError
 from .twolevel import _rk4_lab_frame, mach_zehnder_probability, propagator_matrix
 
 __all__ = [
@@ -156,11 +156,7 @@ class RamanState:
     p_e: float
 
     def __post_init__(self) -> None:
-        norm = abs(self.c_g) ** 2 + abs(self.c_e) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"|c_g|^2 + |c_e|^2 = {norm!r}, expected 1 within {_NORM_TOL}"
-            )
+        _check_norm(abs(self.c_g) ** 2 + abs(self.c_e) ** 2, "|c_g|^2 + |c_e|^2")
 
     @classmethod
     def from_ground(

@@ -496,6 +496,13 @@ class TestConfigHandling:
             # 2 pi * 1e308 / T overflows the omega grid.
             ("sensitivity", "[sensitivity]\ntransfer_max_cycles = 1e308\n",
              "transfer_max_cycles"),
+            # k_eff * g, the null chirp rate, overflows (noiseless and noisy),
+            # the chirp grid's width overflows, and phi1 - 2 phi2 + phi3 does.
+            ("fringe", "[constants]\ngravity = 1e302\n", "gravity"),
+            ("fringe", "[constants]\ngravity = 1e302\n[scan]\nn_atoms = 100\n",
+             "gravity"),
+            ("fringe", "[scan]\nspan_fringes = 1e307\n", "span_fringes"),
+            ("fringe", "[sequence]\nphi1 = 1e308\nphi2 = -1e308\n", "phi2"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
@@ -504,7 +511,9 @@ class TestConfigHandling:
              "gsweep-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
              "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-n_atoms_overflow",
              "fringe-seed", "fringe-T_squared_overflow",
-             "sensitivity-omega_overflow"],
+             "sensitivity-omega_overflow", "fringe-null_chirp_overflow",
+             "fringe-noisy_null_chirp_overflow", "fringe-span_overflow",
+             "fringe-laser_phase_overflow"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key
@@ -556,7 +565,7 @@ class TestConfigHandling:
         n_set = sum("=" in line.partition("#")[0] for line in block.splitlines())
         assert n_set == sum(len(keys) for keys in _SCHEMA.values()) == 30
         cfg = load_config(write_config(tmp_path, block))
-        assert cfg.values == {
+        assert cfg == {
             section: {key: default for key, (_, default) in keys.items()}
             for section, keys in _SCHEMA.items()
         }

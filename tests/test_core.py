@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gravsim.core import (
+    _NORM_TOL,
     DEFAULT_G,
     DEFAULT_K_EFF,
     HBAR,
@@ -18,6 +19,7 @@ from gravsim.core import (
     state_probability,
 )
 from gravsim.errors import InvalidSequenceError, InvalidStateError
+from gravsim.raman import RamanState
 
 
 def test_constant_values():
@@ -48,6 +50,26 @@ def test_three_level_state_norm_and_momentum():
     assert s.p == 1.2e-27
     with pytest.raises(InvalidStateError):
         ThreeLevelState(c_g=1.0, c_i=1.0, c_e=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda c: TwoLevelState(c_a=c, c_b=0.0), "|c_a|^2 + |c_b|^2"),
+        (lambda c: ThreeLevelState(c_g=c, c_i=0.0, c_e=0.0), "three-level norm"),
+        (lambda c: RamanState(c_g=c, c_e=0.0, p_g=0.0, p_e=0.0), "|c_g|^2 + |c_e|^2"),
+    ],
+    ids=["two-level", "three-level", "raman"],
+)
+def test_every_state_applies_the_one_norm_rule(build, label):
+    # The admission edge is the same for all three states, and each keeps
+    # its own message naming its sum.
+    build(math.sqrt(1.0 + 0.9 * _NORM_TOL))
+    for amp in (math.sqrt(1.0 + 1.1 * _NORM_TOL), 2.0, math.nan, math.inf):
+        norm = abs(amp) ** 2
+        with pytest.raises(InvalidStateError) as info:
+            build(amp)
+        assert str(info.value) == f"{label} = {norm!r}, expected 1 within {_NORM_TOL}"
 
 
 def test_pulse_params_validation_and_properties():

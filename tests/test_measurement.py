@@ -5,12 +5,15 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gravsim import measurement
 from gravsim.errors import AmbiguousFringeError, FitFailureError, TimeOrderError
 from gravsim.measurement import (
+    GravityEstimate,
     _fit_fringe,
     _gram_adjugate,
     beta_grid,
@@ -74,6 +77,59 @@ def test_beta_grid_span():
     assert grid.size == 41
     assert grid[20] == pytest.approx(100.0)
     assert grid[-1] - grid[0] == pytest.approx(2.0 * 2.0 * math.pi / big_t**2)
+
+
+def adversarial_phases():
+    """Phases where 0.5 (1 - cos phi) sits at an end of [0, 1] or cos is
+    least accurate: multiples of pi and their neighbours, signed zeros and
+    subnormals, and the largest doubles."""
+    multiples = np.pi * np.arange(-2000.0, 2001.0)
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-16, -1e-8])
+    huge = np.array([1e15, 2.0**53, 1e22, 1e300, np.finfo(float).max])
+    return np.concatenate([
+        multiples,
+        np.nextafter(multiples, np.inf),
+        np.nextafter(multiples, -np.inf),
+        tiny,
+        huge,
+        -huge,
+    ])
+
+
+def test_ideal_fringe_lies_exactly_in_unit_interval():
+    # 0.5 (1 - cos phi) with cos in [-1, 1] rounds into [0, 1] with no
+    # tolerance, which is why a noisy scan needs no clip before its draws.
+    # With k_eff = 1, g = 0, T = 1 and no laser phase, beta is the phase.
+    rng = np.random.default_rng(25)
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    phases = np.concatenate([
+        signs * 10.0 ** rng.uniform(-20.0, 308.0, 100_000),
+        adversarial_phases(),
+    ])
+    fractions = ideal_fringe(phases, 1.0, 0.0, 1.0)
+    assert np.all((fractions >= 0.0) & (fractions <= 1.0))
+    for phase in adversarial_phases():
+        assert 0.0 <= ideal_fringe(float(phase), 1.0, 0.0, 1.0) <= 1.0
+
+
+def test_nan_chirp_rate_is_refused_on_both_paths():
+    betas = beta_grid(K_EFF * G_TRUE, 2.0, 50, 0.1)
+    betas[7] = math.nan
+    # Noisy: numpy's binomial draw refuses the NaN fraction itself.
+    with pytest.raises(ValueError, match="NaN"):
+        simulate_scan(betas, K_EFF, G_TRUE, 0.1, 0.0, 100, 5)
+    # Noiseless: the scan carries the NaN, and the fit refuses it.
+    scan = simulate_scan(betas, K_EFF, G_TRUE, 0.1)
+    with pytest.raises(FitFailureError, match="non-finite"):
+        estimate_g(scan, K_EFF, 0.1)
+
+
+@pytest.mark.parametrize("span_fringes", [1e307, 3e305])
+def test_beta_grid_refuses_a_width_that_overflows(span_fringes):
+    # 3e305 periods give a finite half-width whose double, the width that
+    # np.linspace steps across, overflows.
+    with pytest.raises(ValueError, match="span_fringes = .* overflows"):
+        beta_grid(K_EFF * G_TRUE, span_fringes, 50, 0.1)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
@@ -364,6 +420,140 @@ def test_bad_fringe_offset_refused_before_either_fit(offset):
     narrow = make_scan(span_fringes=1.0)
     with pytest.raises(ValueError, match=rf"max_fringe_offset .*got {offset}"):
         estimate_g_dual(narrow, 0.1, narrow, 0.071, K_EFF, max_fringe_offset=offset)
+
+
+def brute_force_dual(est_a, big_t_a, est_b, big_t_b, m):
+    """Every one of the (2m + 1)^2 fringe pairings, sorted whole: the
+    search that the one-pass pairing of estimate_g_dual replaces."""
+    lat_a = 2.0 * math.pi / (K_EFF * big_t_a * big_t_a)
+    lat_b = 2.0 * math.pi / (K_EFF * big_t_b * big_t_b)
+    offsets = range(-m, m + 1)
+    pairings = sorted(
+        (abs((est_a.g_hat + ma * lat_a) - (est_b.g_hat + mb * lat_b)), ma, mb)
+        for ma in offsets
+        for mb in offsets
+    )
+    gap_tol = 0.1 * min(lat_a, lat_b)
+    best_gap, ma, mb = pairings[0]
+    if best_gap > gap_tol:
+        raise AmbiguousFringeError(
+            f"no fringe pairing agrees to {gap_tol:.3e} m/s^2 "
+            f"(best gap {best_gap:.3e})"
+        )
+    if len(pairings) > 1 and pairings[1][0] < 2.0 * max(best_gap, 1e-12):
+        raise AmbiguousFringeError(
+            "two fringe pairings are comparably consistent; widen the scans "
+            "or separate the interrogation times further"
+        )
+    g_a = est_a.g_hat + ma * lat_a
+    g_b = est_b.g_hat + mb * lat_b
+    if est_a.sigma_g > 0.0 and est_b.sigma_g > 0.0:
+        wa = 1.0 / est_a.sigma_g**2
+        wb = 1.0 / est_b.sigma_g**2
+        g_hat = (wa * g_a + wb * g_b) / (wa + wb)
+        sigma_g = math.sqrt(1.0 / (wa + wb))
+    else:
+        g_hat = 0.5 * (g_a + g_b)
+        sigma_g = 0.0
+    return GravityEstimate(
+        g_hat=g_hat,
+        sigma_g=sigma_g,
+        beta_null=est_a.beta_null + ma * 2.0 * math.pi / (big_t_a * big_t_a),
+        fit_residual=max(est_a.fit_residual, est_b.fit_residual),
+    )
+
+
+def outcome(fn, *args):
+    """The value ``fn`` returns, or the class and text of what it raises."""
+    try:
+        return fn(*args)
+    except AmbiguousFringeError as exc:
+        return type(exc), str(exc)
+
+
+# Interrogation-time pairs: equal T (every pairing has a twin), two unequal
+# ones, and lattices finer than the ambiguity test's 1e-12 m/s^2 floor,
+# where a neighbouring offset of scan b can be the runner-up.
+DUAL_TIMES = {
+    "equal": lambda rng: (0.1, 0.1),
+    "unequal": lambda rng: (0.1, 0.071),
+    "random": lambda rng: tuple(rng.uniform(0.02, 0.3, 2)),
+    "fine": lambda rng: (rng.uniform(0.02, 0.3), rng.uniform(300.0, 3000.0)),
+}
+
+
+@pytest.mark.parametrize("times", DUAL_TIMES)
+@pytest.mark.parametrize("m", [0, 1, 3, 10])
+def test_one_pass_pairing_matches_brute_force_search(monkeypatch, m, times):
+    # Stub both fits with seeded estimates a few lattice steps off the truth,
+    # with errors from 1e-7 of the finer lattice to a whole one, some within
+    # 1e-9 of the match threshold, a tenth of it.
+    rng = np.random.default_rng([25, m, list(DUAL_TIMES).index(times)])
+    seen = set()
+    for _ in range(400):
+        big_t_a, big_t_b = DUAL_TIMES[times](rng)
+        lat_a = 2.0 * math.pi / (K_EFF * big_t_a * big_t_a)
+        lat_b = 2.0 * math.pi / (K_EFF * big_t_b * big_t_b)
+        tol = 0.1 * min(lat_a, lat_b)
+        err_a, err_b = rng.normal(size=2) * tol * 10.0 ** rng.uniform(-6.0, 1.0, 2)
+        if rng.random() < 0.3:
+            err_a = 0.0
+            err_b = rng.choice([-1.0, 1.0]) * tol * (1.0 + rng.uniform(-1e-9, 1e-9))
+        ests = [
+            GravityEstimate(
+                g_hat=G_TRUE - int(rng.integers(-m - 2, m + 3)) * lat + err,
+                sigma_g=float(rng.choice([0.0, 1e-8])),
+                beta_null=float(rng.normal()),
+                fit_residual=float(rng.uniform()),
+            )
+            for lat, err in ((lat_a, err_a), (lat_b, err_b))
+        ]
+        stubbed = iter(ests)
+        monkeypatch.setattr(
+            measurement, "estimate_g", lambda *args: next(stubbed)
+        )
+        got = outcome(estimate_g_dual, None, big_t_a, None, big_t_b, K_EFF, 0.0, m)
+        want = outcome(brute_force_dual, ests[0], big_t_a, ests[1], big_t_b, m)
+        assert got == want
+        if isinstance(want, GravityEstimate):
+            seen.add("resolved")
+        else:
+            seen.add("ambiguous" if "comparably" in want[1] else "no match")
+    # The sample reaches the outcomes in question: one pairing (m = 0) is
+    # never ambiguous, and equal or fine lattices rarely resolve.
+    assert "no match" in seen
+    assert ("ambiguous" in seen) == (m > 0)
+    assert "resolved" in seen or times in ("equal", "fine")
+
+
+def test_fine_lattice_neighbour_is_the_runner_up(monkeypatch):
+    # At T_b = 1000 s the lattice of scan b is 3.9e-13 m/s^2, so the
+    # offsets next to the best one lie within twice the 1e-12 floor: the
+    # pairing is ambiguous though every other offset of scan a is far.
+    big_t_a, big_t_b = 0.1, 1000.0
+    est = GravityEstimate(G_TRUE, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(measurement, "estimate_g", lambda *args: est)
+    with pytest.raises(AmbiguousFringeError, match="comparably consistent"):
+        estimate_g_dual(None, big_t_a, None, big_t_b, K_EFF, max_fringe_offset=1)
+    with pytest.raises(AmbiguousFringeError, match="comparably consistent"):
+        brute_force_dual(est, big_t_a, est, big_t_b, 1)
+
+
+def test_wide_offset_range_pairs_in_linear_memory():
+    # The (2m + 1)^2 search would hold 36 million pairings at m = 3000,
+    # about 4.7 GB; one pass holds a few.
+    t_a, t_b = 0.1, 0.071
+    scan_a = make_scan(big_t=t_a)
+    scan_b = make_scan(big_t=t_b)
+    narrow = estimate_g_dual(scan_a, t_a, scan_b, t_b, K_EFF)
+    tracemalloc.start()
+    try:
+        wide = estimate_g_dual(scan_a, t_a, scan_b, t_b, K_EFF, max_fringe_offset=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert wide == narrow
 
 
 # ---------------------------------------------------------------------------
