@@ -323,6 +323,14 @@ def cmd_fringe(cfg: Config, out_dir: Path) -> int:
             n_points=cfg["scan"]["n_points"],
             big_t=seq.t_interrogation,
         )
+        # The phase is monotonic in beta, so the grid's ends bound it.
+        big_t = seq.t_interrogation
+        for beta in betas[[0, -1]].tolist():
+            if not math.isfinite((beta - seq.k_eff * gravity) * big_t * big_t):
+                raise ConfigError(
+                    f"[scan] center = {center} overflows the fringe phase "
+                    f"(beta - k_eff g) T^2 at T = {big_t}"
+                )
         scan = measurement.simulate_scan(
             betas,
             k_eff=seq.k_eff,

@@ -137,7 +137,7 @@ def beta_grid(
     TimeOrderError
         If ``big_t`` or its square is not finite and positive.
     ValueError
-        If ``n_points < 2``, or the grid's width is not finite.
+        If ``n_points < 2``, or the grid's width or an end is not finite.
     """
     _check_big_t(big_t)
     if n_points < 2:
@@ -146,6 +146,11 @@ def beta_grid(
     if not math.isfinite(2.0 * half):  # the width np.linspace steps across
         raise ValueError(
             f"span_fringes = {span_fringes} overflows the chirp grid at T = {big_t}"
+        )
+    if not math.isfinite(abs(center) + half):  # the grid's farther end
+        raise ValueError(
+            f"center = {center} overflows the chirp grid's ends at "
+            f"span_fringes = {span_fringes}, T = {big_t}"
         )
     return center + np.linspace(-half, half, n_points)
 
@@ -392,7 +397,7 @@ def estimate_g(
     _, _, psi0, sse, sigma_psi0 = _fit_fringe(x, y)
     beta_null = center + psi0 / (big_t * big_t)
     g_hat = (beta_null + dphi_laser / (big_t * big_t)) / k_eff
-    sigma_g = sigma_psi0 / (big_t * big_t) / k_eff
+    sigma_g = sigma_psi0 / (big_t * big_t) / abs(k_eff)
     return GravityEstimate(
         g_hat=g_hat,
         sigma_g=sigma_g,
@@ -413,7 +418,7 @@ def estimate_g_dual(
     """Disambiguate the fringe identification with two interrogation times.
 
     Each scan pins g only modulo its own fringe lattice
-    ``lat = 2 pi / (k_eff T^2)``.  The pairing of fringe offsets
+    ``lat = 2 pi / (|k_eff| T^2)``.  The pairing of fringe offsets
     ``(ma, mb)``, each in ``[-m, m]`` with ``m = max_fringe_offset``, where
     the shifted estimates ``g_a + ma lat_a`` and ``g_b + mb lat_b``
     coincide selects the common solution; the returned value is the
@@ -447,8 +452,8 @@ def estimate_g_dual(
         )
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)
     est_b = estimate_g(scan_b, k_eff, big_t_b, dphi_laser)
-    lat_a = 2.0 * math.pi / (k_eff * big_t_a * big_t_a)
-    lat_b = 2.0 * math.pi / (k_eff * big_t_b * big_t_b)
+    lat_a = 2.0 * math.pi / (abs(k_eff) * big_t_a * big_t_a)
+    lat_b = 2.0 * math.pi / (abs(k_eff) * big_t_b * big_t_b)
     m = max_fringe_offset
 
     def pairings() -> Iterator[tuple[float, int, int]]:
@@ -483,6 +488,8 @@ def estimate_g_dual(
     return GravityEstimate(
         g_hat=g_hat,
         sigma_g=sigma_g,
-        beta_null=est_a.beta_null + ma * 2.0 * math.pi / (big_t_a * big_t_a),
+        # k_eff < 0 turns the chirp lattice against the g lattice.
+        beta_null=est_a.beta_null
+        + ma * math.copysign(2.0 * math.pi, k_eff) / (big_t_a * big_t_a),
         fit_residual=max(est_a.fit_residual, est_b.fit_residual),
     )

@@ -128,6 +128,25 @@ class TestFringe:
         assert summary["sigma_g"] > 0.0
         assert summary["g_hat"] == pytest.approx(9.81, rel=1e-5)
 
+    def test_reversed_k_eff_reports_the_same_sigma(self, tmp_path):
+        # k_eff < 0 mirrors the default scan, centred on k_eff g, about
+        # beta = 0, and the fringe is even about its null: every point draws
+        # the same count, so the fit reads the same noise mirrored about g.
+        fitted = []
+        for k_eff in ("1.61e7", "-1.61e7"):
+            cfg = write_config(
+                tmp_path, f"[sequence]\nk_eff = {k_eff}\n[scan]\nn_atoms = 1000\n"
+            )
+            out = tmp_path / k_eff
+            args = ["fringe", "--config", cfg, "--out", str(out), "--seed", "7"]
+            assert main(args) == 0
+            fitted.append(read_summary(out / "fringe_summary.txt"))
+        sigma_fwd, sigma_rev = (run["sigma_g"] for run in fitted)
+        assert sigma_rev == pytest.approx(sigma_fwd, rel=1e-12) and sigma_fwd > 0.0
+        assert fitted[1]["g_hat"] - 9.81 == pytest.approx(
+            9.81 - fitted[0]["g_hat"], abs=1e-14
+        )
+
     def test_noisy_rerun_byte_identical_and_seed_sensitive(self, tmp_path):
         cfg = write_config(tmp_path, "[scan]\nn_atoms = 10000\n")
         args = ["fringe", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]
@@ -503,6 +522,11 @@ class TestConfigHandling:
              "gravity"),
             ("fringe", "[scan]\nspan_fringes = 1e307\n", "span_fringes"),
             ("fringe", "[sequence]\nphi1 = 1e308\nphi2 = -1e308\n", "phi2"),
+            # An explicit center overflows the fringe phase (beta - k_eff g)
+            # T^2, or the grid's far end center + half-width.
+            ("fringe", "[sequence]\nt_interrogation = 10\n[scan]\ncenter = 1e308\n",
+             "center"),
+            ("fringe", "[scan]\ncenter = 1.7e308\nspan_fringes = 1e305\n", "center"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
@@ -513,7 +537,8 @@ class TestConfigHandling:
              "fringe-seed", "fringe-T_squared_overflow",
              "sensitivity-omega_overflow", "fringe-null_chirp_overflow",
              "fringe-noisy_null_chirp_overflow", "fringe-span_overflow",
-             "fringe-laser_phase_overflow"],
+             "fringe-laser_phase_overflow", "fringe-center_phase_overflow",
+             "fringe-center_grid_overflow"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravsim import measurement
 from gravsim.errors import AmbiguousFringeError, FitFailureError, TimeOrderError
@@ -130,6 +132,13 @@ def test_beta_grid_refuses_a_width_that_overflows(span_fringes):
     # np.linspace steps across, overflows.
     with pytest.raises(ValueError, match="span_fringes = .* overflows"):
         beta_grid(K_EFF * G_TRUE, span_fringes, 50, 0.1)
+
+
+@pytest.mark.parametrize("center", [1.7e308, -1.7e308])
+def test_beta_grid_refuses_an_end_that_overflows(center):
+    # A finite width whose far end, center +/- half-width, overflows.
+    with pytest.raises(ValueError, match="center = .* overflows"):
+        beta_grid(center, 1e305, 50, 0.1)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
@@ -412,6 +421,60 @@ def test_dual_interrogation_time_disambiguation():
     # Identical interrogation times leave the pairing degenerate.
     with pytest.raises(AmbiguousFringeError):
         estimate_g_dual(scan_a, t_a, make_scan(big_t=t_a), t_a, K_EFF)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_atoms=st.sampled_from([0, 1000, 10**6]),
+    big_t=st.floats(0.01, 0.3),
+    dphi_laser=st.floats(-3.0, 3.0),
+    center_offset=st.floats(-1.0, 1.0),
+)
+def test_reversed_k_eff_is_the_mirror_image(
+    seed, n_atoms, big_t, dphi_laser, center_offset
+):
+    # (beta, k_eff, dphi) -> -(beta, k_eff, dphi) negates the fringe phase,
+    # which the even cosine does not see: the same counts, the same g_hat,
+    # a positive sigma_g equal to the forward one and a mirrored null.
+    period = 2.0 * math.pi / (big_t * big_t)
+    center = K_EFF * G_TRUE - dphi_laser / (big_t * big_t) + center_offset * period
+    betas = beta_grid(center, 3.0, 60, big_t)
+    fwd = simulate_scan(betas, K_EFF, G_TRUE, big_t, dphi_laser, n_atoms, seed)
+    rev = simulate_scan(-betas, -K_EFF, G_TRUE, big_t, -dphi_laser, n_atoms, seed)
+    assert np.array_equal(rev.measured, fwd.measured)
+    est_fwd = estimate_g(fwd, K_EFF, big_t, dphi_laser)
+    est_rev = estimate_g(rev, -K_EFF, big_t, -dphi_laser)
+    assert est_rev.g_hat == est_fwd.g_hat
+    assert est_rev.sigma_g == est_fwd.sigma_g >= 0.0
+    assert est_rev.beta_null == -est_fwd.beta_null
+    assert est_rev.fit_residual == est_fwd.fit_residual
+
+
+@pytest.mark.parametrize("n_atoms", [0, 10_000])
+def test_dual_interrogation_time_under_reversed_k_eff(n_atoms):
+    # Two scans of the same fringes with k_eff reversed pair the same
+    # offsets: g and sigma_g come out equal, the null chirp mirrored.  Scan
+    # a is centred 1.2 fringes off the null, so its fit folds to the next
+    # fringe and the pairing moves it back by one.
+    t_a, t_b = 0.1, 0.071
+    scans = {}
+    for sign in (1.0, -1.0):
+        for big_t, fringes in ((t_a, 1.2), (t_b, 0.1)):
+            center = K_EFF * G_TRUE + fringes * 2.0 * math.pi / big_t**2
+            betas = sign * beta_grid(center, 3.0, 60, big_t)
+            scans[sign, big_t] = simulate_scan(
+                betas, sign * K_EFF, G_TRUE, big_t, 0.0, n_atoms, seed=5
+            )
+    fwd, rev = (
+        estimate_g_dual(scans[s, t_a], t_a, scans[s, t_b], t_b, s * K_EFF)
+        for s in (1.0, -1.0)
+    )
+    assert abs(fwd.g_hat - G_TRUE) < 1e-6
+    assert abs(fwd.beta_null - K_EFF * G_TRUE) < 1.0
+    assert rev.g_hat == fwd.g_hat
+    assert rev.sigma_g == fwd.sigma_g
+    assert rev.beta_null == -fwd.beta_null
 
 
 @pytest.mark.parametrize("offset", [-1, 1.5])

@@ -404,6 +404,65 @@ def test_ode_oracle_converges_at_fourth_order(pulse):
     assert 13.0 < errors[0] / errors[1] < 19.0
 
 
+def _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps):
+    """The RK4 step map built one generator at a time with ``@``, applied by
+    the plain recurrence ``b = step @ b``."""
+    h = duration / n_steps
+
+    def generator(s):
+        d = np.exp(1j * nu * s)
+        return a0 * np.outer(d, d.conj())
+
+    one = np.eye(nu.size)
+    k1 = generator(0.0)
+    mid = generator(0.5 * h)
+    k2 = mid @ (one + 0.5 * h * k1)
+    k3 = mid @ (one + 0.5 * h * k2)
+    k4 = generator(h) @ (one + h * k3)
+    p = one + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = np.exp(-1j * nu * h)[:, None] * p
+    b = np.exp(-1j * nu * t0) * np.asarray(amplitudes, dtype=complex)
+    for _ in range(n_steps):
+        b = step @ b
+    return (np.exp(1j * nu * (t0 + duration)) * b).tolist()
+
+
+def _hex(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+_DRIVE = -0.5j * 5.0e4 * cmath.exp(-0.7j)
+_G, _E = -0.5j * 3.0e4 * cmath.exp(0.4j), -0.5j * 2.0e4 * cmath.exp(-1.9j)
+# Two-level (nu = (-delta/2, delta/2), a detuning of zero included) and
+# three-level (nu = (delta1, 0, delta2), Raman-like) generators.
+_LAB_FRAME_CASES = [
+    (np.array([[0.0, _DRIVE], [-_DRIVE.conjugate(), 0.0]]),
+     np.array([-0.5, 0.5]) * delta, [ORACLE_START.c_b, ORACLE_START.c_a])
+    for delta in (0.0, 2.0e4, -3.1e4)
+] + [
+    (np.array([[0.0, _G, 0.0], [-_G.conjugate(), 0.0, -_E.conjugate()],
+               [0.0, _E, 0.0]]),
+     np.array([delta1, 0.0, delta1 + 1.3e3]), [0.6, 0.8j, 0.0])
+    for delta1 in (1.0e6, -2.5e6)
+]
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 162])
+@pytest.mark.parametrize("t0", [0.0, 3.7e-6, -0.0213])
+@pytest.mark.parametrize("case", range(len(_LAB_FRAME_CASES)))
+def test_rk4_lab_frame_is_the_textbook_recurrence_bit_for_bit(case, t0, n_steps):
+    # The driver's bound dot into two swapped buffers, with its generators
+    # built in one go, is the recurrence b = step @ b to the last bit (zero
+    # signs included), after an odd and an even number of buffer swaps.
+    a0, nu, amplitudes = _LAB_FRAME_CASES[case]
+    rate = float(np.max(np.abs(np.concatenate([nu, a0.ravel()]))))
+    dt = 2.0 * math.pi / (200.0 * rate)
+    duration = (n_steps - 0.5) * dt
+    got = gravsim.twolevel._rk4_lab_frame(a0, nu, amplitudes, t0, duration, dt, rate)
+    want = _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps)
+    assert _hex(got) == _hex(want)
+
+
 # ---------------------------------------------------------------------------
 # Three-pulse sequences
 # ---------------------------------------------------------------------------
