@@ -23,8 +23,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DEFAULT_K_EFF, HBAR, ThreeLevelState, _check_norm
 from .errors import EliminationError
 from .twolevel import _rk4_lab_frame, mach_zehnder_probability, propagator_matrix
@@ -418,12 +416,9 @@ def three_level_ode_oracle(
     )
     g = -0.5j * complex(lasers.rabi_gi).conjugate() * cmath.exp(-1j * lasers.phi1)
     e = -0.5j * complex(lasers.rabi_ei).conjugate() * cmath.exp(-1j * lasers.phi2)
-    a0 = np.array(
-        [[0.0, g, 0.0], [-g.conjugate(), 0.0, -e.conjugate()], [0.0, e, 0.0]]
-    )
     c_g, c_i, c_e = _rk4_lab_frame(
-        a0,
-        np.array([dets.delta1, 0.0, dets.delta2]),
+        [[0.0, g, 0.0], [-g.conjugate(), 0.0, -e.conjugate()], [0.0, e, 0.0]],
+        [dets.delta1, 0.0, dets.delta2],
         [state.c_g, state.c_i, state.c_e],
         t0,
         duration,

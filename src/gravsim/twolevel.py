@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +247,20 @@ def propagator_matrix(
     numpy.ndarray
         2x2 complex unitary.
     """
+    return np.array(_propagator_rows(rabi_mod, effective_phase, start_time, duration,
+                                     frame_delta, rot_delta, mean_shift))
+
+
+def _propagator_rows(
+    rabi_mod: float,
+    effective_phase: float,
+    start_time: float,
+    duration: float,
+    frame_delta: float,
+    rot_delta: float | None = None,
+    mean_shift: float = 0.0,
+) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The rows of :func:`propagator_matrix` as plain complex numbers."""
     if rot_delta is None:
         rot_delta = frame_delta
     omega_r = math.hypot(rabi_mod, rot_delta)
@@ -261,17 +276,12 @@ def propagator_matrix(
     frame = cmath.exp(-1j * frame_delta * duration / 2.0)
     drive = cmath.exp(-1j * (frame_delta * start_time + effective_phase))
     overall = cmath.exp(-1j * mean_shift * duration)
-    u = np.array(
-        [
-            [frame * (c - 1j * cos_theta * s), -1j * frame * drive * sin_theta * s],
-            [
-                -1j * frame.conjugate() * drive.conjugate() * sin_theta * s,
-                frame.conjugate() * (c + 1j * cos_theta * s),
-            ],
-        ],
-        dtype=complex,
+    return (
+        (overall * (frame * (c - 1j * cos_theta * s)),
+         overall * (-1j * frame * drive * sin_theta * s)),
+        (overall * (-1j * frame.conjugate() * drive.conjugate() * sin_theta * s),
+         overall * (frame.conjugate() * (c + 1j * cos_theta * s))),
     )
-    return overall * u
 
 
 def pulse_propagator(pulse: PulseParams) -> np.ndarray:
@@ -287,9 +297,11 @@ def pulse_propagator(pulse: PulseParams) -> np.ndarray:
 
 def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
     """Apply one square pulse to a state via the closed-form propagator."""
-    u = pulse_propagator(pulse)
-    c_b, c_a = u @ np.array([state.c_b, state.c_a])
-    return TwoLevelState(c_a=c_a, c_b=c_b)
+    (u_bb, u_ba), (u_ab, u_aa) = _propagator_rows(
+        pulse.rabi_mod, pulse.effective_phase, pulse.start_time, pulse.duration,
+        pulse.detuning)
+    return TwoLevelState(c_a=u_ab * state.c_b + u_aa * state.c_a,
+                         c_b=u_bb * state.c_b + u_ba * state.c_a)
 
 
 def mach_zehnder_probability(delta: float, tau_p: float, dphi_laser: float) -> float:
@@ -429,9 +441,57 @@ def _check_oracle_step(dt: float, rate: float, duration: float) -> int:
     return max(1, math.ceil(ratio))
 
 
+def _rk4_step_map(
+    a0: list[list[complex]], nu: list[float], h: float
+) -> list[list[complex]]:
+    """Rows of RK4's constant step map ``D(h)^dag P`` (see :func:`_rk4_lab_frame`).
+
+    ``P = 1 + (h/6)(k1 + 2 k2 + 2 k3 + k4)`` with ``k1 = A(0) = a0``,
+    ``k2 = A(h/2)(1 + (h/2) k1)``, ``k3 = A(h/2)(1 + (h/2) k2)`` and
+    ``k4 = A(h)(1 + h k3)``, where ``A(s)_jk = a0_jk d_j conj(d_k)`` with
+    ``d_j = e^{i nu_j s}``.  Row j is ``conj(d_j(h))`` times row j of the
+    increment ``(h/6)(...)``, plus ``conj(d_j(h))`` on the diagonal: adding
+    the identity last keeps the increment's low bits, which ``1 + ...``
+    would round to the ulp of 1 before the phase multiplies it.
+    """
+    half = 0.5 * h
+    d_mid = [cmath.exp(1j * v * half) for v in nu]
+    d_end = [cmath.exp(1j * v * h) for v in nu]
+    mid = [[a * (p * q.conjugate()) for a, q in zip(row, d_mid)]
+           for row, p in zip(a0, d_mid)]
+    end = [[a * (p * q.conjugate()) for a, q in zip(row, d_end)]
+           for row, p in zip(a0, d_end)]
+    k2 = _rk4_stage(mid, half, a0)
+    k3 = _rk4_stage(mid, half, k2)
+    k4 = _rk4_stage(end, h, k3)
+    sixth = h / 6.0
+    step = []
+    for j, (q, r1, r2, r3, r4) in enumerate(zip(d_end, a0, k2, k3, k4)):
+        q = q.conjugate()
+        row = []
+        for w1, w2, w3, w4 in zip(r1, r2, r3, r4):
+            row.append(q * (sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)))
+        row[j] += q
+        step.append(row)
+    return step
+
+
+def _rk4_stage(gen: list[list[complex]], c: float, k: list[list[complex]]
+               ) -> list[list[complex]]:
+    """The next RK4 stage ``gen (1 + c k)``, as ``gen + c (gen k)``."""
+    cols = list(zip(*k))
+    out = []
+    for g in gen:
+        row = []
+        for g_m, col in zip(g, cols):
+            row.append(g_m + c * sum(map(operator.mul, g, col)))
+        out.append(row)
+    return out
+
+
 def _rk4_lab_frame(
-    a0: np.ndarray,
-    nu: np.ndarray,
+    a0: list[list[complex]],
+    nu: list[float],
     amplitudes: list[complex],
     t0: float,
     duration: float,
@@ -447,31 +507,26 @@ def _rk4_lab_frame(
 
     With ``D(t) = diag(e^{i nu t})`` the generator obeys ``A(t + s) =
     D(t) A(s) D(t)^dag``, so every RK4 step is the first step's map ``P``
-    (built from ``A(0)``, ``A(h/2)`` and ``A(h)``) conjugated by ``D(t)``.
-    The loop advances ``b = D(t)^dag c`` by the constant ``D(h)^dag P`` and
-    returns ``c`` at ``t0 + duration``.  Each step is one call of that map's
-    bound ``dot`` (a single BLAS matrix-vector product) writing into one of
-    two reused buffers, which then swap; ``step @ b`` would give the same
-    bits at about twice the dispatch cost per step.
+    conjugated by ``D(t)``.  The loop advances ``b = D(t)^dag c`` by the
+    constant ``D(h)^dag P`` and returns ``c`` at ``t0 + duration``.  The
+    per-call work (the map from :func:`_rk4_step_map`, the phases into and
+    out of ``b``) is plain complex arithmetic on the ``a0`` rows and the
+    ``nu`` list, of length 2 or 3, which costs less than numpy's per-call
+    dispatch on arrays that small.  Each step is one call of the map's bound
+    ``dot`` (a single BLAS matrix-vector product) writing into one of two
+    reused buffers, which then swap; ``step @ b`` would give the same bits at
+    about twice the dispatch cost per step.
     """
     n_steps = _check_oracle_step(dt, rate, duration)
     h = duration / n_steps
-    # Row r of d is the diagonal of D(s) at s = 0, h/2 and h, and
-    # A(s) = a0 * outer(d_r, conj(d_r)) gives k1 = A(0), mid and end.
-    d = np.exp(np.multiply.outer((0.0, 0.5 * h, h), 1j * nu))
-    k1, mid, end = a0 * (d[:, :, None] * d.conj()[:, None, :])
-    one = np.eye(nu.size)
-    k2 = mid.dot(one + 0.5 * h * k1)
-    k3 = mid.dot(one + 0.5 * h * k2)
-    k4 = end.dot(one + h * k3)
-    p = one + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    advance = (np.exp(-1j * nu * h)[:, None] * p).dot
-    b = np.exp(-1j * nu * t0) * np.asarray(amplitudes, dtype=complex)
+    advance = np.array(_rk4_step_map(a0, nu, h)).dot
+    b = np.array([cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)])
     spare = np.empty_like(b)
     for _ in range(n_steps):
         advance(b, out=spare)
         b, spare = spare, b
-    return (np.exp(1j * nu * (t0 + duration)) * b).tolist()
+    t1 = t0 + duration
+    return [cmath.exp(1j * v * t1) * c for v, c in zip(nu, b.tolist())]
 
 
 def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelState:
@@ -507,10 +562,9 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
         needs more than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
     """
     drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
-    a0 = np.array([[0.0, drive], [-drive.conjugate(), 0.0]])
     c_b, c_a = _rk4_lab_frame(
-        a0,
-        np.array([-0.5, 0.5]) * pulse.detuning,
+        [[0.0, drive], [-drive.conjugate(), 0.0]],
+        [-0.5 * pulse.detuning, 0.5 * pulse.detuning],
         [state.c_b, state.c_a],
         pulse.start_time,
         pulse.duration,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gravsim import cli, errors, noise
+from gravsim import cli, errors, noise, twolevel
 from gravsim.cli import _SCHEMA, load_config, main
 
 
@@ -96,6 +96,52 @@ class TestRabi:
         assert err.startswith("convergence error: ") and err.count("\n") == 1
         assert "RK4 steps; at most 10000000 are allowed" in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("n_points", [250_000, 10**12])
+    def test_output_times_step_total_is_convergence_error(
+        self, tmp_path, capsys, n_points
+    ):
+        # At the default pulse every output time needs up to 100 steps: 250,000
+        # times need about 1.3e7 in all, and 1e12 times at least 1e12, refused
+        # before the times are allocated (it once exited 1 with numpy's
+        # _ArrayMemoryError).
+        cfg = write_config(tmp_path, f"[pulse]\nn_points = {n_points}\n")
+        out = tmp_path / "out"
+        assert main(["rabi", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: [pulse] n_points = ")
+        assert err.count("\n") == 1
+        assert "RK4 steps in all" in err and "at most 10000000 are allowed" in err
+        assert not any(out.iterdir())
+
+    def test_output_times_step_total_is_exact(self, tmp_path, monkeypatch):
+        # The default run's 201 oracle calls take exactly this many steps in
+        # all: a budget of that many passes, one fewer is refused.
+        rabi = 2.0 * math.pi * 1e5
+        dt, duration = 2.0 * math.pi / (200.0 * rabi), math.pi / rabi
+        total = sum(max(1, math.ceil(t / dt))
+                    for t in np.linspace(0.0, duration, 201)[1:].tolist())
+        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", total)
+        assert main(["rabi", "--out", str(tmp_path / "at")]) == 0
+        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", total - 1)
+        assert main(["rabi", "--out", str(tmp_path / "below")]) == 4
+
+    def test_summary_carries_oracle_diagnostics(self, tmp_path):
+        # The longest output time's step count and step h, as the oracle
+        # took them.
+        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\n")
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = read_summary(tmp_path / "rabi_summary.txt")
+        rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
+        omega_r = math.hypot(rabi, detuning)
+        duration = math.pi / rabi
+        n_steps = twolevel._check_oracle_step(
+            2.0 * math.pi / (200.0 * omega_r), omega_r, duration)
+        assert n_steps == 108
+        assert summary["oracle_steps"] == n_steps
+        assert summary["oracle_h"] == duration / n_steps
+        text = (tmp_path / "rabi_summary.txt").read_text()
+        assert "\noracle_steps=108\n" in text
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert main(["rabi", "--out", str(tmp_path)]) == 0
@@ -527,6 +573,10 @@ class TestConfigHandling:
             ("fringe", "[sequence]\nt_interrogation = 10\n[scan]\ncenter = 1e308\n",
              "center"),
             ("fringe", "[scan]\ncenter = 1.7e308\nspan_fringes = 1e305\n", "center"),
+            # Past the documented scan maximum; 1e12 points once exited 1
+            # with numpy's _ArrayMemoryError.
+            ("fringe", "[scan]\nn_points = 1000001\n", "n_points"),
+            ("gsweep", "[scan]\nn_points = 1000000000000\n", "n_points"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
@@ -538,7 +588,8 @@ class TestConfigHandling:
              "sensitivity-omega_overflow", "fringe-null_chirp_overflow",
              "fringe-noisy_null_chirp_overflow", "fringe-span_overflow",
              "fringe-laser_phase_overflow", "fringe-center_phase_overflow",
-             "fringe-center_grid_overflow"],
+             "fringe-center_grid_overflow", "fringe-n_points_past_max",
+             "gsweep-n_points_huge"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key
