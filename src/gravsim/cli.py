@@ -43,11 +43,9 @@ from .core import (
     DEFAULT_G,
     DEFAULT_K_EFF,
     SequenceParams,
-    TwoLevelState,
     _write_csv,
 )
-from .errors import (ConfigError, DataFormatError, GravsimError, StepSizeError,
-                     TimeOrderError)
+from .errors import ConfigError, DataFormatError, GravsimError, TimeOrderError
 
 if TYPE_CHECKING:
     from .noise import SensitivityProfile
@@ -109,9 +107,11 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 _TWO_PI = 2.0 * math.pi
-#: Most points one fringe scan may have.  A noisy scan of 1,000,000 points
-#: takes about 5.5 s and 100 MB of peak RSS, and writes a 44-MB fringe.csv
-#: (one CPU of a 2-vCPU VM, Python 3.11, numpy 2.4).
+#: Most points one fringe scan, or rows one rabi table, may have.  A noisy
+#: scan of 1,000,000 points takes about 5.5 s and 100 MB of peak RSS, and
+#: writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 13-17 s and
+#: 136 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
+#: numpy 2.4).
 _MAX_SCAN_POINTS = 1_000_000
 
 
@@ -252,8 +252,10 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     detuning = _TWO_PI * cfg["pulse"]["detuning_hz"]
     laser_phase = cfg["pulse"]["laser_phase"]
     n_points = cfg["pulse"]["n_points"]
-    if n_points < 2:
-        raise ConfigError("[pulse] n_points must be >= 2")
+    if not 2 <= n_points <= _MAX_SCAN_POINTS:
+        raise ConfigError(
+            f"[pulse] n_points = {n_points} must lie in [2, {_MAX_SCAN_POINTS}]"
+        )
     duration = cfg["pulse"]["duration"]
     if duration is None:
         if rabi <= 0.0:
@@ -262,49 +264,27 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
                 "(auto means one resonant inversion time pi/rabi)"
             )
         duration = math.pi / rabi
-    if duration <= 0.0:
-        raise ConfigError(f"[pulse] duration must be > 0, got {duration}")
+    interval = duration / (n_points - 1)
+    if interval <= 0.0:
+        raise ConfigError(
+            f"[pulse] duration must be > 0 over {n_points - 1} output "
+            f"intervals, got {duration}"
+        )
     omega_r = math.hypot(rabi, detuning)
     dt = cfg["pulse"]["oracle_dt"]
     if dt is None:
         dt = _TWO_PI / (200.0 * omega_r) if omega_r > 0.0 else duration / 200.0
-    # The longest output time's oracle call, refused as any call would be.
-    n_steps = twolevel._check_oracle_step(dt, omega_r, duration)
-    # The step budget also bounds the calls' total.  Each output time after
-    # t = 0 takes at least one step, so a count past the budget is refused
-    # before the times are allocated; otherwise the exact sum is checked.
-    budget = twolevel._MAX_ORACLE_STEPS
-    if n_points - 1 > budget:
-        raise StepSizeError(
-            f"[pulse] n_points = {n_points} output times need at least "
-            f"{n_points - 1} RK4 steps in all; at most {budget} are allowed"
-        )
+    # The oracle sweeps the uniform grid once, sampled at each output time
+    # after t = 0 (the ground state there).
     times = np.linspace(0.0, duration, n_points)
-    steps = times[1:] / dt
-    np.ceil(steps, out=steps)
-    total = int(np.maximum(steps, 1.0, out=steps).sum())
-    if total > budget:
-        raise StepSizeError(
-            f"[pulse] n_points = {n_points} output times need {total} RK4 "
-            f"steps in all at dt={dt}; at most {budget} are allowed"
-        )
-    closed = np.empty(n_points)
-    oracle = np.empty(n_points)
-    ground = TwoLevelState.ground()
-    for i in range(n_points):
-        t = times[i]
-        if t == 0.0:
-            closed[i] = oracle[i] = 0.0  # still in the ground state
-            continue
-        pulse = twolevel.PulseParams(
-            rabi_mod=rabi,
-            detuning=detuning,
-            duration=float(t),
-            laser_phase=laser_phase,
-        )
+    oracle = np.zeros(n_points)
+    oracle[1:], n_steps = twolevel._excited_sweep(
+        twolevel.PulseParams(rabi, detuning, interval, laser_phase=laser_phase), dt,
+        n_points - 1)
+    closed = np.zeros(n_points)
+    for i, t in enumerate(times[1:].tolist(), 1):
+        pulse = twolevel.PulseParams(rabi, detuning, t, laser_phase=laser_phase)
         closed[i] = abs(twolevel.pulse_propagator(pulse)[0, 1]) ** 2
-        final = twolevel.ode_oracle(ground, pulse, dt)
-        oracle[i] = abs(final.c_b) ** 2
     discrepancy = float(np.max(np.abs(closed - oracle)))
     _write_csv(
         out_dir / "rabi.csv",
@@ -316,15 +296,15 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
         out_dir / "rabi_summary.txt", cfg, "rabi",
         [
             ("max_discrepancy", discrepancy),
-            ("oracle_steps", n_steps),
-            ("oracle_h", duration / n_steps),
+            ("oracle_steps", n_steps * (n_points - 1)),
+            ("oracle_h", interval / n_steps),
         ],
     )
     return 0
 
 
 def cmd_fringe(cfg: Config, out_dir: Path) -> int:
-    from . import measurement
+    from . import measurement, trajectory
 
     seq = _sequence_params(cfg)
     gravity = cfg["constants"]["gravity"]
@@ -355,13 +335,15 @@ def cmd_fringe(cfg: Config, out_dir: Path) -> int:
             n_points=n_points,
             big_t=seq.t_interrogation,
         )
-        # The phase is monotonic in beta, so the grid's ends bound it.
-        big_t = seq.t_interrogation
+        # The phase is monotonic in beta, so the grid's ends bound it; on
+        # Python floats an overflow gives inf without a numpy warning.
         for beta in betas[[0, -1]].tolist():
-            if not math.isfinite((beta - seq.k_eff * gravity) * big_t * big_t):
+            phase = trajectory.chirped_phase(
+                beta, seq.k_eff, gravity, seq.t_interrogation, seq.dphi_laser)
+            if not math.isfinite(phase):
                 raise ConfigError(
                     f"[scan] center = {center} overflows the fringe phase "
-                    f"(beta - k_eff g) T^2 at T = {big_t}"
+                    f"(beta - k_eff g) T^2 + dphi_laser at T = {seq.t_interrogation}"
                 )
         scan = measurement.simulate_scan(
             betas,

@@ -196,12 +196,6 @@ class SensitivityProfile:
         """Profile of dark interval ``big_t`` and pi-pulse duration ``tau_p``."""
         return cls(big_t, tau_p)
 
-    @classmethod
-    def from_omega_r(cls, big_t: float, omega_r: float) -> "SensitivityProfile":
-        """Profile with the pi-pulse duration implied by the Rabi rate."""
-        # omega_r = 0 gets an infinite tau_p, so that __post_init__ rejects it.
-        return cls(big_t, math.pi / omega_r if omega_r else math.inf)
-
     @property
     def omega_r(self) -> float:
         """Rabi rate ``pi / tau_p`` [rad/s] (the pi-pulse condition)."""

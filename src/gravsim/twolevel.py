@@ -410,16 +410,17 @@ def run_sequence(
     return state_probability(state, "b")
 
 
-def _check_oracle_step(dt: float, rate: float, duration: float) -> int:
-    """Number of RK4 steps ``max(1, ceil(duration / dt))`` over ``duration``.
+def _check_oracle_step(dt: float, rate: float, duration: float, n_samples: int) -> int:
+    """RK4 steps ``max(1, ceil(duration / dt))`` over each of ``n_samples``
+    back-to-back spans of ``duration``.
 
     Refuses a ``duration`` that is not finite and positive
     (:class:`TimeOrderError`), and a step that is not positive, that
     resolves the fastest ``rate`` [rad/s] by fewer than
-    ``_ORACLE_RESOLUTION`` steps per period, or whose count exceeds
-    ``_MAX_ORACLE_STEPS`` (an infinite or NaN ratio too).  The resolution
-    limit carries a relative slack of 1e-9, so a ``dt`` computed as the
-    limit itself passes despite rounding.
+    ``_ORACLE_RESOLUTION`` steps per period, or whose count over all
+    ``n_samples`` spans exceeds ``_MAX_ORACLE_STEPS`` (an infinite or NaN
+    ratio too).  The resolution limit carries a relative slack of 1e-9, so
+    a ``dt`` computed as the limit itself passes despite rounding.
     """
     if not 0.0 < duration < math.inf:
         raise TimeOrderError(f"oracle duration must be finite and > 0, got {duration}")
@@ -432,13 +433,16 @@ def _check_oracle_step(dt: float, rate: float, duration: float) -> int:
                 f"dt={dt} too coarse: need <= {limit:.3e} to resolve "
                 f"{rate:.3e} rad/s"
             )
-    ratio = duration / dt
-    if not ratio <= _MAX_ORACLE_STEPS:
+    # max(1, ceil(r)) <= m exactly when max(r, 1) <= m, for an integer m;
+    # a NaN ratio fails the comparison.
+    ratio = max(duration / dt, 1.0)
+    if not ratio <= _MAX_ORACLE_STEPS // n_samples:
         raise StepSizeError(
-            f"dt={dt} over duration {duration} needs {ratio:.3e} RK4 steps; "
-            f"at most {_MAX_ORACLE_STEPS} are allowed"
+            f"dt={dt} over duration {n_samples * duration} needs "
+            f"{n_samples * ratio:.3e} RK4 steps; at most {_MAX_ORACLE_STEPS} "
+            f"are allowed"
         )
-    return max(1, math.ceil(ratio))
+    return math.ceil(ratio)
 
 
 def _rk4_step_map(
@@ -489,7 +493,7 @@ def _rk4_stage(gen: list[list[complex]], c: float, k: list[list[complex]]
     return out
 
 
-def _rk4_lab_frame(
+def _rk4_sweep(
     a0: list[list[complex]],
     nu: list[float],
     amplitudes: list[complex],
@@ -497,36 +501,62 @@ def _rk4_lab_frame(
     duration: float,
     dt: float,
     rate: float,
-) -> list[complex]:
-    """Classic RK4 for ``dc/dt = A(t) c``, ``A(t)_jk = a0_jk e^{i(nu_j - nu_k) t}``.
+    n_samples: int,
+) -> tuple[list[complex], int]:
+    """Classic RK4 for ``dc/dt = A(t) c``, ``A(t)_jk = a0_jk e^{i(nu_j - nu_k) t}``,
+    sampled after each of ``n_samples`` back-to-back spans of ``duration``.
 
     ``dt`` is the requested step and ``rate`` [rad/s] the fastest rate it
-    must resolve: :func:`_check_oracle_step` refuses the pair or gives the
-    step count, and the step is shrunk so that the count lands exactly on
-    ``t0 + duration``.
+    must resolve: :func:`_check_oracle_step` refuses the pair, or a total
+    over all spans past the step budget, or gives the steps per span, and
+    the step is shrunk so that they land exactly on ``duration``.
 
     With ``D(t) = diag(e^{i nu t})`` the generator obeys ``A(t + s) =
     D(t) A(s) D(t)^dag``, so every RK4 step is the first step's map ``P``
     conjugated by ``D(t)``.  The loop advances ``b = D(t)^dag c`` by the
-    constant ``D(h)^dag P`` and returns ``c`` at ``t0 + duration``.  The
-    per-call work (the map from :func:`_rk4_step_map`, the phases into and
-    out of ``b``) is plain complex arithmetic on the ``a0`` rows and the
-    ``nu`` list, of length 2 or 3, which costs less than numpy's per-call
-    dispatch on arrays that small.  Each step is one call of the map's bound
-    ``dot`` (a single BLAS matrix-vector product) writing into one of two
-    reused buffers, which then swap; ``step @ b`` would give the same bits at
-    about twice the dispatch cost per step.
+    constant ``D(h)^dag P``.  It returns ``b`` after each span in turn,
+    ``len(nu)`` values each in one flat list (which holds a long sweep in
+    less memory than a list per span), and the steps per span.  The
+    per-call work (the map from :func:`_rk4_step_map`, the phases into
+    ``b``) is plain complex arithmetic on the ``a0`` rows and the ``nu``
+    list, of length 2 or 3, which costs less than numpy's per-call dispatch
+    on arrays that small.
+    Each step is one call of the map's bound ``dot`` (a single BLAS
+    matrix-vector product) writing into one of two reused buffers, which
+    then swap; ``step @ b`` would give the same bits at about twice the
+    dispatch cost per step.
     """
-    n_steps = _check_oracle_step(dt, rate, duration)
-    h = duration / n_steps
-    advance = np.array(_rk4_step_map(a0, nu, h)).dot
+    n_steps = _check_oracle_step(dt, rate, duration, n_samples)
+    advance = np.array(_rk4_step_map(a0, nu, duration / n_steps)).dot
     b = np.array([cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)])
     spare = np.empty_like(b)
-    for _ in range(n_steps):
-        advance(b, out=spare)
-        b, spare = spare, b
+    samples = []
+    for _ in range(n_samples):
+        for _ in range(n_steps):
+            advance(b, out=spare)
+            b, spare = spare, b
+        samples += b.tolist()
+    return samples, n_steps
+
+
+def _rk4_lab_frame(a0: list[list[complex]], nu: list[float], amplitudes: list[complex],
+                   t0: float, duration: float, dt: float, rate: float) -> list[complex]:
+    """``c`` at ``t0 + duration``: one span of :func:`_rk4_sweep`, its ``b``
+    turned back by ``D(t0 + duration)``."""
+    b, _ = _rk4_sweep(a0, nu, amplitudes, t0, duration, dt, rate, 1)
     t1 = t0 + duration
-    return [cmath.exp(1j * v * t1) * c for v, c in zip(nu, b.tolist())]
+    return [cmath.exp(1j * v * t1) * c for v, c in zip(nu, b)]
+
+
+def _pulse_generator(
+    pulse: PulseParams,
+) -> tuple[list[list[complex]], list[float], float]:
+    """``a0``, ``nu`` and the fastest rate of ``pulse``'s lab-frame equations
+    on (C_b, C_a) (see :func:`ode_oracle`)."""
+    drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
+    return ([[0.0, drive], [-drive.conjugate(), 0.0]],
+            [-0.5 * pulse.detuning, 0.5 * pulse.detuning],
+            math.hypot(pulse.rabi_mod, pulse.detuning))
 
 
 def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelState:
@@ -561,14 +591,23 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
         If ``dt`` is not positive or too coarse for the pulse, or the pulse
         needs more than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
     """
-    drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
-    c_b, c_a = _rk4_lab_frame(
-        [[0.0, drive], [-drive.conjugate(), 0.0]],
-        [-0.5 * pulse.detuning, 0.5 * pulse.detuning],
-        [state.c_b, state.c_a],
-        pulse.start_time,
-        pulse.duration,
-        dt,
-        math.hypot(pulse.rabi_mod, pulse.detuning),
-    )
+    a0, nu, rate = _pulse_generator(pulse)
+    c_b, c_a = _rk4_lab_frame(a0, nu, [state.c_b, state.c_a], pulse.start_time,
+                              pulse.duration, dt, rate)
     return TwoLevelState(c_a=c_a, c_b=c_b)
+
+
+def _excited_sweep(
+    pulse: PulseParams, dt: float, n_samples: int
+) -> tuple[np.ndarray, int]:
+    """:func:`ode_oracle` from the ground state in one sweep: the excited
+    populations after each of ``n_samples`` back-to-back spans of
+    ``pulse.duration``, and the RK4 steps per span.
+
+    ``D`` is diagonal and unitary, so each population is ``|b_b|^2`` of
+    the sweep's sample, with no phase turned back.
+    """
+    a0, nu, rate = _pulse_generator(pulse)
+    samples, n_steps = _rk4_sweep(a0, nu, [0.0, 1.0], pulse.start_time,
+                                  pulse.duration, dt, rate, n_samples)
+    return np.abs(np.array(samples[::2])) ** 2, n_steps

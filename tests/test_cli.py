@@ -97,51 +97,67 @@ class TestRabi:
         assert "RK4 steps; at most 10000000 are allowed" in err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("n_points", [250_000, 10**12])
-    def test_output_times_step_total_is_convergence_error(
-        self, tmp_path, capsys, n_points
-    ):
-        # At the default pulse every output time needs up to 100 steps: 250,000
-        # times need about 1.3e7 in all, and 1e12 times at least 1e12, refused
-        # before the times are allocated (it once exited 1 with numpy's
-        # _ArrayMemoryError).
-        cfg = write_config(tmp_path, f"[pulse]\nn_points = {n_points}\n")
+    @pytest.mark.parametrize(
+        "text",
+        ["[pulse]\nduration = 0.6\n",
+         "[pulse]\nduration = 0.55\nn_points = 1000000\n"],
+        ids=["long_pulse", "many_rows"],
+    )
+    def test_output_times_step_total_is_convergence_error(self, tmp_path, capsys, text):
+        # One sweep steps through every output time.  At the default dt of
+        # about 5e-8 s, 200 spans of 3e-3 s need 60,000 steps each, 1.2e7 in
+        # all; 999,999 spans of 5.5e-7 s need 11 each, about 1.1e7.  Both are
+        # refused before any step is taken.
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["rabi", "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("convergence error: [pulse] n_points = ")
-        assert err.count("\n") == 1
-        assert "RK4 steps in all" in err and "at most 10000000 are allowed" in err
+        assert err.startswith("convergence error: ") and err.count("\n") == 1
+        assert "RK4 steps; at most 10000000 are allowed" in err
         assert not any(out.iterdir())
 
     def test_output_times_step_total_is_exact(self, tmp_path, monkeypatch):
-        # The default run's 201 oracle calls take exactly this many steps in
-        # all: a budget of that many passes, one fewer is refused.
-        rabi = 2.0 * math.pi * 1e5
-        dt, duration = 2.0 * math.pi / (200.0 * rabi), math.pi / rabi
-        total = sum(max(1, math.ceil(t / dt))
-                    for t in np.linspace(0.0, duration, 201)[1:].tolist())
-        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", total)
+        # The default sweep takes one step per output interval, 200 in all:
+        # a budget of that many passes, one fewer is refused.
+        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", 200)
         assert main(["rabi", "--out", str(tmp_path / "at")]) == 0
-        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", total - 1)
+        monkeypatch.setattr(twolevel, "_MAX_ORACLE_STEPS", 199)
         assert main(["rabi", "--out", str(tmp_path / "below")]) == 4
 
     def test_summary_carries_oracle_diagnostics(self, tmp_path):
-        # The longest output time's step count and step h, as the oracle
-        # took them.
-        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\n")
+        # The sweep's step total and step h: each of the 10 output
+        # intervals of 5e-7 s takes 11 steps of the 4.6e-8-s dt.
+        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\nn_points = 11\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
-        summary = read_summary(tmp_path / "rabi_summary.txt")
         rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
         omega_r = math.hypot(rabi, detuning)
-        duration = math.pi / rabi
+        interval = math.pi / rabi / 10
         n_steps = twolevel._check_oracle_step(
-            2.0 * math.pi / (200.0 * omega_r), omega_r, duration)
-        assert n_steps == 108
-        assert summary["oracle_steps"] == n_steps
-        assert summary["oracle_h"] == duration / n_steps
+            2.0 * math.pi / (200.0 * omega_r), omega_r, interval, 10)
+        assert n_steps == 11
         text = (tmp_path / "rabi_summary.txt").read_text()
-        assert "\noracle_steps=108\n" in text
+        assert "\noracle_steps=110\n" in text
+        assert f"\noracle_h={interval / n_steps:.15e}\n" in text
+
+    def test_oracle_column_is_ode_oracle_at_the_sweep_step(self, tmp_path):
+        # Each sampled population is ode_oracle's over [0, t_i] at the
+        # sweep's step h: the same number of steps, i * 11, of an h that
+        # differs by rounding (t_i / (11 i) against the interval / 11), so
+        # they agree to a few ulp of 1 (4.5 at most, measured).
+        cfg = write_config(
+            tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\nn_points = 11\n")
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, data = read_table(tmp_path / "rabi.csv")
+        rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
+        duration = math.pi / rabi
+        h = duration / 10 / 11
+        times = np.linspace(0.0, duration, 11)
+        for i in range(1, 11):
+            t = float(times[i])
+            assert math.ceil(t / h) == 11 * i
+            pulse = twolevel.PulseParams(rabi, detuning, t, laser_phase=0.7)
+            final = twolevel.ode_oracle(twolevel.TwoLevelState.ground(), pulse, dt=h)
+            assert abs(data[i, 2] - abs(final.c_b) ** 2) <= 8 * 2.0**-52
 
     def test_rerun_is_byte_identical(self, tmp_path):
         assert main(["rabi", "--out", str(tmp_path)]) == 0
@@ -540,6 +556,8 @@ class TestConfigHandling:
         [
             ("rabi", "[pulse]\nduration = -1e-6\n", "duration"),
             ("rabi", "[pulse]\nrabi_hz = -1\nduration = 1e-5\n", "rabi_hz"),
+            # 5e-324 s over two output intervals leaves 0 s between times.
+            ("rabi", "[pulse]\nduration = 5e-324\nn_points = 3\n", "duration"),
             ("sensitivity", "[sequence]\ntau_p = 0\n", "tau_p"),
             ("psd-variance", "[sequence]\ntau_p = 0\n", "tau_p"),
             ("sensitivity", "[sequence]\nk_eff = 0\n", "k_eff"),
@@ -573,12 +591,20 @@ class TestConfigHandling:
             ("fringe", "[sequence]\nt_interrogation = 10\n[scan]\ncenter = 1e308\n",
              "center"),
             ("fringe", "[scan]\ncenter = 1.7e308\nspan_fringes = 1e305\n", "center"),
+            # The phase (beta - k_eff g) T^2 is finite, but dphi_laser added
+            # to it overflows: this once printed numpy RuntimeWarnings.
+            ("fringe", "[sequence]\nt_interrogation = 10\nphi1 = 1e308\n"
+             "[scan]\ncenter = 1e306\n", "center"),
             # Past the documented scan maximum; 1e12 points once exited 1
             # with numpy's _ArrayMemoryError.
             ("fringe", "[scan]\nn_points = 1000001\n", "n_points"),
             ("gsweep", "[scan]\nn_points = 1000000000000\n", "n_points"),
+            # rabi's output times have the same maximum.
+            ("rabi", "[pulse]\nn_points = 1000001\n", "n_points"),
+            ("rabi", "[pulse]\nn_points = 1000000000000\n", "n_points"),
         ],
-        ids=["rabi-duration", "rabi-rabi_hz", "sensitivity-tau_p",
+        ids=["rabi-duration", "rabi-rabi_hz", "rabi-duration_interval_underflow",
+             "sensitivity-tau_p",
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
              "sensitivity-T_equal_tau_p", "psd_variance-T_equal_tau_p",
              "sensitivity-tau_p_subnormal", "fringe-tau_p_subnormal",
@@ -588,8 +614,10 @@ class TestConfigHandling:
              "sensitivity-omega_overflow", "fringe-null_chirp_overflow",
              "fringe-noisy_null_chirp_overflow", "fringe-span_overflow",
              "fringe-laser_phase_overflow", "fringe-center_phase_overflow",
-             "fringe-center_grid_overflow", "fringe-n_points_past_max",
-             "gsweep-n_points_huge"],
+             "fringe-center_grid_overflow", "fringe-center_laser_phase_overflow",
+             "fringe-n_points_past_max",
+             "gsweep-n_points_huge", "rabi-n_points_past_max",
+             "rabi-n_points_huge"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key

@@ -104,8 +104,6 @@ class TestSensitivityProfile:
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=-1.0)
         with pytest.raises(ValueError, match="big_t > tau_p"):
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=0.0)
-        with pytest.raises(ValueError, match="big_t > tau_p"):
-            SensitivityProfile.from_omega_r(big_t=0.01, omega_r=0.0)
         # pi / tau_p overflows to inf below about 1.7e-308.
         with pytest.raises(ValueError, match="finite pi/tau_p"):
             SensitivityProfile.from_tau_p(big_t=0.1, tau_p=1e-310)
@@ -119,16 +117,6 @@ class TestSensitivityProfile:
             SensitivityProfile.from_tau_p(big_t=0.1, tau_p=bad)
         with pytest.raises(ValueError, match="finite big_t > tau_p"):
             SensitivityProfile(big_t=bad, tau_p=1e-5)
-        with pytest.raises(ValueError, match="finite big_t > tau_p"):
-            SensitivityProfile.from_omega_r(big_t=0.1, omega_r=math.nan)
-        with pytest.raises(ValueError, match="finite big_t > tau_p"):
-            SensitivityProfile.from_omega_r(big_t=0.1, omega_r=bad)
-
-    def test_constructors_agree(self):
-        p1 = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=0.01)
-        p2 = SensitivityProfile.from_omega_r(big_t=0.1, omega_r=math.pi / 0.01)
-        assert p1.omega_r == pytest.approx(p2.omega_r, rel=1e-15)
-        assert p1.tau_p == pytest.approx(p2.tau_p, rel=1e-15)
 
     def test_span_and_center(self):
         p = SensitivityProfile.from_tau_p(big_t=0.1, tau_p=0.01)

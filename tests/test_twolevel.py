@@ -405,16 +405,21 @@ def test_ode_oracle_converges_at_fourth_order(pulse):
     assert 13.0 < errors[0] / errors[1] < 19.0
 
 
-def _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps):
-    """The step map of ``_rk4_step_map``, applied by the plain recurrence
-    ``b = step @ b``."""
-    h = duration / n_steps
+def _textbook_recurrence(a0, nu, amplitudes, t0, h, n_steps):
+    """``b`` after ``n_steps`` steps of the plain recurrence ``b = step @ b``
+    on the step map of ``_rk4_step_map``."""
     step = np.array(gravsim.twolevel._rk4_step_map(a0, nu, h))
     b = np.array([cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)])
     for _ in range(n_steps):
         b = step @ b
+    return b.tolist()
+
+
+def _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps):
+    """``c`` at ``t0 + duration`` from :func:`_textbook_recurrence`."""
+    b = _textbook_recurrence(a0, nu, amplitudes, t0, duration / n_steps, n_steps)
     t1 = t0 + duration
-    return [cmath.exp(1j * v * t1) * c for v, c in zip(nu, b.tolist())]
+    return [cmath.exp(1j * v * t1) * c for v, c in zip(nu, b)]
 
 
 def _hex(values):
@@ -456,6 +461,15 @@ def test_rk4_lab_frame_is_the_textbook_recurrence_bit_for_bit(case, t0, n_steps)
     got = gravsim.twolevel._rk4_lab_frame(a0, nu, amplitudes, t0, duration, dt, rate)
     want = _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps)
     assert _hex(got) == _hex(want)
+    # A sweep of three spans records b after n_steps, 2 n_steps and
+    # 3 n_steps steps of the same recurrence.
+    samples, steps = gravsim.twolevel._rk4_sweep(
+        a0, nu, amplitudes, t0, duration, dt, rate, 3)
+    assert steps == n_steps and len(samples) == 3 * len(nu)
+    for i in range(1, 4):
+        want = _textbook_recurrence(a0, nu, amplitudes, t0, duration / n_steps,
+                                    i * n_steps)
+        assert _hex(samples[(i - 1) * len(nu):i * len(nu)]) == _hex(want)
 
 
 def _mp_lab_frame(a0, nu, amplitudes, t0, duration, n_steps):
