@@ -281,10 +281,10 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     oracle[1:], n_steps = twolevel._excited_sweep(
         twolevel.PulseParams(rabi, detuning, interval, laser_phase=laser_phase), dt,
         n_points - 1)
-    closed = np.zeros(n_points)
-    for i, t in enumerate(times[1:].tolist(), 1):
-        pulse = twolevel.PulseParams(rabi, detuning, t, laser_phase=laser_phase)
-        closed[i] = abs(twolevel.pulse_propagator(pulse)[0, 1]) ** 2
+    # |U_ba|^2 of the closed-form propagator over [0, t]; zero at t = 0.
+    closed = np.array([0.0] + [
+        abs(twolevel._propagator_rows(rabi, laser_phase, 0.0, t, detuning)[0][1]) ** 2
+        for t in times[1:].tolist()])
     discrepancy = float(np.max(np.abs(closed - oracle)))
     _write_csv(
         out_dir / "rabi.csv",

@@ -296,6 +296,10 @@ def state_probability(state: TwoLevelState | ThreeLevelState, which: str) -> flo
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
+#: Rows that :func:`_write_csv` converts to Python numbers at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(
     path: str | os.PathLike,
     header: list[str],
@@ -307,11 +311,17 @@ def _write_csv(
 
     ``columns`` are equal-length arrays.  This is the package's one CSV
     writer: the CLI's tables and ``noise.write_*_csv`` both use it.
+
+    Each row is one ``%`` template, built once from the column kinds, applied
+    to Python numbers.  The columns turn into those ``_CSV_BLOCK_ROWS`` rows
+    at a time, so a long table never holds more than a block of them.
     """
-    formats = ["{:d}" if column.dtype.kind in "iu" else "{:.15e}" for column in columns]
+    template = ",".join(
+        "%d" if column.dtype.kind in "iu" else "%.15e" for column in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f.format(v) for f, v in zip(formats, row)) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            fh.write("".join(map(template.__mod__, zip(*block))))

@@ -521,16 +521,31 @@ def _rk4_sweep(
     ``b``) is plain complex arithmetic on the ``a0`` rows and the ``nu``
     list, of length 2 or 3, which costs less than numpy's per-call dispatch
     on arrays that small.
-    Each step is one call of the map's bound ``dot`` (a single BLAS
-    matrix-vector product) writing into one of two reused buffers, which
-    then swap; ``step @ b`` would give the same bits at about twice the
-    dispatch cost per step.
+
+    The step itself follows the generator's size.  A 2x2 map (the
+    two-level pulse) advances ``b`` by its four entries as Python complex
+    numbers, which costs about half of one numpy call per step.  A 3x3 map
+    (the Raman generator) is one call of the map's bound ``dot`` (a single
+    BLAS matrix-vector product) writing into one of two reused buffers,
+    which then swap: at nine products a step, that is faster than the
+    plain arithmetic, and it gives the bits of ``step @ b`` at about half
+    its dispatch cost.
     """
     n_steps = _check_oracle_step(dt, rate, duration, n_samples)
-    advance = np.array(_rk4_step_map(a0, nu, duration / n_steps)).dot
-    b = np.array([cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)])
-    spare = np.empty_like(b)
+    step = _rk4_step_map(a0, nu, duration / n_steps)
+    b = [cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)]
     samples = []
+    if len(b) == 2:
+        (m00, m01), (m10, m11) = step
+        b_b, b_a = b
+        for _ in range(n_samples):
+            for _ in range(n_steps):
+                b_b, b_a = m00 * b_b + m01 * b_a, m10 * b_b + m11 * b_a
+            samples += (b_b, b_a)
+        return samples, n_steps
+    advance = np.array(step).dot
+    b = np.array(b)
+    spare = np.empty_like(b)
     for _ in range(n_samples):
         for _ in range(n_steps):
             advance(b, out=spare)

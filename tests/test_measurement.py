@@ -73,6 +73,26 @@ def test_ideal_fringe_null_and_periodicity():
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    big_t=st.floats(0.01, 0.3),
+    offset_fringes=st.floats(-5.0, 5.0),
+    dphi_laser=st.floats(-3.0, 3.0),
+)
+def test_ideal_fringe_under_doubled_t(big_t, offset_fringes, dphi_laser):
+    # T -> 2T with beta - k_eff g quartered keeps the phase (beta - k_eff g)
+    # T^2.  Quartering beta and g scales every product and difference by a
+    # power of two, so the fringe keeps every bit.
+    betas = K_EFF * G_TRUE + offset_fringes * 2.0 * math.pi / big_t**2 + np.array(
+        [-1.0, 0.0, 0.37, 2.0]) * 2.0 * math.pi / big_t**2
+    want = ideal_fringe(betas, K_EFF, G_TRUE, big_t, dphi_laser)
+    got = ideal_fringe(betas / 4.0, K_EFF, G_TRUE / 4.0, 2.0 * big_t, dphi_laser)
+    assert got.tobytes() == want.tobytes()
+    beta = float(betas[2])
+    assert (ideal_fringe(beta / 4.0, K_EFF, G_TRUE / 4.0, 2.0 * big_t, dphi_laser)
+            == ideal_fringe(beta, K_EFF, G_TRUE, big_t, dphi_laser))
+
+
 def test_beta_grid_span():
     big_t = 0.1
     grid = beta_grid(100.0, 2.0, 41, big_t)

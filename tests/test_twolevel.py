@@ -406,10 +406,17 @@ def test_ode_oracle_converges_at_fourth_order(pulse):
 
 
 def _textbook_recurrence(a0, nu, amplitudes, t0, h, n_steps):
-    """``b`` after ``n_steps`` steps of the plain recurrence ``b = step @ b``
-    on the step map of ``_rk4_step_map``."""
-    step = np.array(gravsim.twolevel._rk4_step_map(a0, nu, h))
-    b = np.array([cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)])
+    """``b`` after ``n_steps`` steps of the plain recurrence ``b = step b``
+    on the step map of ``_rk4_step_map``: for a 2x2 map, each entry of the
+    product a sum of two Python complex products, row by row; otherwise
+    ``step @ b``."""
+    step = gravsim.twolevel._rk4_step_map(a0, nu, h)
+    b = [cmath.exp(-1j * v * t0) * c for v, c in zip(nu, amplitudes)]
+    if len(b) == 2:
+        for _ in range(n_steps):
+            b = [row[0] * b[0] + row[1] * b[1] for row in step]
+        return b
+    step, b = np.array(step), np.array(b)
     for _ in range(n_steps):
         b = step @ b
     return b.tolist()
@@ -454,9 +461,10 @@ def _lab_frame_call(case, n_steps):
 @pytest.mark.parametrize("t0", [0.0, 3.7e-6, -0.0213])
 @pytest.mark.parametrize("case", range(len(_LAB_FRAME_CASES)))
 def test_rk4_lab_frame_is_the_textbook_recurrence_bit_for_bit(case, t0, n_steps):
-    # The bound dot into two swapped buffers is the recurrence b = step @ b
-    # on _rk4_lab_frame's own step map to the last bit (zero signs
-    # included), after an odd and an even number of buffer swaps.
+    # The sweep is the recurrence b = step b on _rk4_lab_frame's own step
+    # map to the last bit (zero signs included): in plain complex
+    # arithmetic for the two-level cases, and, for the three-level ones, as
+    # step @ b after an odd and an even number of buffer swaps.
     a0, nu, amplitudes, duration, dt, rate = _lab_frame_call(case, n_steps)
     got = gravsim.twolevel._rk4_lab_frame(a0, nu, amplitudes, t0, duration, dt, rate)
     want = _textbook_step_map_loop(a0, nu, amplitudes, t0, duration, n_steps)
