@@ -313,8 +313,8 @@ def _write_csv(
     writer: the CLI's tables and ``noise.write_*_csv`` both use it.
 
     Each row is one ``%`` template, built once from the column kinds, applied
-    to Python numbers.  The columns turn into those ``_CSV_BLOCK_ROWS`` rows
-    at a time, so a long table never holds more than a block of them.
+    to Python numbers.  The columns are converted ``_CSV_BLOCK_ROWS`` rows at
+    a time, so a long table never holds more than one block of them.
     """
     template = ",".join(
         "%d" if column.dtype.kind in "iu" else "%.15e" for column in columns) + "\n"
