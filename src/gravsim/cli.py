@@ -14,13 +14,13 @@ CSV tables plus flat ``key=value`` summary blocks:
 * ``psd-variance`` — interferometer phase variance from a phase-noise PSD.
 
 Configuration is INI-style (``--config`` flag, else the ``GRAVSIM_CONFIG``
-environment variable, else built-in defaults); unknown sections or keys are
-rejected with the offending name spelled out.  The resolved configuration
-is a plain ``cfg[section][key]`` dict of typed values, in which a key set
-to ``auto`` reads ``None``.  Every output file embeds it, seed included, as
-``#`` comment lines (``None`` echoed as ``auto``) and uses LF endings and
-15-significant-digit scientific notation, so reruns with the same inputs
-are byte-identical.
+environment variable, else built-in defaults); unknown sections or keys,
+and values outside a key's range, are rejected with the offending name
+spelled out.  The resolved configuration is a plain ``cfg[section][key]``
+dict of typed values, in which a key set to ``auto`` reads ``None``.  Every
+output file embeds it, seed included, as ``#`` comment lines (``None``
+echoed as ``auto``) and uses LF endings and 15-significant-digit
+scientific notation, so reruns with the same inputs are byte-identical.
 
 Exit codes: 0 success; a refusal exits with its error class's ``exit_code``
 (2 configuration errors, 3 data errors, 4 convergence failures, 5
@@ -57,9 +57,18 @@ __all__ = ["main", "load_config"]
 
 ENV_CONFIG = "GRAVSIM_CONFIG"
 
-# value kinds: float | int | bool | str | autofloat (a float, or "auto",
-# read as None)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+#: Most points one fringe scan, or rows one rabi table, may have.  A noisy
+#: scan of 1,000,000 points takes about 5.5 s and 100 MB of peak RSS, and
+#: writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 13-17 s and
+#: 136 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
+#: numpy 2.4).  It bounds every other grid size too.
+_MAX_SCAN_POINTS = 1_000_000
+_GRID = (2, _MAX_SCAN_POINTS)
+
+# (kind, default) or (kind, default, low, high): a value outside [low, high]
+# is refused.  Kinds: float | int | bool | str | autofloat (a float, or
+# "auto", read as None).
+_SCHEMA: dict[str, dict[str, tuple[Any, ...]]] = {
     "constants": {
         "gravity": ("float", DEFAULT_G),
     },
@@ -72,17 +81,17 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "k_eff": ("float", DEFAULT_K_EFF),
     },
     "pulse": {
-        "rabi_hz": ("float", 1e5),
+        "rabi_hz": ("float", 1e5, 0.0, math.inf),
         "detuning_hz": ("float", 0.0),
         "laser_phase": ("float", 0.0),
         "duration": ("autofloat", None),
-        "n_points": ("int", 201),
+        "n_points": ("int", 201, *_GRID),
         "oracle_dt": ("autofloat", None),
     },
     "scan": {
         "center": ("autofloat", None),
         "span_fringes": ("float", 2.0),
-        "n_points": ("int", 50),
+        "n_points": ("int", 50, *_GRID),
         "n_atoms": ("int", 0),
     },
     "noise": {
@@ -91,14 +100,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "allow_partial": ("bool", False),
         "tau_min": ("autofloat", None),
         "tau_max": ("autofloat", None),
-        "n_tau": ("int", 20),
+        "n_tau": ("int", 20, 1, _MAX_SCAN_POINTS),
         "overlapping": ("bool", False),
     },
     "sensitivity": {
-        "n_time_points": ("int", 501),
-        "transfer_min_cycles": ("float", 0.1),
+        "n_time_points": ("int", 501, *_GRID),
+        "transfer_min_cycles": ("float", 0.1, 0.0, math.inf),
         "transfer_max_cycles": ("float", 4.0),
-        "transfer_points": ("int", 79),
+        "transfer_points": ("int", 79, *_GRID),
     },
     "io": {
         "out_dir": ("str", "."),
@@ -107,13 +116,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 _TWO_PI = 2.0 * math.pi
-#: Most points one fringe scan, or rows one rabi table, may have.  A noisy
-#: scan of 1,000,000 points takes about 5.5 s and 100 MB of peak RSS, and
-#: writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 13-17 s and
-#: 136 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
-#: numpy 2.4).
-_MAX_SCAN_POINTS = 1_000_000
-
 
 #: The resolved configuration: ``cfg[section][key]``, typed by ``_SCHEMA``.
 Config = dict[str, dict[str, Any]]
@@ -165,10 +167,11 @@ def load_config(path: str | None) -> Config:
     """Resolve the configuration: defaults, overlaid with the INI file.
 
     Unknown sections or keys are rejected with the known alternatives
-    listed.  File paths referenced under ``[noise]`` must exist.
+    listed, and so is a value outside its key's range.  File paths
+    referenced under ``[noise]`` must exist.
     """
     values: Config = {
-        section: {key: default for key, (_, default) in keys.items()}
+        section: {key: spec[1] for key, spec in keys.items()}
         for section, keys in _SCHEMA.items()
     }
     if path is not None:
@@ -195,10 +198,13 @@ def load_config(path: str | None) -> Config:
                         f"{config_path}: unknown key '{key}' in [{section}] "
                         f"(known: {', '.join(sorted(_SCHEMA[section]))})"
                     )
-                kind = _SCHEMA[section][key][0]
-                values[section][key] = _parse_value(
-                    kind, raw, f"{config_path}: [{section}] {key}"
-                )
+                kind, _, *bounds = _SCHEMA[section][key]
+                where = f"{config_path}: [{section}] {key}"
+                value = values[section][key] = _parse_value(kind, raw, where)
+                if bounds and not bounds[0] <= value <= bounds[1]:
+                    raise ConfigError(
+                        f"{where} = {value} must lie in [{bounds[0]}, {bounds[1]}]"
+                    )
     for key in ("psd_file", "series_file"):
         file_ref = values["noise"][key]
         if file_ref and not Path(file_ref).is_file():
@@ -247,15 +253,9 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     from . import twolevel
 
     rabi = _TWO_PI * cfg["pulse"]["rabi_hz"]
-    if rabi < 0.0:
-        raise ConfigError(f"[pulse] rabi_hz must be >= 0, got {rabi / _TWO_PI}")
     detuning = _TWO_PI * cfg["pulse"]["detuning_hz"]
     laser_phase = cfg["pulse"]["laser_phase"]
     n_points = cfg["pulse"]["n_points"]
-    if not 2 <= n_points <= _MAX_SCAN_POINTS:
-        raise ConfigError(
-            f"[pulse] n_points = {n_points} must lie in [2, {_MAX_SCAN_POINTS}]"
-        )
     duration = cfg["pulse"]["duration"]
     if duration is None:
         if rabi <= 0.0:
@@ -323,16 +323,11 @@ def cmd_fringe(cfg: Config, out_dir: Path) -> int:
     if center is None:
         center = seq.k_eff * gravity
     n_atoms = cfg["scan"]["n_atoms"]
-    n_points = cfg["scan"]["n_points"]
-    if n_points > _MAX_SCAN_POINTS:
-        raise ConfigError(
-            f"[scan] n_points = {n_points} exceeds the maximum of {_MAX_SCAN_POINTS}"
-        )
     try:
         betas = measurement.beta_grid(
             center=center,
             span_fringes=cfg["scan"]["span_fringes"],
-            n_points=n_points,
+            n_points=cfg["scan"]["n_points"],
             big_t=seq.t_interrogation,
         )
         # The phase is monotonic in beta, so the grid's ends bound it; on
@@ -390,9 +385,6 @@ def cmd_allan(cfg: Config, out_dir: Path) -> int:
     series = noise.read_series_csv(series_file)
     tau_min = cfg["noise"]["tau_min"]
     tau_max = cfg["noise"]["tau_max"]
-    n_tau = cfg["noise"]["n_tau"]
-    if n_tau < 1:
-        raise ConfigError("[noise] n_tau must be >= 1")
     if tau_min is None:
         tau_min = series.dt
     if tau_max is None:
@@ -401,7 +393,7 @@ def cmd_allan(cfg: Config, out_dir: Path) -> int:
         raise ConfigError(
             f"[noise] need 0 < tau_min <= tau_max < inf, got {tau_min}, {tau_max}"
         )
-    taus = np.geomspace(tau_min, tau_max, n_tau)
+    taus = np.geomspace(tau_min, tau_max, cfg["noise"]["n_tau"])
     estimator = (
         noise.allan_deviation_overlapping
         if cfg["noise"]["overlapping"]
@@ -425,21 +417,21 @@ def cmd_sensitivity(cfg: Config, out_dir: Path, three_segment_gs: bool) -> int:
     from . import noise
 
     profile = _profile(cfg)
-    n_time = cfg["sensitivity"]["n_time_points"]
-    if n_time < 2:
-        raise ConfigError("[sensitivity] n_time_points must be >= 2")
     cycles_lo = cfg["sensitivity"]["transfer_min_cycles"]
     cycles_hi = cfg["sensitivity"]["transfer_max_cycles"]
     n_omega = cfg["sensitivity"]["transfer_points"]
-    if not (0.0 <= cycles_lo < cycles_hi) or n_omega < 2:
-        raise ConfigError("[sensitivity] transfer grid is invalid")
+    if not cycles_lo < cycles_hi:
+        raise ConfigError(
+            f"[sensitivity] transfer_min_cycles = {cycles_lo} must be below "
+            f"transfer_max_cycles = {cycles_hi}"
+        )
     # The grid's last omega, computed as the array below computes it.
     if not math.isfinite(_TWO_PI * cycles_hi / profile.big_t):
         raise ConfigError(
             f"[sensitivity] transfer_max_cycles = {cycles_hi} overflows the "
             f"omega grid at t_interrogation = {profile.big_t}"
         )
-    times = np.linspace(0.0, profile.span, n_time)
+    times = np.linspace(0.0, profile.span, cfg["sensitivity"]["n_time_points"])
     gs = noise.sensitivity_g(times, profile, three_segment=three_segment_gs)
     _write_csv(
         out_dir / "sensitivity_gs.csv",

@@ -1031,14 +1031,16 @@ def monte_carlo_vibration_allan(
     ``a_k``, phases ``theta_k`` and ``W_k = rfft(weights, n)[k]`` (the
     window's trapezoid weights, from :func:`_window_transform` on the
     powered bins), shot ``q``'s phase is ``Re sum_k a_k e^{i theta_k}
-    conj(W_k) e^{2 pi i k q s / n}``.  The last factor depends on ``k`` only
-    modulo ``M = n / gcd(n, s)``, so the terms fold into ``M`` sums, and one
-    inverse FFT of length ``M`` gives every shot.
+    conj(W_k) e^{2 pi i k q s / n}``.  The record is ``n = c s`` samples,
+    ``c`` whole cycles, so the last factor is ``e^{2 pi i k q / c}`` and
+    depends on ``k`` only modulo ``c``: the terms fold into ``c`` sums, and
+    one inverse FFT of length ``c`` gives every shot, shot ``q`` at its
+    element ``q``.
 
-    ``n`` is the least 5-smooth number (``2^a 3^b 5^c``) of samples that
-    holds ``n_shots`` cycles, one sequence span and one sample.  It fixes
-    the Fourier grid and so each seed's draw; ``M`` divides it, so ``M`` is
-    5-smooth too.  ``dt`` and the windows do not depend on ``n``.
+    ``c`` is the least 5-smooth number (see :func:`_smooth_length`) of
+    cycles whose samples hold ``n_shots`` cycles, one sequence span and one
+    sample.  It fixes the Fourier grid and so each seed's draw.  ``dt`` and
+    the windows do not depend on ``c``.
     """
     _check_cycle_time(profile, cycle_time)
     if n_shots < 3:
@@ -1046,23 +1048,20 @@ def monte_carlo_vibration_allan(
     dt0 = _shot_step(s_a, profile, oversample, 8.0)
     steps_per_cycle = int(math.ceil(cycle_time / dt0))
     dt = cycle_time / steps_per_cycle
-    n_record = _smooth_length(
-        int(round((n_shots * cycle_time + profile.span + dt) / dt))
-    )
-    band = _bins(s_a, n_record * dt, dt)
+    needed = int(round((n_shots * cycle_time + profile.span + dt) / dt))
+    cycles = _smooth_length(-(-needed // steps_per_cycle))
+    band = _bins(s_a, cycles * steps_per_cycle * dt, dt)
     if band.k.size == 0:
         return 0.0
     t_rel = dt * np.arange(int(round(profile.span / dt)) + 1)
     weights = _trapezoid_weights(k_eff * _weight(t_rel, profile), dt)
     terms = (band.amps * np.exp(1j * _band_phases(band.k - 1, seed))
              * np.conj(_window_transform(weights, band.n, band.k)))
-    common = math.gcd(band.n, steps_per_cycle)
-    fold = band.n // common
-    residues = band.k % fold
-    folded = (np.bincount(residues, weights=terms.real, minlength=fold)
-              + 1j * np.bincount(residues, weights=terms.imag, minlength=fold))
-    sums = np.fft.ifft(folded, norm="forward")
-    phases = sums.real[np.arange(n_shots) * (steps_per_cycle // common) % fold]
+    residues = band.k % cycles
+    folded = (np.bincount(residues, weights=terms.real, minlength=cycles)
+              + 1j * np.bincount(residues, weights=terms.imag, minlength=cycles))
+    # Shot q is element q; the index array takes a contiguous copy.
+    phases = np.fft.ifft(folded, norm="forward").real[np.arange(n_shots)]
     adev = allan_deviation(TimeSeries(phases, cycle_time), [cycle_time]).adevs[0]
     return float(adev**2)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_K_EFF, HBAR, ThreeLevelState, _check_norm
 from .errors import EliminationError
-from .twolevel import _rk4_lab_frame, mach_zehnder_probability, propagator_matrix
+from .twolevel import _propagator_rows, _rk4_lab_frame, mach_zehnder_probability
 
 __all__ = [
     "LaserPair",
@@ -343,18 +343,12 @@ def raman_pulse(
     ac_e = _real_shift(complex(params.ac_e), "ac_e")
     omega_mod = 2.0 * abs(params.omega_eff)
     phase = params.phi_eff - cmath.phase(params.omega_eff) if omega_mod else params.phi_eff
-    u = propagator_matrix(
-        rabi_mod=omega_mod,
-        effective_phase=phase,
-        start_time=t0,
-        duration=duration,
-        frame_delta=delta,
-        rot_delta=delta - (ac_e - ac_g),
-        mean_shift=0.5 * (ac_e + ac_g),
-    )
-    c_e = u[0, 0] * state.c_e + u[0, 1] * state.c_g
-    c_g = u[1, 0] * state.c_e + u[1, 1] * state.c_g
-    return RamanState(c_g=c_g, c_e=c_e, p_g=state.p_g, p_e=state.p_e)
+    (u_ee, u_eg), (u_ge, u_gg) = _propagator_rows(
+        omega_mod, phase, t0, duration, delta,
+        rot_delta=delta - (ac_e - ac_g), mean_shift=0.5 * (ac_e + ac_g))
+    return RamanState(c_g=u_ge * state.c_e + u_gg * state.c_g,
+                      c_e=u_ee * state.c_e + u_eg * state.c_g,
+                      p_g=state.p_g, p_e=state.p_e)
 
 
 #: Exit fringe of a two-photon pi/2 -- pi -- pi/2 sequence: identical, by

@@ -33,6 +33,17 @@ def read_table(path):
     return header, data
 
 
+def _one_past(kind, bounds):
+    """The values just outside a ``_SCHEMA`` range's finite bounds."""
+    if not bounds:
+        return []
+    low, high = bounds
+    if kind == "int":
+        return [low - 1, high + 1]
+    return [math.nextafter(b, s * math.inf)
+            for b, s in ((low, -1), (high, 1)) if math.isfinite(b)]
+
+
 def data_lines(path):
     """Non-comment lines; the config echo differs when out dirs differ."""
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -602,6 +613,13 @@ class TestConfigHandling:
             # rabi's output times have the same maximum.
             ("rabi", "[pulse]\nn_points = 1000001\n", "n_points"),
             ("rabi", "[pulse]\nn_points = 1000000000000\n", "n_points"),
+            # Grid sizes that once had no bound: 1e12 exited 1 with numpy's
+            # _ArrayMemoryError.
+            ("allan", "[noise]\nn_tau = 1000000000000\n", "n_tau"),
+            ("sensitivity", "[sensitivity]\nn_time_points = 1000000000000\n",
+             "n_time_points"),
+            ("sensitivity", "[sensitivity]\ntransfer_points = 1000000000000\n",
+             "transfer_points"),
         ],
         ids=["rabi-duration", "rabi-rabi_hz", "rabi-duration_interval_underflow",
              "sensitivity-tau_p",
@@ -617,21 +635,77 @@ class TestConfigHandling:
              "fringe-center_grid_overflow", "fringe-center_laser_phase_overflow",
              "fringe-n_points_past_max",
              "gsweep-n_points_huge", "rabi-n_points_past_max",
-             "rabi-n_points_huge"],
+             "rabi-n_points_huge", "allan-n_tau_huge",
+             "sensitivity-n_time_points_huge", "sensitivity-transfer_points_huge"],
     )
     def test_out_of_range_value_is_config_error(
         self, tmp_path, capsys, command, text, key
     ):
-        psd = tmp_path / "psd.csv"
-        psd.write_text("omega_rad_per_s,psd_value\n1.0,1e-9\n1e6,1e-9\n")
-        cfg = write_config(
-            tmp_path, text + f"[noise]\npsd_file = {psd}\nallow_partial = true\n"
-        )
+        if command == "psd-variance":
+            psd = tmp_path / "psd.csv"
+            psd.write_text("omega_rad_per_s,psd_value\n1.0,1e-9\n1e6,1e-9\n")
+            text += f"[noise]\npsd_file = {psd}\nallow_partial = true\n"
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param(section, key, past, id=f"{section}.{key}={past!r}")
+            for section, keys in _SCHEMA.items()
+            for key, (kind, _, *bounds) in keys.items()
+            for past in _one_past(kind, bounds)
+        ],
+    )
+    def test_value_one_past_a_bound_is_refused(
+        self, tmp_path, capsys, section, key, value
+    ):
+        # Checked where the config is resolved, so every subcommand refuses
+        # it, also one that does not read the section (fringe a
+        # [sensitivity] value, say).
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {value!r}\n")
+        out = tmp_path / "out"
+        for command in ("rabi", "fringe", "allan", "sensitivity", "psd-variance"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert f"[{section}] {key} = " in err
+            assert not out.exists()
+
+    def test_bounds_themselves_load(self, tmp_path):
+        bounds = [(section, key, bound)
+                  for section, keys in _SCHEMA.items()
+                  for key, (_, _, *ends) in keys.items()
+                  for bound in ends if math.isfinite(bound)]
+        assert len(bounds) == 12
+        for section, key, bound in bounds:
+            cfg = write_config(tmp_path, f"[{section}]\n{key} = {bound!r}\n")
+            assert load_config(cfg)[section][key] == bound
+
+    def test_every_default_lies_in_its_range(self):
+        ranged = {}
+        for section, keys in _SCHEMA.items():
+            for key, (_, default, *bounds) in keys.items():
+                if bounds:
+                    ranged[f"{section}.{key}"] = bounds
+                    assert bounds[0] <= default <= bounds[1]
+        assert sorted(ranged) == [
+            "noise.n_tau", "pulse.n_points", "pulse.rabi_hz", "scan.n_points",
+            "sensitivity.n_time_points", "sensitivity.transfer_min_cycles",
+            "sensitivity.transfer_points",
+        ]
+
+    def test_transfer_grid_order_names_both_keys(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[sensitivity]\ntransfer_min_cycles = 4\n"
+                           "transfer_max_cycles = 1\n")
+        assert main(["sensitivity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("[sensitivity] transfer_min_cycles = 4.0 must be below "
+                "transfer_max_cycles = 1.0") in err
 
     @pytest.mark.parametrize("name", errors.__all__)
     def test_error_class_sets_exit_code_and_label(
@@ -670,7 +744,7 @@ class TestConfigHandling:
         assert n_set == sum(len(keys) for keys in _SCHEMA.values()) == 30
         cfg = load_config(write_config(tmp_path, block))
         assert cfg == {
-            section: {key: default for key, (_, default) in keys.items()}
+            section: {key: default for key, (_, default, *_) in keys.items()}
             for section, keys in _SCHEMA.items()
         }
 

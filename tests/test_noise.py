@@ -1317,21 +1317,21 @@ def _brute_smooth_length(n):
         k += 1
 
 
-def _sliced_record_vibration_allan(psd, profile, k_eff, cycle, n_shots, seed,
-                                   oversample=32):
+def _sliced_record_shot_phases(psd, profile, k_eff, cycle, n_shots, seed,
+                               oversample=32):
     """Oracle: synthesize the acceleration record and slice it into shots.
 
-    The record has the least 5-smooth length that holds ``n_shots`` cycles,
-    one span and one sample; shot q is the trapezoid of ``k_eff w(t) a(t)``
-    over the window starting at sample ``q s``, and the Allan variance is
-    ``mean(diff^2) / 2``.  Returns it, the record length and the length
-    needed.
+    The record is the least 5-smooth number of whole cycles of s samples
+    that holds ``n_shots`` cycles, one span and one sample; shot q is the
+    trapezoid of ``k_eff w(t) a(t)`` over the window starting at sample
+    ``q s``.  Returns the shot phases, the record length, the length needed
+    and s.
     """
     dt0 = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 8.0)
     steps = int(math.ceil(cycle / dt0))
     dt = cycle / steps
     needed = int(round((n_shots * cycle + profile.span + dt) / dt))
-    n = _smooth_length(needed)
+    n = _smooth_length(-(-needed // steps)) * steps
     series = synthesize_noise(psd, n * dt, dt, seed)
     assert series.samples.size == n
     weights = sensitivity_a(dt * np.arange(int(round(profile.span / dt)) + 1),
@@ -1340,7 +1340,7 @@ def _sliced_record_vibration_allan(psd, profile, k_eff, cycle, n_shots, seed,
     weights[-1] *= 0.5
     index = steps * np.arange(n_shots)[:, None] + np.arange(weights.size)
     phases = series.samples[index] @ weights
-    return float(np.mean(np.diff(phases) ** 2) / 2.0), n, needed
+    return phases, n, needed, steps
 
 
 class TestWindowTransform:
@@ -1366,7 +1366,7 @@ class TestWindowTransform:
 
 class TestVibrationMonteCarlo:
     """The spectral shots of :func:`monte_carlo_vibration_allan`: the
-    5-smooth grid they stand for, and the estimator's mean over seeds."""
+    whole-cycle grid they stand for, and the estimator's mean over seeds."""
 
     profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
     band = Psd(
@@ -1378,22 +1378,35 @@ class TestVibrationMonteCarlo:
         got = [_smooth_length(n) for n in range(1, 5001)]
         assert got == [_brute_smooth_length(n) for n in range(1, 5001)]
 
-    @pytest.mark.parametrize("n_shots, expected", [(1600, 648_000), (150, 60_750)])
-    def test_matches_sliced_record_oracle(self, n_shots, expected):
+    @pytest.mark.parametrize(
+        "top_hz, n_shots, expected",
+        [
+            pytest.param(50.0, 1600, 648_000, id="1600-648000"),
+            pytest.param(50.0, 150, 64_000, id="150-64000"),
+            # 61 Hz gives 488 samples per cycle; its record was once folded
+            # modulo n / gcd(n, 488) = 390,625 and peaked at 13.7 MB.
+            pytest.param(61.0, 1600, 790_560, id="61Hz-1600-790560"),
+        ],
+    )
+    def test_matches_sliced_record_oracle(self, top_hz, n_shots, expected):
         # The record the spectral shots stand for, synthesized at the same
-        # 5-smooth length and sliced into trapezoid windows, gives the same
-        # Allan variance; the Monte Carlo itself allocates no array of n
-        # samples.
+        # whole number of cycles and sliced into trapezoid windows, gives
+        # the same Allan variance; the Monte Carlo itself allocates no
+        # array of n samples.
         cycle = 0.25
-        oracle, n, needed = _sliced_record_vibration_allan(
-            self.band, self.profile, 1.61e7, cycle, n_shots, seed=1
+        band = Psd(freqs=np.array([2.0 * math.pi * 4.0, 2.0 * math.pi * top_hz]),
+                   values=np.array([1e-7, 1e-7]))
+        phases, n, needed, steps = _sliced_record_shot_phases(
+            band, self.profile, 1.61e7, cycle, n_shots, seed=1
         )
+        oracle = float(np.mean(np.diff(phases) ** 2) / 2.0)
         assert n == expected
-        assert n >= needed and _brute_smooth_length(n) == n
+        cycles, rest = divmod(n, steps)
+        assert rest == 0 and n >= needed and _brute_smooth_length(cycles) == cycles
         tracemalloc.start()
         try:
             measured = monte_carlo_vibration_allan(
-                self.band, self.profile, k_eff=1.61e7, cycle_time=cycle,
+                band, self.profile, k_eff=1.61e7, cycle_time=cycle,
                 n_shots=n_shots, seed=1,
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -1408,6 +1421,34 @@ class TestVibrationMonteCarlo:
                 monte_carlo_vibration_allan(
                     self.band, self.profile, cycle_time=cycle, n_shots=4
                 )
+
+    def test_composed_run_adds_projection_noise(self):
+        # A simulated run at criterion 7's timing: each shot's vibration
+        # phase, read at mid-fringe on alternate sides +-pi/2 (Le Gouet et
+        # al. 2008), p = (1 +- sin phi) / 2, detected as a binomial count of
+        # N atoms and inverted as +-arcsin(2 p_hat - 1).  Independent noises
+        # add in Allan variance, and projection noise adds 1/N rad^2 at one
+        # cycle (Itano et al. 1993).  These 12 seeds read a mean ratio of
+        # 1.005 and a spread of 0.048 per seed (0.040 over 200 others), so
+        # 4 standard errors of the mean is 0.055.
+        n_atoms, n_shots, cycle = 200, 1600, 0.25
+        band = Psd(freqs=np.array([2.0 * math.pi, 2.0 * math.pi * 50.0]),
+                   values=np.array([6e-14, 6e-14]))
+        predicted = allan_from_acceleration_psd(
+            band, self.profile, k_eff=1.61e7, cycle_time=cycle,
+            formula="shot-sampled", allow_partial=True,
+        ) + 1.0 / n_atoms
+        sides = np.where(np.arange(n_shots) % 2 == 0, 1.0, -1.0)
+        ratios = []
+        for seed in range(12):
+            phases, *_ = _sliced_record_shot_phases(
+                band, self.profile, 1.61e7, cycle, n_shots, seed)
+            p = 0.5 * (1.0 + sides * np.sin(phases))
+            counts = np.random.default_rng([seed, 1]).binomial(n_atoms, p)
+            estimates = sides * np.arcsin(2.0 * counts / n_atoms - 1.0)
+            adev = allan_deviation(TimeSeries(estimates, cycle), [cycle]).adevs[0]
+            ratios.append(adev**2 / predicted)
+        assert abs(np.mean(ratios) - 1.0) < 0.055
 
     def test_unbiased_over_seeds(self):
         # 200 seeds read mean 1.0004 and std 0.116 of MC / shot-sampled.
