@@ -254,6 +254,11 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
 
     rabi = _TWO_PI * cfg["pulse"]["rabi_hz"]
     detuning = _TWO_PI * cfg["pulse"]["detuning_hz"]
+    if not (math.isfinite(rabi) and math.isfinite(detuning)):
+        raise ConfigError(
+            f"[pulse] rabi_hz = {cfg['pulse']['rabi_hz']} or detuning_hz = "
+            f"{cfg['pulse']['detuning_hz']} overflows its angular rate 2 pi f"
+        )
     laser_phase = cfg["pulse"]["laser_phase"]
     n_points = cfg["pulse"]["n_points"]
     duration = cfg["pulse"]["duration"]
@@ -265,9 +270,9 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
             )
         duration = math.pi / rabi
     interval = duration / (n_points - 1)
-    if interval <= 0.0:
+    if not 0.0 < interval < math.inf:
         raise ConfigError(
-            f"[pulse] duration must be > 0 over {n_points - 1} output "
+            f"[pulse] duration must be finite and > 0 over {n_points - 1} output "
             f"intervals, got {duration}"
         )
     omega_r = math.hypot(rabi, detuning)
@@ -393,18 +398,22 @@ def cmd_allan(cfg: Config, out_dir: Path) -> int:
         raise ConfigError(
             f"[noise] need 0 < tau_min <= tau_max < inf, got {tau_min}, {tau_max}"
         )
-    taus = np.geomspace(tau_min, tau_max, cfg["noise"]["n_tau"])
+    # Near the largest double the grid's powers of ten can overflow.
+    with np.errstate(over="ignore"):
+        taus = np.geomspace(tau_min, tau_max, cfg["noise"]["n_tau"])
+    if not np.isfinite(taus).all():
+        raise ConfigError(f"[noise] tau_max = {tau_max} overflows the tau grid")
     estimator = (
         noise.allan_deviation_overlapping
         if cfg["noise"]["overlapping"]
         else noise.allan_deviation
     )
-    # The omitted averaging times go to stderr, one plain line each.
+    # The omitted averaging times go to stderr, one plain line per reason.
     handler = logging.StreamHandler()
     handler.setLevel(logging.WARNING)
     noise.logger.addHandler(handler)
     try:
-        result = estimator(series, list(taus))
+        result = estimator(series, taus.tolist())
     finally:
         noise.logger.removeHandler(handler)
     noise.write_allan_csv(

@@ -196,7 +196,8 @@ class SequenceParams:
     def __post_init__(self) -> None:
         if not _timing_valid(self.t_interrogation, self.tau_p):
             raise InvalidSequenceError(
-                "need finite t_interrogation > tau_p > 0 and finite pi/tau_p, got "
+                "need finite t_interrogation > tau_p > 0, finite pi/tau_p and a "
+                "finite Rabi phase 2 pi (t_interrogation + tau_p) / tau_p, got "
                 f"t_interrogation={self.t_interrogation}, tau_p={self.tau_p}"
             )
         if len(self.phases) != 3:
@@ -243,12 +244,16 @@ def _rabi_rate(tau_p: float) -> float:
 
 def _timing_valid(big_t: float, tau_p: float) -> bool:
     """The one timing rule of the sequence: ``0 < tau_p < T < inf`` with a
-    finite Rabi rate (a subnormal ``tau_p`` overflows ``pi / tau_p``).
+    finite Rabi phase ``(pi / tau_p)(2 T + 2 tau_p)`` over the span.  A
+    subnormal ``tau_p`` overflows the rate, a ``T`` near the largest double
+    the span, and a vast ``T / tau_p`` their product, which the transfer
+    function and the sensitivity function evaluate.
 
     ``SequenceParams`` and ``noise.SensitivityProfile`` both apply it.
     """
     # One positive chain, so that NaN and inf fail it.
-    return 0.0 < tau_p < big_t < math.inf and _rabi_rate(tau_p) < math.inf
+    return (0.0 < tau_p < big_t < math.inf
+            and _rabi_rate(tau_p) * _pulse_edges(big_t, tau_p)[-1] < math.inf)
 
 
 def _dc_scale(big_t: float, tau_p: float) -> float:

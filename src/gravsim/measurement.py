@@ -147,7 +147,7 @@ def beta_grid(
         raise ValueError(
             f"span_fringes = {span_fringes} overflows the chirp grid at T = {big_t}"
         )
-    if not math.isfinite(abs(center) + half):  # the grid's farther end
+    if not math.isfinite(abs(center) + abs(half)):  # the grid's farther end
         raise ValueError(
             f"center = {center} overflows the chirp grid's ends at "
             f"span_fringes = {span_fringes}, T = {big_t}"
@@ -368,7 +368,8 @@ def estimate_g(
         with fewer than 8 points.
     FitFailureError
         If a chirp rate or measured fraction is not finite, the fit design
-        is singular or the fringe has no contrast.
+        is singular, the fringe has no contrast, or g_hat or sigma_g
+        overflows (a subnormal ``k_eff``).
     """
     _check_big_t(big_t)
     betas = np.asarray(scan.betas, dtype=float)
@@ -398,6 +399,9 @@ def estimate_g(
     beta_null = center + psi0 / (big_t * big_t)
     g_hat = (beta_null + dphi_laser / (big_t * big_t)) / k_eff
     sigma_g = sigma_psi0 / (big_t * big_t) / abs(k_eff)
+    if not (math.isfinite(g_hat) and math.isfinite(sigma_g)):
+        raise FitFailureError(
+            f"g_hat = {g_hat} +- {sigma_g} overflows dividing by k_eff = {k_eff}")
     return GravityEstimate(
         g_hat=g_hat,
         sigma_g=sigma_g,

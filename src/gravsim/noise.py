@@ -186,10 +186,9 @@ class SensitivityProfile:
 
     def __post_init__(self) -> None:
         if not _timing_valid(self.big_t, self.tau_p):
-            raise ValueError(
-                "need finite big_t > tau_p > 0 and finite pi/tau_p, "
-                f"got big_t={self.big_t}, tau_p={self.tau_p}"
-            )
+            raise ValueError("need finite big_t > tau_p > 0, finite pi/tau_p and a finite "
+                             "Rabi phase 2 pi (big_t + tau_p) / tau_p, got "
+                             f"big_t={self.big_t}, tau_p={self.tau_p}")
 
     @classmethod
     def from_tau_p(cls, big_t: float, tau_p: float) -> "SensitivityProfile":
@@ -610,13 +609,15 @@ def _panel_rule(psd: Psd, time_scale: float) -> tuple[np.ndarray, np.ndarray]:
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     lefts = edges[:-1]
     spans = np.diff(edges)
-    counts = np.maximum(np.ceil(spans / widest), 1.0)
-    widths = spans / counts
-    relative = np.divide(widths, lefts, out=np.zeros_like(widths), where=lefts > 0.0)
-    # Rounding can leave a panel a hair over the largest size: the last rung
-    # takes everything past the one before it.
-    rungs = np.searchsorted(_PANEL_SIZES[:-1], np.maximum(widths / period, relative))
-    needed = float(np.dot(counts, np.take(_PANEL_ORDERS, rungs)))
+    # A vast time_scale overflows the counts, and an infinite need is refused.
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(spans / widest), 1.0)
+        widths = spans / counts
+        relative = np.divide(widths, lefts, out=np.zeros_like(widths), where=lefts > 0.0)
+        # Rounding can leave a panel a hair over the largest size: the last
+        # rung takes everything past the one before it.
+        rungs = np.searchsorted(_PANEL_SIZES[:-1], np.maximum(widths / period, relative))
+        needed = float(np.dot(counts, np.take(_PANEL_ORDERS, rungs)))
     if not needed <= _MAX_GRID_POINTS:
         raise ResolutionError(
             f"resolving the PSD band [{lo:.3e}, {hi:.3e}] rad/s needs {needed:.0f} "
@@ -1077,47 +1078,56 @@ def _allan(
     """Allan statistics for each requested averaging time, snapped down to
     a whole number ``m`` of samples.
 
-    Both estimators sum the squared second differences of one mean-centred
-    prefix sum: at every start index (``overlapping``) or at every ``m``-th.
-    A time below one sample, one snapping to an ``m`` already reported, and
-    one whose two blocks of ``m`` samples exceed the series (``2 m > N``)
-    are omitted with a log record; if none survives,
-    :class:`InsufficientDataError` is raised.  A time that is not finite
-    raises a ``ValueError`` naming it.
+    One pass over ``tau_avgs`` first resolves the grid: with
+    ``r = tau / dt + 1e-9``, compared before any ``int()`` so that an
+    infinite ``r`` is omitted like any other, a time with ``r < 1`` is
+    shorter than one sample, one with ``r >= N // 2 + 1`` leaves fewer than
+    two blocks of ``m = floor(r)`` samples (``2 m > N``), and one whose
+    ``m`` an earlier time kept is a duplicate.  Each reason's omissions go
+    to one log record with their count and range; if no time survives,
+    :class:`InsufficientDataError` is raised instead, its message carrying
+    those records, so that a refusal is one line.  A time that is not
+    finite raises a ``ValueError`` naming it.
+
+    Both estimators then sum the squared second differences of one
+    mean-centred prefix sum for each kept ``m``, in the order first
+    requested: at every start index (``overlapping``) or at every ``m``-th.
     """
     n = series.samples.size
-    c = _centred_prefix_sum(series.samples)
-    work = _allan_work(c.size)
-    taus, adevs, counts = [], [], []
-    seen: set[int] = set()
+    short, duplicate, long = [], [], []
+    kept: dict[int, None] = {}
     for tau in tau_avgs:
         if not math.isfinite(tau):
             raise ValueError(f"averaging time must be finite, got tau={tau}")
-        m = int(math.floor(tau / series.dt + 1e-9))
-        if m < 1:
-            logger.warning("omitting tau=%g s: shorter than one sample", tau)
-            continue
-        if m in seen:
-            logger.warning("omitting tau=%g s: snaps to m=%d samples, as an "
-                           "earlier tau did", tau, m)
-            continue
-        if 2 * m > n:
-            logger.warning("omitting tau=%g s: two blocks of m=%d samples exceed "
-                           "the %d-sample series", tau, m, n)
-            continue
-        seen.add(m)
+        if (r := tau / series.dt + 1e-9) < 1.0:
+            short.append(tau)
+        elif r >= n // 2 + 1:
+            long.append(tau)
+        elif int(r) in kept:
+            duplicate.append(tau)
+        else:
+            kept[int(r)] = None
+    notes = [f"omitting {len(omit)} tau in [{min(omit):g}, {max(omit):g}] s: {reason}"
+             for omit, reason in ((short, "shorter than one sample"),
+                                  (duplicate, "snaps to an m already kept"),
+                                  (long, f"two blocks exceed the {n}-sample series"))
+             if omit]
+    if not kept:
+        raise InsufficientDataError("; ".join(
+            ["no requested averaging time fits two blocks in the series", *notes]))
+    for note in notes:
+        logger.warning(note)
+    c = _centred_prefix_sum(series.samples)
+    work = _allan_work(c.size)
+    taus, adevs, counts = [], [], []
+    for m in kept:
         power, n_terms = _second_difference_power(c, m, 1 if overlapping else m, work)
         taus.append(m * series.dt)
         adevs.append(math.sqrt(power / (2.0 * m * m * n_terms)))
         # Non-overlapping: n_terms differences of n_terms + 1 blocks.
         counts.append(n_terms if overlapping else n_terms + 1)
-    if not taus:
-        raise InsufficientDataError(
-            "no requested averaging time fits two blocks in the series"
-        )
-    return AllanResult(
-        tau_avgs=np.array(taus), adevs=np.array(adevs), n_blocks=np.array(counts)
-    )
+    return AllanResult(tau_avgs=np.array(taus), adevs=np.array(adevs),
+                       n_blocks=np.array(counts))
 
 
 def _centred_prefix_sum(y: np.ndarray) -> np.ndarray:
@@ -1143,7 +1153,7 @@ def _allan_work(size: int) -> np.ndarray:
 
 
 def _second_difference_power(
-    c: np.ndarray, m: int, stride: int, work: np.ndarray | None = None
+    c: np.ndarray, m: int, stride: int, work: np.ndarray
 ) -> tuple[float, int]:
     """``sum_j (c[j+2m] - 2 c[j+m] + c[j])^2`` over ``j = 0, stride, ...``
     while ``j + 2m`` stays inside ``c``, and the number of terms.
@@ -1163,8 +1173,6 @@ def _second_difference_power(
     x = c[::stride]
     lag = m // stride
     n_terms = x.size - 2 * lag
-    if work is None:
-        work = _allan_work(c.size)
     block = work.size // 3
     d_buf = work[2 * block :]
     power = 0.0
@@ -1206,9 +1214,9 @@ def allan_deviation(series: TimeSeries, tau_avgs: Sequence[float]) -> AllanResul
     leaves the variance unchanged and makes an offset such as g cost no
     digits.
 
-    Averaging times shorter than one sample or leaving fewer than two
-    blocks are omitted (with a log record); duplicates after snapping are
-    reported once.
+    Averaging times shorter than one sample, leaving fewer than two blocks,
+    or snapping to an ``m`` that an earlier time kept are omitted, with one
+    log record per reason that gives their count and range.
 
     Raises
     ------
@@ -1234,6 +1242,8 @@ def allan_deviation_overlapping(
     block in one work buffer of at most 768 KiB, which every ``tau``
     reuses.  Smoother than the non-overlapping estimator at large tau (the
     reported ``n_blocks`` is the number of overlapping differences).
+    Averaging times are snapped and omitted, with one log record per
+    reason, as in :func:`allan_deviation`.
     """
     return _allan(series, tau_avgs, overlapping=True)
 

@@ -402,8 +402,9 @@ def three_level_ode_oracle(
     TimeOrderError
         If ``duration`` is not finite and positive.
     StepSizeError
-        If ``dt`` is not positive or too coarse, or ``duration`` needs more
-        than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
+        If ``dt`` is not positive or too coarse, ``duration`` needs more
+        than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it, or the
+        couplings overflow the RK4 step map.
     """
     fastest = max(
         abs(dets.delta1), abs(dets.delta2), abs(lasers.rabi_gi), abs(lasers.rabi_ei)

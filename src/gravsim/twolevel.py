@@ -457,6 +457,10 @@ def _rk4_step_map(
     increment ``(h/6)(...)``, plus ``conj(d_j(h))`` on the diagonal: adding
     the identity last keeps the increment's low bits, which ``1 + ...``
     would round to the ulp of 1 before the phase multiplies it.
+
+    The stages multiply generator entries before ``h`` scales them, so
+    entries near 1e154 rad/s overflow however small ``h`` is; a map that is
+    not finite raises :class:`StepSizeError` naming the largest entry.
     """
     half = 0.5 * h
     d_mid = [cmath.exp(1j * v * half) for v in nu]
@@ -476,6 +480,10 @@ def _rk4_step_map(
         for w1, w2, w3, w4 in zip(r1, r2, r3, r4):
             row.append(q * (sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)))
         row[j] += q
+        if not all(map(cmath.isfinite, row)):
+            peak = max(abs(a) for r in a0 for a in r)
+            raise StepSizeError(f"RK4 step map overflows for generator entries "
+                                f"up to {peak:.3e} rad/s")
         step.append(row)
     return step
 
@@ -603,8 +611,9 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
     Raises
     ------
     StepSizeError
-        If ``dt`` is not positive or too coarse for the pulse, or the pulse
-        needs more than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it.
+        If ``dt`` is not positive or too coarse for the pulse, the pulse
+        needs more than ``_MAX_ORACLE_STEPS`` (10,000,000) steps of it, or
+        the Rabi rate overflows the RK4 step map.
     """
     a0, nu, rate = _pulse_generator(pulse)
     c_b, c_a = _rk4_lab_frame(a0, nu, [state.c_b, state.c_a], pulse.start_time,

@@ -5,14 +5,21 @@ writes.  Fixtures are generated deterministically (recorded seeds) rather
 than shipped as binaries.
 """
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gravsim import cli, errors, noise, twolevel
 from gravsim.cli import _SCHEMA, load_config, main
@@ -106,6 +113,22 @@ class TestRabi:
         err = capsys.readouterr().err
         assert err.startswith("convergence error: ") and err.count("\n") == 1
         assert "RK4 steps; at most 10000000 are allowed" in err
+        assert not any(out.iterdir())
+
+    def test_rate_overflowing_the_step_map_is_convergence_error(self, tmp_path, capsys):
+        # At 4.5e153 Hz the oracle's step map overflows, which once wrote a
+        # nan oracle column at exit 0; at 4e153 Hz it is finite.
+        cfg = write_config(tmp_path, "[pulse]\nrabi_hz = 4e153\n")
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        _, data = read_table(tmp_path / "ok" / "rabi.csv")
+        assert np.isfinite(data).all() and data[-1, 2] == pytest.approx(1.0, abs=1e-6)
+        cfg = write_config(tmp_path, "[pulse]\nrabi_hz = 4.5e153\n")
+        out = tmp_path / "out"
+        assert main(["rabi", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "convergence error: RK4 step map overflows for generator entries up "
+            "to 1.414e+154 rad/s\n"
+        )
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize(
@@ -260,6 +283,13 @@ class TestFringe:
         assert "config error" in capsys.readouterr().err
 
 
+#: The one stderr line of ``allan`` at the default grid on ``white_series``:
+#: the first two of 20 times from tau = dt both snap to one sample.
+_DUPLICATE_TAU = np.geomspace(1.0, 65535.0 / 5.0, 20)[1]
+_DUPLICATE_LINE = (f"omitting 1 tau in [{_DUPLICATE_TAU:g}, {_DUPLICATE_TAU:g}] s: "
+                   "snaps to an m already kept")
+
+
 class TestAllan:
     @pytest.fixture()
     def white_series(self, tmp_path):
@@ -325,7 +355,7 @@ class TestAllan:
             assert main(args) == 0
         first = (tmp_path / "allan.csv").read_bytes()
         assert len(data_lines(tmp_path / "allan.csv")) == 1 + 19
-        assert "snaps to m=1 samples" in caplog.text
+        assert caplog.messages == [_DUPLICATE_LINE]
         assert main(args) == 0
         assert (tmp_path / "allan.csv").read_bytes() == first
 
@@ -334,8 +364,7 @@ class TestAllan:
         args = ["allan", "--config", cfg, "--out", str(tmp_path)]
         for _ in range(2):
             assert main(args) == 0
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "snaps to m=1 samples" in err
+            assert capsys.readouterr().err == _DUPLICATE_LINE + "\n"
 
     def test_fresh_process_stderr_is_one_plain_line(self, tmp_path, white_series):
         # The bytes logging.lastResort printed before the library had a
@@ -347,10 +376,37 @@ class TestAllan:
              "--out", str(tmp_path)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True,
         )
-        tau = np.geomspace(1.0, 65535.0 / 5.0, 20)[1]
-        assert out.stderr.decode() == (
-            f"omitting tau={tau:g} s: snaps to m=1 samples, as an earlier tau did\n"
+        assert out.stderr.decode() == _DUPLICATE_LINE + "\n"
+
+    def test_million_taus_on_short_series_one_line_per_reason(self, tmp_path, capsys):
+        # 1,000,000 times from tau = dt to duration/5 on 20 samples: all but
+        # the first of m = 1, 2 and 3 are duplicates, reported in one line.
+        series = noise.TimeSeries(samples=np.arange(20.0) % 3, dt=1.0)
+        path = tmp_path / "short.csv"
+        noise.write_series_csv(path, series)
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {path}\nn_tau = 1000000\n")
+        assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "omitting 999997 tau in [1, 3.8] s: snaps to an m already kept\n"
         )
+        expected = noise.allan_deviation(series, [1.0, 2.0, 3.0])
+        _, data = read_table(tmp_path / "allan.csv")
+        np.testing.assert_array_equal(
+            data, np.column_stack([expected.tau_avgs, expected.adevs, expected.n_blocks])
+        )
+
+    def test_tau_max_overflowing_the_sample_ratio_is_omitted(self, tmp_path, capsys):
+        # tau_max / dt overflows to inf at dt = 0.01 s: omitted with one
+        # line, not an OverflowError.
+        path = tmp_path / "short.csv"
+        noise.write_series_csv(path, noise.TimeSeries(np.arange(20.0) % 3, 0.01))
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {path}\ntau_max = 1e308\n")
+        assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("omitting 19 tau in [") and err.count("\n") == 1
+        assert err.endswith(" 1e+308] s: two blocks exceed the 20-sample series\n")
+        _, data = read_table(tmp_path / "allan.csv")
+        assert data.shape == (1, 3) and data[0, 0] == 0.01
 
     def test_missing_series_key_is_config_error(self, tmp_path, capsys):
         assert main(["allan", "--out", str(tmp_path)]) == 2
@@ -778,3 +834,155 @@ class TestConfigHandling:
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over boundary values of every key
+# ---------------------------------------------------------------------------
+
+#: The sections each subcommand reads; a drawn key comes from one of them.
+_READS = {
+    "rabi": ("pulse",),
+    "fringe": ("constants", "sequence", "scan", "io"),
+    "allan": ("noise",),
+    "sensitivity": ("sequence", "sensitivity"),
+    "psd-variance": ("sequence", "noise"),
+}
+_HUGE = (1e300, 1e308, sys.float_info.max)
+_TINY = (5e-324, sys.float_info.min, 1e-300)
+#: Stands in for the grids' top, 1,000,000, only for speed: a run that large
+#: takes seconds (3-6 s for rabi, fringe or sensitivity on one CPU of a 2-vCPU
+#: VM).  Values past the top are drawn as is.
+_FAST_GRID = 1001
+
+
+def _edge_values(kind, bounds):
+    """Boundary-heavy INI values of one key: 0, +-tiny, +-huge, the key's
+    bounds and the values one past them, and integers past int64."""
+    if kind == "bool":
+        return ["true", "false"]
+    if kind == "int":
+        values = [0, 1, -1, 2**63 - 1, 2**63, -(2**63) - 1]
+        if bounds:
+            top = _FAST_GRID if bounds[1] == cli._MAX_SCAN_POINTS else bounds[1]
+            values += [bounds[0], top, *_one_past(kind, bounds)]
+        return [str(v) for v in values]
+    values = [0.0, *_TINY, *_HUGE]
+    values += [-v for v in values[1:]]
+    if bounds:
+        values += [b for b in bounds if math.isfinite(b)] + _one_past(kind, bounds)
+    return [repr(v) for v in values] + (["auto"] if kind == "autofloat" else [])
+
+
+def _settings_for(command):
+    keys = [(section, key) for section in _READS[command]
+            for key, spec in _SCHEMA[section].items() if spec[0] != "str"]
+    return st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True).flatmap(
+        lambda picked: st.tuples(*[
+            st.tuples(st.just(section), st.just(key), st.sampled_from(
+                _edge_values(_SCHEMA[section][key][0], _SCHEMA[section][key][2:])))
+            for section, key in picked]))
+
+
+_cases = st.sampled_from(sorted(_READS)).flatmap(
+    lambda command: st.tuples(st.just(command), _settings_for(command)))
+
+_MAX = repr(sys.float_info.max)
+_MIN = repr(sys.float_info.min)
+#: Each broke the contract once, found by drawing from these values.
+_BROKE = [
+    # nan oracle column at exit 0: the RK4 step map overflowed.
+    ("rabi", (("pulse", "rabi_hz", "1e+300"),)),
+    # numpy warning: the auto duration pi / (2 pi rabi_hz) overflowed.
+    ("rabi", (("pulse", "rabi_hz", "5e-324"),)),
+    # ValueError traceback: 2 pi rabi_hz overflowed.
+    ("rabi", (("pulse", "rabi_hz", "1e+308"), ("pulse", "duration", _MIN))),
+    # inf g_hat at exit 0: beta_null / k_eff overflowed.
+    ("fringe", (("sequence", "k_eff", "5e-324"),)),
+    # numpy warning: the chirp grid's end overflowed for a negative span.
+    ("fringe", (("scan", "center", "-" + _MAX), ("scan", "span_fringes", "-1e+300"))),
+    # numpy warnings: the span 2 (T + tau_p) overflowed.
+    ("sensitivity", (("sequence", "t_interrogation", "1e+308"),)),
+    ("psd-variance", (("sequence", "t_interrogation", "1e+308"),)),
+    # inf transfer magnitudes at exit 0: the Rabi phase pi T / tau_p overflowed.
+    ("sensitivity", (("sequence", "t_interrogation", "1e+300"),
+                     ("sequence", "tau_p", _MIN))),
+    # OverflowError traceback from int(tau / dt).
+    ("allan", (("noise", "tau_max", "1e+308"),)),
+    # numpy warning: the tau grid's powers of ten overflowed.
+    ("allan", (("noise", "tau_max", _MAX),)),
+    # Every tau omitted: one stderr line per tau, then the refusal's.
+    ("allan", (("noise", "tau_min", "5e-324"), ("noise", "tau_max", "5e-324"))),
+]
+
+
+def _with_broken_cases(test):
+    for case in _BROKE:
+        test = example(case=case)(test)
+    return test
+
+
+def _data_values(path):
+    """Every number a CSV table or a ``key=value`` summary holds, as written:
+    a finite decimal, or ``nan``/``inf``."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    if path.suffix == ".csv":
+        return [Decimal(cell) for line in lines[1:] for cell in line.split(",")]
+    return [Decimal(line.partition("=")[2]) for line in lines]
+
+
+class TestCliContract:
+    """README "Exit codes": every run exits 0 with finite data files, or
+    exits with its error class's code after one ``label: message`` line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contract")
+        rng = np.random.default_rng(31)
+        # dt = 0.01 s, so tau / dt overflows below the largest double.
+        noise.write_series_csv(root / "series.csv",
+                               noise.TimeSeries(rng.normal(0.0, 1.0, 64), 0.01))
+        freqs = 2.0 * np.pi * np.geomspace(10.0, 1e4, 10)
+        noise.write_psd_csv(root / "psd.csv",
+                            noise.Psd(freqs, 1e-9 * np.exp(rng.normal(0.0, 0.5, 10))))
+        return root
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_cases)
+    @_with_broken_cases
+    def test_exit_code_stderr_and_finite_files(self, inputs, case):
+        command, drawn = case
+        cfg = {"noise": {"series_file": str(inputs / "series.csv"),
+                         "psd_file": str(inputs / "psd.csv"),
+                         "allow_partial": "true"}}
+        for section, key, value in drawn:
+            cfg.setdefault(section, {})[key] = value
+        raised = []
+
+        def run(args, real=cli._run):
+            try:
+                return real(args)
+            except errors.GravsimError as exc:
+                raised.append(exc)
+                raise
+
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "run.ini").write_text("".join(
+                f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for section, keys in cfg.items()))
+            stderr = io.StringIO()
+            with mock.patch.object(cli, "_run", run), contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(root / "run.ini"),
+                             "--out", str(root / "out")])
+            err = stderr.getvalue()
+            assert "Traceback" not in err
+            if raised:
+                exc, = raised
+                assert code == exc.exit_code in (2, 3, 4, 5)
+                assert err == f"{exc.label}: {exc}\n"
+            else:
+                assert code == 0
+            for path in (root / "out").glob("*"):  # none if --out was not made
+                assert all(v.is_finite() for v in _data_values(path)), path.name

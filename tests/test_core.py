@@ -1,6 +1,7 @@
 """Tests for shared state types, parameter records, and constants."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -106,9 +107,13 @@ def test_sequence_params_validation_and_derived():
             SequenceParams(t_interrogation=bad, tau_p=1e-5)
         with pytest.raises(InvalidSequenceError, match="finite"):
             SequenceParams(t_interrogation=0.1, tau_p=bad)
-    # A subnormal tau_p overflows the Rabi rate pi / tau_p.
-    with pytest.raises(InvalidSequenceError, match="finite pi/tau_p"):
-        SequenceParams(t_interrogation=0.1, tau_p=1e-310)
+    # A subnormal tau_p overflows the Rabi rate pi / tau_p; T = 1e308 the
+    # span 2 (T + tau_p); T / tau_p = 1e300 / 2.2e-308 their product.
+    for big_t, tau_p in ((0.1, 1e-310), (1e308, 1e-5), (1e300, sys.float_info.min)):
+        with pytest.raises(InvalidSequenceError, match="finite pi/tau_p and a finite "
+                           "Rabi phase"):
+            SequenceParams(t_interrogation=big_t, tau_p=tau_p)
+    assert SequenceParams(t_interrogation=8e307, tau_p=10.0).span == 1.6e308
     for k_eff in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidSequenceError, match="k_eff"):
             SequenceParams(t_interrogation=0.1, tau_p=1e-5, k_eff=k_eff)

@@ -161,6 +161,23 @@ def test_beta_grid_refuses_an_end_that_overflows(center):
         beta_grid(center, 1e305, 50, 0.1)
 
 
+@pytest.mark.parametrize("center", [1.7e308, -1.7e308])
+def test_beta_grid_refuses_an_end_that_overflows_at_negative_span(center):
+    # A negative span runs the grid from its upper end; the far end is the
+    # same, and overflowed once with a numpy warning.
+    with pytest.raises(ValueError, match="center = .* overflows"):
+        beta_grid(center, -1e305, 50, 0.1)
+
+
+def test_g_hat_overflowing_a_subnormal_k_eff_is_refused():
+    # beta_null is resolved to about 1e-15 rad/s^2, and dividing it by
+    # k_eff = 5e-324 overflows.
+    betas = beta_grid(5e-324 * G_TRUE, 2.0, 50, 0.1)
+    scan = simulate_scan(betas, 5e-324, G_TRUE, 0.1)
+    with pytest.raises(FitFailureError, match="overflows dividing by k_eff = 5e-324"):
+        estimate_g(scan, 5e-324, 0.1)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
 def test_non_positive_or_non_finite_big_t_rejected(bad):
     # The same refusal as chirped_phase, not a ZeroDivisionError, a NaN grid

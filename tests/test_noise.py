@@ -52,6 +52,7 @@ from gravsim.noise import (
     SensitivityProfile,
     TimeSeries,
     _ALLAN_BLOCK,
+    _allan_work,
     _band_phases,
     _bins,
     _centred_prefix_sum,
@@ -106,9 +107,12 @@ class TestSensitivityProfile:
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=-1.0)
         with pytest.raises(ValueError, match="big_t > tau_p"):
             SensitivityProfile.from_tau_p(big_t=0.01, tau_p=0.0)
-        # pi / tau_p overflows to inf below about 1.7e-308.
-        with pytest.raises(ValueError, match="finite pi/tau_p"):
-            SensitivityProfile.from_tau_p(big_t=0.1, tau_p=1e-310)
+        # pi / tau_p overflows to inf below about 1.7e-308, the span
+        # 2 (big_t + tau_p) above about 9e307, and their product here.
+        for big_t, tau_p in ((0.1, 1e-310), (1e308, 1e-5), (1e300, 2.3e-308)):
+            with pytest.raises(ValueError, match="finite pi/tau_p and a finite "
+                               "Rabi phase"):
+                SensitivityProfile.from_tau_p(big_t=big_t, tau_p=tau_p)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -1021,6 +1025,14 @@ class TestPanelRule:
         assert nodes.size < trapezoid
         assert trapezoid == 73_942
 
+    @pytest.mark.parametrize("time_scale", [1e305, 1e306, 1e307])
+    def test_vast_time_scale_needs_infinite_nodes(self, time_scale):
+        # The node sum overflows, or a panel count, or both: refused, with
+        # no numpy overflow warning first.
+        psd = Psd(np.array([1.0, 100.0, 1e4]), np.ones(3))
+        with pytest.raises(ResolutionError, match="needs inf quadrature nodes"):
+            _panel_rule(psd, time_scale)
+
     def test_node_budget_counts_every_panel(self, monkeypatch):
         # Period 2 pi: [1, 2], [2, 4] and [4, 8] are one left edge wide and
         # take 12 nodes; [8, 16], [16, 32] and three panels on [32, 100] are
@@ -1478,24 +1490,26 @@ _OMISSION_CASES = [(n, n // 2 + k) for n in (4, 5, 100, 101) for k in (0, 1)]
 
 def _check_omission_rule(estimator, n, m, count, caplog):
     """Both estimators keep ``m`` with ``count`` blocks (or differences)
-    while ``2m <= N``, and otherwise omit it with one log text and, when no
-    time is left, raise one error text."""
+    while ``2m <= N``, and otherwise omit it with one log record and, when
+    no time is left, raise one error text."""
     series = TimeSeries(samples=np.arange(float(n)), dt=1.0)
     with caplog.at_level("WARNING", logger="gravsim.noise"):
         result = estimator(series, [float(m), 1.0])
-    omitted = (f"omitting tau={m} s: two blocks of m={m} samples exceed the "
-               f"{n}-sample series")
     if 2 * m <= n:
         np.testing.assert_array_equal(result.tau_avgs, [m, 1.0])
         assert result.n_blocks[0] == count
-        assert omitted not in caplog.text
+        assert caplog.messages == []
         return
+    omitted = f"omitting 1 tau in [{m}, {m}] s: two blocks exceed the {n}-sample series"
     np.testing.assert_array_equal(result.tau_avgs, [1.0])
-    assert omitted in caplog.text
-    with pytest.raises(InsufficientDataError,
-                       match="^no requested averaging time fits two blocks in "
-                             "the series$"):
+    assert caplog.messages == [omitted]
+    # The refusal carries the record instead of logging it: one line.
+    caplog.clear()
+    with pytest.raises(InsufficientDataError) as refused:
         estimator(series, [float(m)])
+    assert str(refused.value) == (
+        f"no requested averaging time fits two blocks in the series; {omitted}")
+    assert caplog.messages == []
 
 
 class TestAllanDeviation:
@@ -1543,15 +1557,18 @@ class TestAllanDeviation:
         with caplog.at_level("WARNING", logger="gravsim.noise"):
             result = allan_deviation(series, [1.0, 1.2, 2.0])
         np.testing.assert_allclose(result.tau_avgs, [1.0, 2.0])
-        assert len(caplog.records) == 1
-        assert "omitting tau=1.2 s: snaps to m=1 samples" in caplog.text
+        assert caplog.messages == [
+            "omitting 1 tau in [1.2, 1.2] s: snaps to an m already kept"
+        ]
 
     def test_sub_sample_tau_omitted_with_log(self, caplog):
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
         with caplog.at_level("WARNING", logger="gravsim.noise"):
             result = allan_deviation(series, [0.1, 4.0])
         assert result.tau_avgs.size == 1
-        assert "omitting tau=0.1" in caplog.text
+        assert caplog.messages == [
+            "omitting 1 tau in [0.1, 0.1] s: shorter than one sample"
+        ]
 
     def test_omitted_tau_logged_not_printed(self, caplog, capsys, monkeypatch):
         # The record reaches the application's handlers (caplog's here).
@@ -1560,7 +1577,9 @@ class TestAllanDeviation:
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
         with caplog.at_level("WARNING", logger="gravsim.noise"):
             allan_deviation(series, [0.1, 4.0])
-        assert "omitting tau=0.1" in caplog.text
+        assert caplog.messages == [
+            "omitting 1 tau in [0.1, 0.1] s: shorter than one sample"
+        ]
         monkeypatch.setattr(logging.getLogger(), "handlers", [])
         allan_deviation_overlapping(series, [0.1, 4.0])
         assert capsys.readouterr().err == ""
@@ -1607,7 +1626,9 @@ class TestAllanDeviationOverlapping:
         with caplog.at_level("WARNING", logger="gravsim.noise"):
             result = allan_deviation_overlapping(series, [0.1, 4.0])
         np.testing.assert_allclose(result.tau_avgs, [4.0])
-        assert "omitting tau=0.1 s: shorter than one sample" in caplog.text
+        assert caplog.messages == [
+            "omitting 1 tau in [0.1, 0.1] s: shorter than one sample"
+        ]
 
     @pytest.mark.parametrize("n, m", _OMISSION_CASES)
     def test_too_long_tau_omitted_with_log(self, caplog, n, m):
@@ -1755,6 +1776,8 @@ class TestAllanPrefixSum:
         c = np.concatenate(([0.0], np.cumsum(steps)))
         j = stride * np.arange(n_terms)
         expected = math.fsum((c[j + 2 * m] - 2.0 * c[j + m] + c[j]) ** 2)
+        if work is None:
+            work = _allan_work(c.size)
         power, count = _second_difference_power(c, m, stride, work)
         assert count == n_terms
         assert power == pytest.approx(expected, rel=1e-13)
@@ -1818,7 +1841,7 @@ class TestAllanPrefixSum:
         if block is not None:
             monkeypatch.setattr("gravsim.noise._ALLAN_BLOCK", block)
         c = _centred_prefix_sum(self._drifting_series(kind))
-        power, count = _second_difference_power(c, m, stride)
+        power, count = _second_difference_power(c, m, stride, _allan_work(c.size))
         assert count == (c.size - 1 - 2 * m) // stride + 1
         exact = self._exact_power(c, m, stride)
         assert abs(Fraction(power) - exact) <= Fraction(1, 10**15) * exact
@@ -1850,6 +1873,61 @@ class TestAllanPrefixSum:
         series = TimeSeries(samples=np.arange(100.0), dt=1.0)
         with pytest.raises(ValueError, match=f"tau={tau}"):
             estimator(series, [2.0, tau])
+
+
+_each_estimator = pytest.mark.parametrize(
+    "estimator", [allan_deviation, allan_deviation_overlapping],
+    ids=["non_overlapping", "overlapping"],
+)
+
+
+class TestAllanGrid:
+    """The grid pass: each tau resolved to a kept ``m`` or to one omission
+    reason before the kernel runs."""
+
+    @_each_estimator
+    def test_one_record_per_reason_with_count_and_range(self, estimator, caplog):
+        series = TimeSeries(samples=np.arange(100.0), dt=1.0)
+        taus = [60.0, 0.5, 2.0, 1.0, 2.5, 0.1, 70.0, 1.2, 50.0]
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            result = estimator(series, taus)
+        np.testing.assert_array_equal(result.tau_avgs, [2.0, 1.0, 50.0])
+        assert caplog.messages == [
+            "omitting 2 tau in [0.1, 0.5] s: shorter than one sample",
+            "omitting 2 tau in [1.2, 2.5] s: snaps to an m already kept",
+            "omitting 2 tau in [60, 70] s: two blocks exceed the 100-sample series",
+        ]
+
+    @_each_estimator
+    def test_tau_overflowing_its_sample_ratio_is_omitted(self, estimator, caplog):
+        # tau / dt is +-inf: compared before any int(), so omitted, not
+        # an OverflowError.
+        series = TimeSeries(samples=np.arange(20.0), dt=0.01)
+        with caplog.at_level("WARNING", logger="gravsim.noise"):
+            result = estimator(series, [-1e308, 0.01, 1e308])
+        np.testing.assert_array_equal(result.tau_avgs, [0.01])
+        assert caplog.messages == [
+            "omitting 1 tau in [-1e+308, -1e+308] s: shorter than one sample",
+            "omitting 1 tau in [1e+308, 1e+308] s: two blocks exceed the "
+            "20-sample series",
+        ]
+
+    @_each_estimator
+    def test_kernel_runs_once_per_distinct_feasible_m(self, estimator, monkeypatch):
+        calls = []
+        kernel = gravsim.noise._second_difference_power
+
+        def counted(c, m, stride, work):
+            calls.append(m)
+            return kernel(c, m, stride, work)
+
+        monkeypatch.setattr("gravsim.noise._second_difference_power", counted)
+        series = TimeSeries(samples=np.arange(100.0), dt=0.5)
+        taus = np.geomspace(0.1, 100.0, 2000).tolist() + [3.0, 0.5]
+        estimator(series, taus)
+        expected = list(dict.fromkeys(
+            int(tau / 0.5 + 1e-9) for tau in taus if 1 <= tau / 0.5 + 1e-9 < 51))
+        assert calls == expected and len(expected) == 50
 
 
 # ---------------------------------------------------------------------------

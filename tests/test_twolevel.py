@@ -304,6 +304,22 @@ def test_ode_oracle_infinite_step_ratio_refused():
         ode_oracle(TwoLevelState.ground(), pulse, dt=5e-324)
 
 
+def test_ode_oracle_rate_overflowing_the_step_map_refused():
+    # The RK4 stages multiply generator entries of Omega/2 before h scales
+    # them: (pi * 4.5e153 Hz)^2 overflows a double, (pi * 4e153 Hz)^2 does not.
+    for rabi_hz, finite in ((4e153, True), (4.5e153, False)):
+        rabi = 2.0 * math.pi * rabi_hz
+        pulse = PulseParams(rabi_mod=rabi, detuning=0.0, duration=math.pi / rabi)
+        dt = 2.0 * math.pi / (200.0 * rabi)
+        if finite:
+            out = ode_oracle(TwoLevelState.ground(), pulse, dt)
+            assert abs(out.c_b) ** 2 == pytest.approx(1.0, abs=1e-6)
+            continue
+        with pytest.raises(StepSizeError, match=r"^RK4 step map overflows for "
+                           r"generator entries up to 1\.414e\+154 rad/s$"):
+            ode_oracle(TwoLevelState.ground(), pulse, dt)
+
+
 def test_ode_oracle_norm_conservation():
     omega = 2.0 * math.pi * 1e4
     pulse = PulseParams(rabi_mod=omega, detuning=0.3 * omega, duration=math.pi / omega)
