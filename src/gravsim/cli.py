@@ -148,6 +148,11 @@ def _parse_value(kind: str, raw: str, where: str) -> object:
             value = float(raw)
             if not math.isfinite(value):
                 raise ValueError(f"not a finite number: {raw!r}")
+            # The echo and the CSV files write 16 digits, and the two
+            # doubles of each sign nearest the overflow round up past it.
+            if not math.isfinite(float(_fmt(value))):
+                raise ValueError(f"{raw!r} is written as {_fmt(value)}, "
+                                 f"which reads back as inf")
             return value
         if kind == "int":
             return int(raw)

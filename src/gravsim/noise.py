@@ -619,8 +619,10 @@ def _panel_rule(psd: Psd, time_scale: float) -> tuple[np.ndarray, np.ndarray]:
         rungs = np.searchsorted(_PANEL_SIZES[:-1], np.maximum(widths / period, relative))
         needed = float(np.dot(counts, np.take(_PANEL_ORDERS, rungs)))
     if not needed <= _MAX_GRID_POINTS:
+        # Digits in full below 1e15, so a vast need is not a 300-digit line.
+        count = f"{needed:.0f}" if needed < 1e15 else f"{needed:.3e}"
         raise ResolutionError(
-            f"resolving the PSD band [{lo:.3e}, {hi:.3e}] rad/s needs {needed:.0f} "
+            f"resolving the PSD band [{lo:.3e}, {hi:.3e}] rad/s needs {count} "
             f"quadrature nodes; at most {_MAX_GRID_POINTS} are allowed"
         )
     # One row per panel: panel j of an interval split into k is centred

@@ -290,10 +290,12 @@ def total_phase(
     g: float = DEFAULT_G,
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> float:
-    """Total interferometer phase ``k_eff g T^2 + dphi_laser`` [rad].
+    """Total interferometer phase ``+k_eff g T^2 + dphi_laser`` [rad].
 
     Path and laser contributions combined for the closed diamond; the path
-    part is identically zero, so only the laser sum survives.
+    part is identically zero, so only the laser sum survives.  Gravity
+    enters with a plus sign here and with a minus sign in
+    :func:`chirped_phase`: the two add to ``beta T^2 + 2 dphi_laser``.
     """
     _check_big_t(big_t)
     p1, p2, p3 = phases
@@ -307,16 +309,19 @@ def chirped_phase(
     big_t: float = 0.1,
     dphi_laser: float = 0.0,
 ) -> np.ndarray | float:
-    """Interferometer phase with a frequency chirp ``beta`` applied [rad].
-
-    Sweeping the beam difference frequency at rate ``beta`` [rad/s^2] adds
-    ``beta T^2`` to the phase, giving::
+    """Interferometer phase with a frequency chirp ``beta`` applied [rad]::
 
         (beta - k_eff g) T^2 + dphi_laser
 
-    The fringe is nulled (up to ``dphi_laser``) at ``beta = k_eff g``, which
-    is the chirp-null condition used to read out g.  An array of chirp
-    rates gives the phases elementwise.
+    Gravity enters with a minus sign, the opposite of :func:`total_phase`
+    (``+k_eff g T^2 + dphi_laser``), so this is not ``total_phase`` plus
+    ``beta T^2``: the two add to ``beta T^2 + 2 dphi_laser``, and their
+    fringes agree only when ``dphi_laser`` is a multiple of pi.
+
+    Sweeping the beam difference frequency at rate ``beta`` [rad/s^2]
+    nulls the fringe (up to ``dphi_laser``) at ``beta = k_eff g``, which is
+    the chirp-null condition used to read out g.  An array of chirp rates
+    gives the phases elementwise.
     """
     _check_big_t(big_t)
     return (beta - k_eff * g) * big_t * big_t + dphi_laser

@@ -26,7 +26,6 @@ from .errors import (DegenerateDriveError, InvalidSequenceError, StepSizeError,
                      TimeOrderError)
 
 __all__ = [
-    "RotatingFrameHamiltonian",
     "MixingAngle",
     "Eigensystem",
     "interaction_hamiltonian",
@@ -46,39 +45,6 @@ __all__ = [
 _ORACLE_RESOLUTION = 100.0
 #: Most RK4 steps one oracle call may take: about 10 s of stepping.
 _MAX_ORACLE_STEPS = 10_000_000
-
-
-@dataclass(frozen=True)
-class RotatingFrameHamiltonian:
-    """Constant Hamiltonian of a square pulse in the co-rotating frame.
-
-    Attributes
-    ----------
-    delta : float
-        Drive detuning [rad/s].
-    rabi_mod, rabi_arg : float
-        Modulus [rad/s] and argument [rad] of the complex Rabi rate.
-    laser_phase : float
-        Drive phase at t = 0 [rad].
-    """
-
-    delta: float
-    rabi_mod: float
-    rabi_arg: float
-    laser_phase: float
-
-    @property
-    def effective_phase(self) -> float:
-        """Phase entering the off-diagonal coupling: laser_phase - rabi_arg."""
-        return self.laser_phase - self.rabi_arg
-
-    def matrix(self, hbar: float = HBAR) -> np.ndarray:
-        """2x2 matrix on (C_b, C_a): (hbar/2) [[-delta, W e^{-i phi}],
-        [W e^{+i phi}, +delta]] with W = rabi_mod, phi = effective_phase."""
-        off = self.rabi_mod * cmath.exp(-1j * self.effective_phase)
-        return (hbar / 2.0) * np.array(
-            [[-self.delta, off], [off.conjugate(), self.delta]], dtype=complex
-        )
 
 
 @dataclass(frozen=True)
@@ -131,18 +97,17 @@ def interaction_hamiltonian(
     )
 
 
-def rotating_frame_hamiltonian(pulse: PulseParams) -> RotatingFrameHamiltonian:
+def rotating_frame_hamiltonian(pulse: PulseParams, hbar: float = HBAR) -> np.ndarray:
     """Hamiltonian of ``pulse`` in the frame rotating at the drive frequency.
 
     The frame transformation diag(e^{+i delta t/2}, e^{-i delta t/2}) removes
-    the explicit time dependence; the returned record's :meth:`matrix` gives
-    the constant 2x2 generator.
+    the explicit time dependence and leaves the constant 2x2 matrix on
+    (C_b, C_a) ``(hbar/2) [[-delta, W e^{-i phi}], [W e^{+i phi}, +delta]]``
+    with W = rabi_mod and phi = ``pulse.effective_phase``.
     """
-    return RotatingFrameHamiltonian(
-        delta=pulse.detuning,
-        rabi_mod=pulse.rabi_mod,
-        rabi_arg=pulse.rabi_arg,
-        laser_phase=pulse.laser_phase,
+    off = pulse.rabi_mod * cmath.exp(-1j * pulse.effective_phase)
+    return (hbar / 2.0) * np.array(
+        [[-pulse.detuning, off], [off.conjugate(), pulse.detuning]], dtype=complex
     )
 
 
@@ -175,8 +140,8 @@ def mixing_angle(delta: float, rabi_mod: float) -> MixingAngle:
     return MixingAngle(theta=math.atan2(rabi_mod, -delta), omega_r=omega_r)
 
 
-def eigensystem(h: RotatingFrameHamiltonian, hbar: float = HBAR) -> Eigensystem:
-    """Dressed states of a constant rotating-frame Hamiltonian.
+def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
+    """Dressed states of ``pulse``'s :func:`rotating_frame_hamiltonian`.
 
     The eigenvalues are +/- hbar*omega_r/2.  With half-angle c = cos(theta/2),
     s = sin(theta/2) and phi the effective drive phase, the eigenvectors on
@@ -185,10 +150,10 @@ def eigensystem(h: RotatingFrameHamiltonian, hbar: float = HBAR) -> Eigensystem:
         v_plus  = ( c e^{-i phi/2},  s e^{+i phi/2})
         v_minus = (-s e^{-i phi/2},  c e^{+i phi/2})
     """
-    ang = mixing_angle(h.delta, h.rabi_mod)
+    ang = mixing_angle(pulse.detuning, pulse.rabi_mod)
     half = ang.theta / 2.0
     c, s = math.cos(half), math.sin(half)
-    em = cmath.exp(-1j * h.effective_phase / 2.0)
+    em = cmath.exp(-1j * pulse.effective_phase / 2.0)
     ep = em.conjugate()
     v_plus = np.array([c * em, s * ep], dtype=complex)
     v_minus = np.array([-s * em, c * ep], dtype=complex)

@@ -554,6 +554,21 @@ class TestPsdVariance:
         assert "coverage error" in err
         assert "needs 7640304 quadrature nodes; at most 4000001" in err
 
+    def test_vast_node_count_refused_on_one_short_line(self, tmp_path, capsys):
+        # T = 1e300 s asks for about 1.7e303 nodes on a 100-1000 rad/s band:
+        # the count is printed as 1.719e+303, not as 304 digits.
+        band = tmp_path / "band.csv"
+        band.write_text("omega_rad_per_s,psd_value\n100.0,1e-9\n1000.0,1e-9\n")
+        cfg = write_config(
+            tmp_path,
+            "[sequence]\nt_interrogation = 1e300\n"
+            f"[noise]\npsd_file = {band}\nallow_partial = true\n",
+        )
+        assert main(["psd-variance", "--config", cfg, "--out", str(tmp_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "needs 1.719e+303 quadrature nodes" in err
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_frequency_is_data_error(self, tmp_path, capsys, cell):
         path = tmp_path / "bad.csv"
@@ -606,6 +621,10 @@ class TestConfigHandling:
             ("rabi", "pulse", "duration", "inf"),
             ("fringe", "constants", "gravity", "nan"),
             ("fringe", "scan", "span_fringes", "inf"),
+            # Written with %.15e, the two doubles of each sign nearest the
+            # overflow read back as inf.
+            ("fringe", "scan", "center", "1.7976931348623157e308"),
+            ("fringe", "scan", "center", "-1.7976931348623155e308"),
         ],
     )
     def test_non_finite_float_is_config_error(
@@ -888,6 +907,9 @@ _cases = st.sampled_from(sorted(_READS)).flatmap(
     lambda command: st.tuples(st.just(command), _settings_for(command)))
 
 _MAX = repr(sys.float_info.max)
+#: The largest double whose 16-digit echo (``%.15e``) reads back finite: the
+#: two above it are refused as config values.
+_TOP = "1.7976931348623153e+308"
 _MIN = repr(sys.float_info.min)
 #: Each broke the contract once, found by drawing from these values.
 _BROKE = [
@@ -901,6 +923,7 @@ _BROKE = [
     ("fringe", (("sequence", "k_eff", "5e-324"),)),
     # numpy warning: the chirp grid's end overflowed for a negative span.
     ("fringe", (("scan", "center", "-" + _MAX), ("scan", "span_fringes", "-1e+300"))),
+    ("fringe", (("scan", "center", "-" + _TOP), ("scan", "span_fringes", "-1e+300"))),
     # numpy warnings: the span 2 (T + tau_p) overflowed.
     ("sensitivity", (("sequence", "t_interrogation", "1e+308"),)),
     ("psd-variance", (("sequence", "t_interrogation", "1e+308"),)),
@@ -911,8 +934,12 @@ _BROKE = [
     ("allan", (("noise", "tau_max", "1e+308"),)),
     # numpy warning: the tau grid's powers of ten overflowed.
     ("allan", (("noise", "tau_max", _MAX),)),
+    ("allan", (("noise", "tau_max", _TOP),)),
     # Every tau omitted: one stderr line per tau, then the refusal's.
     ("allan", (("noise", "tau_min", "5e-324"), ("noise", "tau_max", "5e-324"))),
+    # 1.797693134862316e+308 written for the largest double, which reads
+    # back as inf.
+    ("rabi", (("pulse", "duration", _MAX), ("pulse", "rabi_hz", _MIN))),
 ]
 
 
@@ -924,7 +951,8 @@ def _with_broken_cases(test):
 
 def _data_values(path):
     """Every number a CSV table or a ``key=value`` summary holds, as written:
-    a finite decimal, or ``nan``/``inf``."""
+    a decimal, or ``nan``/``inf``.  A finite decimal past the largest double
+    reads back as ``inf``."""
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     if path.suffix == ".csv":
         return [Decimal(cell) for line in lines[1:] for cell in line.split(",")]
@@ -985,4 +1013,4 @@ class TestCliContract:
             else:
                 assert code == 0
             for path in (root / "out").glob("*"):  # none if --out was not made
-                assert all(v.is_finite() for v in _data_values(path)), path.name
+                assert all(math.isfinite(float(v)) for v in _data_values(path)), path.name

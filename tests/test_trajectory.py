@@ -226,6 +226,23 @@ def test_chirped_phase_null_condition():
     )
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e6, DEFAULT_K_EFF * 9.81, -3e8])
+@pytest.mark.parametrize("big_t, dphi", [(0.1, 0.3), (0.01, -2.0), (0.5, 0.0)])
+def test_chirped_and_total_phase_signs(beta, big_t, dphi):
+    # Gravity enters total_phase as +k g T^2 and chirped_phase as -k g T^2,
+    # so the sum cancels it: chirped_phase(beta) + total_phase = beta T^2 +
+    # 2 dphi_laser.  At T = 0.1 s and dphi = 0.3 they read 1579410.3 and
+    # -1579409.7 at beta = 0.
+    g = 9.81
+    total = total_phase(big_t, DEFAULT_K_EFF, g, (dphi, 0.0, 0.0))
+    chirped = chirped_phase(beta, DEFAULT_K_EFF, g, big_t, dphi)
+    scale = (DEFAULT_K_EFF * g + abs(beta)) * big_t * big_t
+    assert chirped + total == pytest.approx(
+        beta * big_t * big_t + 2.0 * dphi, abs=1e-15 * scale
+    )
+    assert total - dphi == pytest.approx(DEFAULT_K_EFF * g * big_t * big_t, rel=1e-15)
+
+
 def test_phase_functions_guard_time_order():
     v = build_vertices(z0=0.0, v0=0.1, big_t=0.05)
     with pytest.raises(TimeOrderError):

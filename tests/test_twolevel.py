@@ -85,8 +85,7 @@ def test_rotating_frame_hamiltonian_matrix():
     delta = 2.0 * math.pi * 2e3
     phi = 0.8
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=1e-4, laser_phase=phi)
-    h = rotating_frame_hamiltonian(pulse)
-    m = h.matrix()
+    m = rotating_frame_hamiltonian(pulse)
     assert m[0, 0] == pytest.approx(-0.5 * HBAR * delta, rel=1e-14)
     assert m[1, 1] == pytest.approx(+0.5 * HBAR * delta, rel=1e-14)
     assert m[0, 1] == pytest.approx(
@@ -131,9 +130,8 @@ def test_mixing_angle_degenerate_raises():
 @settings(max_examples=200)
 def test_eigensystem_solves_hamiltonian(omega, delta, phi):
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=1.0, laser_phase=phi)
-    h = rotating_frame_hamiltonian(pulse)
-    eig = eigensystem(h)
-    m = h.matrix()
+    eig = eigensystem(pulse)
+    m = rotating_frame_hamiltonian(pulse)
     scale = abs(eig.lambda_plus)
     np.testing.assert_allclose(
         m @ eig.v_plus, eig.lambda_plus * eig.v_plus, atol=1e-12 * scale
@@ -153,7 +151,7 @@ def test_spectral_projectors_closed_form():
     ang = mixing_angle(delta, omega)
     assert ang.theta == pytest.approx(math.pi / 3.0, rel=1e-12)
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=1.0, laser_phase=phi)
-    eig = eigensystem(rotating_frame_hamiltonian(pulse))
+    eig = eigensystem(pulse)
     p_plus, p_minus = spectral_projectors(eig)
     th = math.pi / 3.0
     c2 = math.cos(th / 2.0) ** 2
@@ -171,7 +169,7 @@ def test_spectral_projectors_closed_form():
 @settings(max_examples=200)
 def test_spectral_projectors_algebra(omega, delta, phi):
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=1.0, laser_phase=phi)
-    eig = eigensystem(rotating_frame_hamiltonian(pulse))
+    eig = eigensystem(pulse)
     p_plus, p_minus = spectral_projectors(eig)
     ident = np.eye(2)
     np.testing.assert_allclose(p_plus + p_minus, ident, atol=1e-12)
@@ -256,6 +254,39 @@ def test_pulse_propagator_uses_pulse_record_fields():
     )
     expected = propagator_matrix(4e4, 0.2 - 0.5, 2e-4, 1.3e-5, -3e3)
     np.testing.assert_allclose(pulse_propagator(pulse), expected, rtol=1e-15)
+
+
+def test_spectral_decomposition_gives_propagator():
+    # The pedagogy chain end to end: the dressed energies and projectors of
+    # the rotating-frame Hamiltonian, exponentiated and carried back to the
+    # lab frame, D(t0 + tau)^dag (sum_k e^{-i lambda_k tau/hbar} P_k) D(t0)
+    # with D(t) = diag(e^{i delta t/2}, e^{-i delta t/2}), are the closed-form
+    # propagator.
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(2000):
+        omega = float(np.exp(rng.uniform(math.log(1e2), math.log(1e7))))
+        delta = float(rng.uniform(-3.0, 3.0)) * omega
+        pulse = PulseParams(
+            rabi_mod=omega,
+            detuning=delta,
+            duration=float(1.0 - rng.uniform()) * 5.0 / omega,
+            rabi_arg=float(rng.uniform(-math.pi, math.pi)),
+            laser_phase=float(rng.uniform(-math.pi, math.pi)),
+            start_time=float(rng.uniform()) * 10.0 / omega,
+        )
+        eig = eigensystem(pulse)
+        p_plus, p_minus = spectral_projectors(eig)
+        tau, t0 = pulse.duration, pulse.start_time
+        rotating = (cmath.exp(-1j * eig.lambda_plus * tau / HBAR) * p_plus
+                    + cmath.exp(-1j * eig.lambda_minus * tau / HBAR) * p_minus)
+
+        def frame(t):
+            return np.diag([cmath.exp(0.5j * delta * t), cmath.exp(-0.5j * delta * t)])
+
+        chain = frame(t0 + tau).conj().T @ rotating @ frame(t0)
+        worst = max(worst, float(np.max(np.abs(chain - pulse_propagator(pulse)))))
+    assert worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
