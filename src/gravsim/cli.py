@@ -34,10 +34,9 @@ import configparser
 import math
 import os
 import sys
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
 
 from .core import (
     DEFAULT_G,
@@ -52,15 +51,17 @@ if TYPE_CHECKING:
 
 # Each subcommand imports the one module it runs, inside its cmd_* function,
 # so a fresh process loads (and, without bytecode caches, compiles) no other.
+# numpy too is imported only where arrays are built: ``rabi``, ``--help`` and
+# every refusal of load_config run without it.
 
 __all__ = ["main", "load_config"]
 
 ENV_CONFIG = "GRAVSIM_CONFIG"
 
 #: Most points one fringe scan, or rows one rabi table, may have.  A noisy
-#: scan of 1,000,000 points takes about 5.5 s and 100 MB of peak RSS, and
-#: writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 13-17 s and
-#: 136 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
+#: scan of 1,000,000 points takes about 2.7-3.2 s and 106 MB of peak RSS,
+#: and writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 3.9 s and
+#: 108 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
 #: numpy 2.4).  It bounds every other grid size too.
 _MAX_SCAN_POINTS = 1_000_000
 _GRID = (2, _MAX_SCAN_POINTS)
@@ -284,18 +285,21 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     dt = cfg["pulse"]["oracle_dt"]
     if dt is None:
         dt = _TWO_PI / (200.0 * omega_r) if omega_r > 0.0 else duration / 200.0
+    # np.linspace's arithmetic: i * interval, the last time exactly duration.
+    times = array("d", (i * interval for i in range(n_points)))
+    times[-1] = duration
     # The oracle sweeps the uniform grid once, sampled at each output time
     # after t = 0 (the ground state there).
-    times = np.linspace(0.0, duration, n_points)
-    oracle = np.zeros(n_points)
-    oracle[1:], n_steps = twolevel._excited_sweep(
+    oracle, n_steps = twolevel._excited_sweep(
         twolevel.PulseParams(rabi, detuning, interval, laser_phase=laser_phase), dt,
         n_points - 1)
+    oracle.insert(0, 0.0)
     # |U_ba|^2 of the closed-form propagator over [0, t]; zero at t = 0.
-    closed = np.array([0.0] + [
+    closed = array("d", [0.0])
+    closed.extend(
         abs(twolevel._propagator_rows(rabi, laser_phase, 0.0, t, detuning)[0][1]) ** 2
-        for t in times[1:].tolist()])
-    discrepancy = float(np.max(np.abs(closed - oracle)))
+        for t in times[1:])
+    discrepancy = max(abs(c - o) for c, o in zip(closed, oracle))
     _write_csv(
         out_dir / "rabi.csv",
         ["t", "p_excited_closed", "p_excited_oracle"],
@@ -387,6 +391,8 @@ def cmd_fringe(cfg: Config, out_dir: Path) -> int:
 def cmd_allan(cfg: Config, out_dir: Path) -> int:
     import logging
 
+    import numpy as np
+
     from . import noise
 
     series_file = cfg["noise"]["series_file"]
@@ -428,6 +434,8 @@ def cmd_allan(cfg: Config, out_dir: Path) -> int:
 
 
 def cmd_sensitivity(cfg: Config, out_dir: Path, three_segment_gs: bool) -> int:
+    import numpy as np
+
     from . import noise
 
     profile = _profile(cfg)

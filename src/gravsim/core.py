@@ -314,19 +314,24 @@ def _write_csv(
     """Write CSV with LF endings, '.' decimals, 15-significant-digit floats
     and integer columns as plain integers; optional '#' comment lines first.
 
-    ``columns`` are equal-length arrays.  This is the package's one CSV
-    writer: the CLI's tables and ``noise.write_*_csv`` both use it.
+    ``columns`` are equal-length columns that slice and convert with
+    ``.tolist()``: numpy arrays, or ``array.array`` columns, which the
+    ``rabi`` table uses so that it loads no numpy.  This is the package's
+    one CSV writer: the CLI's tables and ``noise.write_*_csv`` both use it.
 
-    Each row is one ``%`` template, built once from the column kinds, applied
-    to Python numbers.  The columns are converted ``_CSV_BLOCK_ROWS`` rows at
-    a time, so a long table never holds more than one block of them.
+    Each row is one ``%`` template, built once from the Python types of the
+    first row's converted values (``%d`` for an int), applied to Python
+    numbers.  The columns are converted ``_CSV_BLOCK_ROWS`` rows at a time,
+    so a long table never holds more than one block of them.
     """
-    template = ",".join(
-        "%d" if column.dtype.kind in "iu" else "%.15e" for column in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            if not start:
+                template = ",".join(
+                    "%d" if isinstance(values[0], int) else "%.15e" for values in block
+                ) + "\n"
             fh.write("".join(map(template.__mod__, zip(*block))))

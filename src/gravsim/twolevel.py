@@ -16,14 +16,22 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import islice
+from typing import TYPE_CHECKING
 
 from .core import (HBAR, PulseParams, SequenceParams, TwoLevelState, _pulse_edges,
                    _rabi_rate, state_probability)
 from .errors import (DegenerateDriveError, InvalidSequenceError, StepSizeError,
                      TimeOrderError)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that build arrays (the matrix API
+# below and the 3x3 sweep), so the two-level sweep and the closed form, and
+# the ``rabi`` command that runs them, load no numpy.
 
 __all__ = [
     "MixingAngle",
@@ -88,6 +96,8 @@ def interaction_hamiltonian(
     ``(hbar/2) Omega exp(-i (delta t + laser_phase))`` (diagonal zero, the
     bare level energies being absorbed in the interaction picture).
     """
+    import numpy as np
+
     drive = (
         pulse.rabi_mod
         * cmath.exp(-1j * (pulse.detuning * t + pulse.effective_phase))
@@ -105,6 +115,8 @@ def rotating_frame_hamiltonian(pulse: PulseParams, hbar: float = HBAR) -> np.nda
     (C_b, C_a) ``(hbar/2) [[-delta, W e^{-i phi}], [W e^{+i phi}, +delta]]``
     with W = rabi_mod and phi = ``pulse.effective_phase``.
     """
+    import numpy as np
+
     off = pulse.rabi_mod * cmath.exp(-1j * pulse.effective_phase)
     return (hbar / 2.0) * np.array(
         [[-pulse.detuning, off], [off.conjugate(), pulse.detuning]], dtype=complex
@@ -150,6 +162,8 @@ def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
         v_plus  = ( c e^{-i phi/2},  s e^{+i phi/2})
         v_minus = (-s e^{-i phi/2},  c e^{+i phi/2})
     """
+    import numpy as np
+
     ang = mixing_angle(pulse.detuning, pulse.rabi_mod)
     half = ang.theta / 2.0
     c, s = math.cos(half), math.sin(half)
@@ -169,6 +183,8 @@ def spectral_projectors(eig: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
     They are Hermitian, idempotent, mutually orthogonal, and sum to the
     identity.
     """
+    import numpy as np
+
     p_plus = np.outer(eig.v_plus, eig.v_plus.conj())
     p_minus = np.outer(eig.v_minus, eig.v_minus.conj())
     return p_plus, p_minus
@@ -212,6 +228,8 @@ def propagator_matrix(
     numpy.ndarray
         2x2 complex unitary.
     """
+    import numpy as np
+
     return np.array(_propagator_rows(rabi_mod, effective_phase, start_time, duration,
                                      frame_delta, rot_delta, mean_shift))
 
@@ -516,6 +534,8 @@ def _rk4_sweep(
                 b_b, b_a = m00 * b_b + m01 * b_a, m10 * b_b + m11 * b_a
             samples += (b_b, b_a)
         return samples, n_steps
+    import numpy as np
+
     advance = np.array(step).dot
     b = np.array(b)
     spare = np.empty_like(b)
@@ -588,15 +608,19 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
 
 def _excited_sweep(
     pulse: PulseParams, dt: float, n_samples: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[array, int]:
     """:func:`ode_oracle` from the ground state in one sweep: the excited
     populations after each of ``n_samples`` back-to-back spans of
-    ``pulse.duration``, and the RK4 steps per span.
+    ``pulse.duration``, as an ``array("d")`` column, and the RK4 steps per
+    span.
 
     ``D`` is diagonal and unitary, so each population is ``|b_b|^2`` of
-    the sweep's sample, with no phase turned back.
+    the sweep's sample, with no phase turned back.  It is taken as
+    ``abs(b_b) ** 2``, the form of the closed-form column that ``gravsim
+    rabi`` compares it with, and lies within 2**-52 of the sample's exact
+    squared modulus.
     """
     a0, nu, rate = _pulse_generator(pulse)
     samples, n_steps = _rk4_sweep(a0, nu, [0.0, 1.0], pulse.start_time,
                                   pulse.duration, dt, rate, n_samples)
-    return np.abs(np.array(samples[::2])) ** 2, n_steps
+    return array("d", (abs(b) ** 2 for b in islice(samples, 0, None, 2))), n_steps

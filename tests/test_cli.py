@@ -208,6 +208,79 @@ class TestRabi:
         assert "constants.hbar" not in text
         assert "constants.atom_mass" not in text
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "[pulse]\nduration = 3.3e-6\nn_points = 7\n",
+         "[pulse]\nduration = 1.234567e-5\nn_points = 999\n"],
+        ids=["defaults", "seven", "odd_duration"],
+    )
+    def test_time_column_is_linspace(self, tmp_path, monkeypatch, text):
+        # i * interval with the last time exactly duration: np.linspace's
+        # own arithmetic, bit for bit.
+        written = []
+        monkeypatch.setattr(cli, "_write_csv",
+                            lambda path, header, columns, _: written.append(columns))
+        cfg = write_config(tmp_path, text)
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
+        pulse = load_config(cfg)["pulse"]
+        duration = pulse["duration"] or math.pi / (2.0 * math.pi * pulse["rabi_hz"])
+        [(times, _, _)] = written
+        assert times.tolist() == np.linspace(0.0, duration, pulse["n_points"]).tolist()
+
+    def test_oracle_column_within_one_ulp_of_mpmath(self, tmp_path):
+        # CI's detuned.ini.  Each oracle value is abs(b_b) ** 2 of the
+        # sweep's sample: within 2**-52, one ulp of 1, of the sample's exact
+        # squared modulus (0.63 ulp at most, measured).  numpy's complex abs
+        # missed it by up to 1.13 ulp.
+        mpmath = pytest.importorskip("mpmath")
+        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\n")
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
+        oracle = [line.split(",")[2] for line in data_lines(tmp_path / "rabi.csv")[1:]]
+        rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
+        interval = math.pi / rabi / 200
+        dt = 2.0 * math.pi / (200.0 * math.hypot(rabi, detuning))
+        pulse = twolevel.PulseParams(rabi, detuning, interval, laser_phase=0.7)
+        column, _ = twolevel._excited_sweep(pulse, dt, 200)
+        assert oracle == [f"{p:.15e}" for p in [0.0, *column]]
+        a0, nu, rate = twolevel._pulse_generator(pulse)
+        samples, _ = twolevel._rk4_sweep(a0, nu, [0.0, 1.0], 0.0, interval, dt, rate, 200)
+        with mpmath.workdps(50):
+            for p, b in zip(column, samples[::2]):
+                exact = mpmath.mpf(b.real) ** 2 + mpmath.mpf(b.imag) ** 2
+                assert abs(mpmath.mpf(p) - exact) <= 2.0**-52
+
+    def test_runs_without_numpy(self, tmp_path):
+        # rabi, --help and load_config's refusals import no numpy: with the
+        # import blocked they run as usual, and rabi writes the same bytes.
+        # Both runs write into one --out directory, which the echo holds.
+        src = str(Path(cli.__file__).resolve().parents[1])
+
+        def run(args, block):
+            code = ("import sys\n"
+                    + ("sys.modules['numpy'] = None\n" if block else "")
+                    + "from gravsim.cli import main\nsys.exit(main())\n")
+            return subprocess.run([sys.executable, "-c", code, *args],
+                                  env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True)
+
+        out = tmp_path / "out"
+        detuned = write_config(
+            tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\n")
+        for config in ([], ["--config", detuned]):
+            files = []
+            for block in (False, True):
+                proc = run(["rabi", *config, "--out", str(out)], block)
+                assert (proc.returncode, proc.stderr) == (0, "")
+                files.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert sorted(files[1]) == ["rabi.csv", "rabi_summary.txt"]
+            assert files[1] == files[0]
+        proc = run(["--help"], True)
+        assert (proc.returncode, proc.stderr) == (0, "") and "rabi" in proc.stdout
+        bad = write_config(tmp_path, "[pulse]\nn_points = 1\n", name="bad.ini")
+        proc = run(["rabi", "--config", bad, "--out", str(out)], True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
 
 class TestFringe:
     def test_noiseless_recovers_configured_gravity(self, tmp_path):

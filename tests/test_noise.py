@@ -633,6 +633,8 @@ class TestTransferFunction:
             assert "numpy.ma" not in loaded
         # Only the noise module logs; the other commands load no logging.
         assert ("logging" in loaded) == ("noise" in expected)
+        # rabi's sweep, closed form and table are plain Python numbers.
+        assert ("numpy" in loaded) == (command != "rabi")
 
     def test_rejects_negative_frequency(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
