@@ -237,7 +237,7 @@ def _profile(cfg: Config) -> SensitivityProfile:
     from .noise import SensitivityProfile
 
     seq = _sequence_params(cfg)
-    return SensitivityProfile.from_tau_p(seq.t_interrogation, seq.tau_p)
+    return SensitivityProfile(seq.t_interrogation, seq.tau_p)
 
 
 def _write_summary(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .errors import InvalidSequenceError, InvalidStateError
 
@@ -129,27 +129,29 @@ class ThreeLevelState:
 class PulseParams:
     """Parameters of a single square drive pulse.
 
+    The drive couples the two levels through ``(hbar/2) Omega exp(-i (delta
+    t + phi))`` with a real Rabi rate ``Omega = rabi_mod``.  A complex
+    coupling ``|Omega| e^{i alpha}`` is the same drive at the laser phase
+    ``phi - alpha``, so the record keeps one phase: ``laser_phase``.
+
     Attributes
     ----------
     rabi_mod : float
-        Modulus of the (possibly complex) Rabi rate [rad/s]; must be >= 0.
-    rabi_arg : float
-        Argument of the complex Rabi rate [rad].  A nonzero argument is
-        equivalent to shifting the laser phase by ``-rabi_arg``.
+        Rabi rate Omega [rad/s]; finite and >= 0.
     detuning : float
-        Drive detuning from resonance [rad/s].
-    laser_phase : float
-        Phase of the drive field at t = 0 [rad].
-    start_time : float
-        Time at which the pulse switches on [s].
+        Drive detuning delta from resonance [rad/s]; finite.
     duration : float
-        Pulse length [s]; must be > 0.
+        Pulse length [s]; finite and > 0.
+    laser_phase : float, keyword-only
+        Phase phi of the drive field at t = 0 [rad]; finite.
+    start_time : float, keyword-only
+        Time at which the pulse switches on [s]; finite.
     """
 
     rabi_mod: float
     detuning: float
     duration: float
-    rabi_arg: float = 0.0
+    _: KW_ONLY
     laser_phase: float = 0.0
     start_time: float = 0.0
 
@@ -159,16 +161,10 @@ class PulseParams:
             raise ValueError(f"rabi_mod must be finite and >= 0, got {self.rabi_mod}")
         if not 0.0 < self.duration < math.inf:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
-
-    @property
-    def rabi(self) -> complex:
-        """Complex Rabi rate ``rabi_mod * exp(i rabi_arg)`` [rad/s]."""
-        return self.rabi_mod * complex(math.cos(self.rabi_arg), math.sin(self.rabi_arg))
-
-    @property
-    def effective_phase(self) -> float:
-        """Drive phase as seen by the dynamics, ``laser_phase - rabi_arg``."""
-        return self.laser_phase - self.rabi_arg
+        for name in ("detuning", "laser_phase", "start_time"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

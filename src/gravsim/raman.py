@@ -85,8 +85,8 @@ class LaserPair:
 class RamanDetunings:
     """Single- and two-photon detunings seen by one momentum class.
 
-    ``delta_two_photon`` must equal ``delta1 - delta2``; the constructor
-    enforces the identity.
+    All three are finite, and ``delta_two_photon`` must equal ``delta1 -
+    delta2``; the constructor enforces both.
     """
 
     delta1: float
@@ -96,9 +96,13 @@ class RamanDetunings:
     def __post_init__(self) -> None:
         expected = self.delta1 - self.delta2
         scale = max(1.0, abs(self.delta1), abs(self.delta2))
-        if abs(self.delta_two_photon - expected) > 1e-9 * scale:
+        # One positive chain, so that NaN fails it: a NaN field makes the
+        # difference NaN, an infinite delta1 or delta2 the scale, and an
+        # infinite delta_two_photon the difference infinite.
+        if not abs(self.delta_two_photon - expected) <= 1e-9 * scale < math.inf:
             raise ValueError(
-                f"delta_two_photon={self.delta_two_photon} inconsistent with "
+                f"need finite detunings with delta_two_photon = delta1 - delta2, "
+                f"got delta_two_photon={self.delta_two_photon} and "
                 f"delta1 - delta2 = {expected}"
             )
 

@@ -71,22 +71,18 @@ class FreeFallTrajectory:
 
 @dataclass(frozen=True)
 class TrajectoryVertices:
-    """Arm heights at the four pulse vertices, with and without gravity.
+    """Arm heights at the four pulse vertices of one diamond.
 
     ``z_a`` is the common start, ``z_c``/``z_d`` the upper/lower arm at the
-    mirror pulse, ``z_b`` the recombination point.  The ``*0`` fields are the
-    same vertices computed with g = 0 (used to isolate the gravity-induced
-    sag).
+    mirror pulse, ``z_b`` the recombination point.  The gravity-free
+    diamond, which isolates the gravity-induced sag, is
+    ``build_vertices(..., g=0.0)``.
     """
 
     z_a: float
     z_b: float
     z_c: float
     z_d: float
-    z_a0: float
-    z_b0: float
-    z_c0: float
-    z_d0: float
 
 
 def _check_big_t(big_t: float) -> None:
@@ -204,9 +200,10 @@ def build_vertices(
 
     The deflected arm leaves the first splitter with the extra two-photon
     recoil velocity ``v_r = hbar k_eff / mass``; the mirror pulse at t = T
-    exchanges the arm velocities, so both arms meet again at t = 2T.  The
-    gravity-free vertices (``*0`` fields) are computed with g = 0 and the
-    same (z0, v0).
+    exchanges the arm velocities, so both arms meet again at t = 2T.
+    Gravity lowers the mirror-pulse vertices by ``g T^2 / 2`` and the
+    recombination vertex by ``2 g T^2``; ``g=0.0`` gives the gravity-free
+    diamond of the same (z0, v0).
 
     Raises
     ------
@@ -216,20 +213,11 @@ def build_vertices(
     _check_big_t(big_t)
     v_r = hbar * k_eff / mass
     sag = 0.5 * g * big_t * big_t
-
-    z_c0 = z0 + (v0 + v_r) * big_t
-    z_d0 = z0 + v0 * big_t
-    z_b0 = z0 + (2.0 * v0 + v_r) * big_t
-
     return TrajectoryVertices(
         z_a=z0,
-        z_b=z_b0 - 4.0 * sag,
-        z_c=z_c0 - sag,
-        z_d=z_d0 - sag,
-        z_a0=z0,
-        z_b0=z_b0,
-        z_c0=z_c0,
-        z_d0=z_d0,
+        z_b=z0 + (2.0 * v0 + v_r) * big_t - 4.0 * sag,
+        z_c=z0 + (v0 + v_r) * big_t - sag,
+        z_d=z0 + v0 * big_t - sag,
     )
 
 

@@ -5,10 +5,11 @@ pulse has a constant Hamiltonian and the propagator is available in closed
 form.  All matrices act on the amplitude vector ``(C_b, C_a)`` -- excited
 amplitude first (see :mod:`gravsim.core`).
 
-For a drive of complex Rabi rate ``Omega = rabi_mod * exp(i rabi_arg)``,
-detuning ``delta`` and laser phase ``phi``, the lab-frame coupling is
-``(hbar/2) Omega exp(-i (delta t + phi))`` and everything below depends on the
-phase only through ``phi_eff = phi - rabi_arg``.
+For a drive of Rabi rate ``Omega = rabi_mod >= 0``, detuning ``delta`` and
+laser phase ``phi``, the lab-frame coupling is ``(hbar/2) Omega exp(-i (delta
+t + phi))``.  A complex coupling ``|Omega| e^{i alpha}`` is the drive of rate
+``|Omega|`` at the phase ``phi - alpha``, which is how :mod:`gravsim.raman`
+hands its effective two-photon drive to the propagator below.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def interaction_hamiltonian(
 
     drive = (
         pulse.rabi_mod
-        * cmath.exp(-1j * (pulse.detuning * t + pulse.effective_phase))
+        * cmath.exp(-1j * (pulse.detuning * t + pulse.laser_phase))
     )
     return (hbar / 2.0) * np.array(
         [[0.0, drive], [drive.conjugate(), 0.0]], dtype=complex
@@ -113,11 +114,11 @@ def rotating_frame_hamiltonian(pulse: PulseParams, hbar: float = HBAR) -> np.nda
     The frame transformation diag(e^{+i delta t/2}, e^{-i delta t/2}) removes
     the explicit time dependence and leaves the constant 2x2 matrix on
     (C_b, C_a) ``(hbar/2) [[-delta, W e^{-i phi}], [W e^{+i phi}, +delta]]``
-    with W = rabi_mod and phi = ``pulse.effective_phase``.
+    with W = rabi_mod and phi = ``pulse.laser_phase``.
     """
     import numpy as np
 
-    off = pulse.rabi_mod * cmath.exp(-1j * pulse.effective_phase)
+    off = pulse.rabi_mod * cmath.exp(-1j * pulse.laser_phase)
     return (hbar / 2.0) * np.array(
         [[-pulse.detuning, off], [off.conjugate(), pulse.detuning]], dtype=complex
     )
@@ -129,9 +130,9 @@ def mixing_angle(delta: float, rabi_mod: float) -> MixingAngle:
     Parameters
     ----------
     delta : float
-        Detuning [rad/s].
+        Detuning [rad/s]; finite.
     rabi_mod : float
-        Rabi-rate modulus [rad/s], >= 0.
+        Rabi rate [rad/s]; finite and >= 0.
 
     Returns
     -------
@@ -141,11 +142,16 @@ def mixing_angle(delta: float, rabi_mod: float) -> MixingAngle:
 
     Raises
     ------
+    ValueError
+        If ``delta`` is not finite, or ``rabi_mod`` not finite and >= 0.
     DegenerateDriveError
         If both ``delta`` and ``rabi_mod`` vanish (angle undefined).
     """
-    if rabi_mod < 0.0:
-        raise ValueError(f"rabi_mod must be >= 0, got {rabi_mod}")
+    # Positive chains, so that NaN and inf fail them.
+    if not 0.0 <= rabi_mod < math.inf:
+        raise ValueError(f"rabi_mod must be finite and >= 0, got {rabi_mod}")
+    if not -math.inf < delta < math.inf:
+        raise ValueError(f"delta must be finite, got {delta}")
     omega_r = math.hypot(rabi_mod, delta)
     if omega_r == 0.0:
         raise DegenerateDriveError("rabi_mod and delta are both zero")
@@ -156,7 +162,7 @@ def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
     """Dressed states of ``pulse``'s :func:`rotating_frame_hamiltonian`.
 
     The eigenvalues are +/- hbar*omega_r/2.  With half-angle c = cos(theta/2),
-    s = sin(theta/2) and phi the effective drive phase, the eigenvectors on
+    s = sin(theta/2) and phi the laser phase, the eigenvectors on
     (C_b, C_a) are::
 
         v_plus  = ( c e^{-i phi/2},  s e^{+i phi/2})
@@ -167,7 +173,7 @@ def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
     ang = mixing_angle(pulse.detuning, pulse.rabi_mod)
     half = ang.theta / 2.0
     c, s = math.cos(half), math.sin(half)
-    em = cmath.exp(-1j * pulse.effective_phase / 2.0)
+    em = cmath.exp(-1j * pulse.laser_phase / 2.0)
     ep = em.conjugate()
     v_plus = np.array([c * em, s * ep], dtype=complex)
     v_minus = np.array([-s * em, c * ep], dtype=complex)
@@ -271,7 +277,7 @@ def pulse_propagator(pulse: PulseParams) -> np.ndarray:
     """Exact propagator of ``pulse`` on (C_b, C_a) amplitudes."""
     return propagator_matrix(
         rabi_mod=pulse.rabi_mod,
-        effective_phase=pulse.effective_phase,
+        effective_phase=pulse.laser_phase,
         start_time=pulse.start_time,
         duration=pulse.duration,
         frame_delta=pulse.detuning,
@@ -281,7 +287,7 @@ def pulse_propagator(pulse: PulseParams) -> np.ndarray:
 def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
     """Apply one square pulse to a state via the closed-form propagator."""
     (u_bb, u_ba), (u_ab, u_aa) = _propagator_rows(
-        pulse.rabi_mod, pulse.effective_phase, pulse.start_time, pulse.duration,
+        pulse.rabi_mod, pulse.laser_phase, pulse.start_time, pulse.duration,
         pulse.detuning)
     return TwoLevelState(c_a=u_ab * state.c_b + u_aa * state.c_a,
                          c_b=u_bb * state.c_b + u_ba * state.c_a)
@@ -561,7 +567,7 @@ def _pulse_generator(
 ) -> tuple[list[list[complex]], list[float], float]:
     """``a0``, ``nu`` and the fastest rate of ``pulse``'s lab-frame equations
     on (C_b, C_a) (see :func:`ode_oracle`)."""
-    drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
+    drive = -0.5j * pulse.rabi_mod * cmath.exp(-1j * pulse.laser_phase)
     return ([[0.0, drive], [-drive.conjugate(), 0.0]],
             [-0.5 * pulse.detuning, 0.5 * pulse.detuning],
             math.hypot(pulse.rabi_mod, pulse.detuning))
@@ -575,7 +581,7 @@ def ode_oracle(state: TwoLevelState, pulse: PulseParams, dt: float) -> TwoLevelS
     equations
 
         dC_b/dt = -(i/2) Omega e^{-i(delta t + phi)} C_a
-        dC_a/dt = -(i/2) Omega* e^{+i(delta t + phi)} C_b
+        dC_a/dt = -(i/2) Omega e^{+i(delta t + phi)} C_b
 
     with classic Runge-Kutta (:func:`_rk4_lab_frame`, with ``nu = (-delta/2,
     delta/2)``); no closed form, eigendecomposition or matrix exponential

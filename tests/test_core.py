@@ -84,12 +84,22 @@ def test_pulse_params_validation_and_properties():
             PulseParams(rabi_mod=bad, detuning=0.0, duration=1.0)
         with pytest.raises(ValueError, match="duration must be finite"):
             PulseParams(rabi_mod=1.0, detuning=0.0, duration=bad)
-    p = PulseParams(
-        rabi_mod=2.0, detuning=0.0, duration=1.0, rabi_arg=math.pi / 2, laser_phase=0.3
-    )
-    assert p.rabi == pytest.approx(2.0j)
-    # A complex drive amplitude acts as a shift of the laser phase.
-    assert p.effective_phase == pytest.approx(0.3 - math.pi / 2)
+    # The drive phase is one keyword-only field: a fourth positional
+    # argument is refused rather than read as a phase.
+    p = PulseParams(2.0, 0.0, 1.0, laser_phase=0.3, start_time=0.1)
+    assert (p.laser_phase, p.start_time) == (0.3, 0.1)
+    with pytest.raises(TypeError):
+        PulseParams(1.0, 0.0, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("field", ["detuning", "laser_phase", "start_time"])
+def test_pulse_params_refuses_non_finite(field):
+    # Each field is named in the refusal, before any propagator or oracle
+    # turns the NaN or inf into a misleading error of its own.
+    for bad in (math.nan, math.inf, -math.inf):
+        fields = {"rabi_mod": 1.0, "detuning": 0.0, "duration": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseParams(**fields)
 
 
 def test_sequence_params_validation_and_derived():

@@ -83,6 +83,16 @@ def test_raman_detunings_consistency_enforced():
     assert d.delta_two_photon == pytest.approx(d.delta1 - d.delta2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_raman_detunings_refuse_non_finite(bad):
+    # NaN passes no comparison, so a NaN field must not slip through the
+    # identity check; nor may an infinite one, which would reach the oracle.
+    for fields in ((1e9, 1e9, bad), (bad, 1e9, 0.0), (1e9, bad, 0.0),
+                   (bad, bad, bad), (bad, 0.0, bad)):
+        with pytest.raises(ValueError, match="need finite detunings"):
+            RamanDetunings(*fields)
+
+
 def test_detunings_match_construction_targets():
     # make_lasers inverts the detuning definitions; recovering the targets
     # checks the Doppler/recoil bookkeeping in both directions.

@@ -112,13 +112,14 @@ def test_action_additive_along_true_path():
 @pytest.mark.parametrize("big_t", BIG_TS)
 def test_vertex_sag_identities(g, big_t):
     v = build_vertices(z0=0.02, v0=0.15, big_t=big_t, g=g)
+    free = build_vertices(z0=0.02, v0=0.15, big_t=big_t, g=0.0)
     sag = 0.5 * g * big_t * big_t
     # Gravity displaces the mirror-pulse vertices by g T^2 / 2 and the
     # recombination vertex by 2 g T^2 (tolerances at the few-ulp level of
     # the vertex heights themselves).
-    assert v.z_c0 - v.z_c == pytest.approx(sag, rel=1e-12, abs=1e-16)
-    assert v.z_d0 - v.z_d == pytest.approx(sag, rel=1e-12, abs=1e-16)
-    assert v.z_b0 - v.z_b == pytest.approx(4.0 * sag, rel=1e-12, abs=1e-16)
+    assert free.z_c - v.z_c == pytest.approx(sag, rel=1e-12, abs=1e-16)
+    assert free.z_d - v.z_d == pytest.approx(sag, rel=1e-12, abs=1e-16)
+    assert free.z_b - v.z_b == pytest.approx(4.0 * sag, rel=1e-12, abs=1e-16)
 
 
 @pytest.mark.parametrize("g", GRAVITIES)
@@ -126,8 +127,8 @@ def test_vertex_sag_identities(g, big_t):
 def test_vertex_closure_identities(g, big_t):
     v = build_vertices(z0=0.02, v0=0.15, big_t=big_t, g=g)
     # Gravity-free diamond is a parallelogram.
-    free = v.z_c0 + v.z_d0 - v.z_a0 - v.z_b0
-    assert free == pytest.approx(0.0, abs=1e-15)
+    free = build_vertices(z0=0.02, v0=0.15, big_t=big_t, g=0.0)
+    assert free.z_c + free.z_d - free.z_a - free.z_b == pytest.approx(0.0, abs=1e-15)
     # With gravity the combination equals g T^2 (relative to its scale).
     combo = v.z_c + v.z_d - v.z_a - v.z_b
     expected = g * big_t * big_t
@@ -178,16 +179,7 @@ def test_path_phase_first_order_sensitivity():
     # phase formula is exactly linear in the perturbation.
     big_t, g, eps = 0.05, 9.81, 1e-9
     v = build_vertices(z0=0.0, v0=0.1, big_t=big_t, g=g)
-    perturbed = TrajectoryVertices(
-        z_a=v.z_a,
-        z_b=v.z_b + eps,
-        z_c=v.z_c,
-        z_d=v.z_d,
-        z_a0=v.z_a0,
-        z_b0=v.z_b0,
-        z_c0=v.z_c0,
-        z_d0=v.z_d0,
-    )
+    perturbed = TrajectoryVertices(z_a=v.z_a, z_b=v.z_b + eps, z_c=v.z_c, z_d=v.z_d)
     expected = -(RB87_MASS / (big_t * HBAR)) * (v.z_c - v.z_d) * eps
     assert path_phase(perturbed, big_t, g=g) == pytest.approx(expected, rel=1e-9)
 

@@ -57,21 +57,6 @@ def test_interaction_hamiltonian_entries():
     assert h[1, 0] == pytest.approx(expected_01.conjugate(), rel=1e-14)
 
 
-def test_interaction_hamiltonian_complex_rabi_shifts_phase():
-    # Omega = |Omega| e^{i alpha} must act exactly like phi -> phi - alpha.
-    base = PulseParams(
-        rabi_mod=1e4, detuning=2e3, duration=1.0, laser_phase=0.7, rabi_arg=0.0
-    )
-    shifted = PulseParams(
-        rabi_mod=1e4, detuning=2e3, duration=1.0, laser_phase=0.7 + 0.4, rabi_arg=0.4
-    )
-    np.testing.assert_allclose(
-        interaction_hamiltonian(base, 2e-5),
-        interaction_hamiltonian(shifted, 2e-5),
-        rtol=1e-14,
-    )
-
-
 @given(rates, detunings, angles, st.floats(0.0, 1e-3))
 @settings(max_examples=200)
 def test_interaction_hamiltonian_hermitian(omega, delta, phi, t):
@@ -124,6 +109,16 @@ def test_mixing_angle_degenerate_raises():
         mixing_angle(0.0, 0.0)
     with pytest.raises(ValueError):
         mixing_angle(0.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mixing_angle_refuses_non_finite(bad):
+    # NaN fails every comparison, and inf gives omega_r = inf: neither may
+    # come back as an angle.
+    with pytest.raises(ValueError, match="delta must be finite"):
+        mixing_angle(bad, 1.0)
+    with pytest.raises(ValueError, match="rabi_mod must be finite"):
+        mixing_angle(0.0, bad)
 
 
 @given(rates, detunings, angles)
@@ -249,10 +244,9 @@ def test_pulse_propagator_uses_pulse_record_fields():
         detuning=-3e3,
         duration=1.3e-5,
         laser_phase=0.2,
-        rabi_arg=0.5,
         start_time=2e-4,
     )
-    expected = propagator_matrix(4e4, 0.2 - 0.5, 2e-4, 1.3e-5, -3e3)
+    expected = propagator_matrix(4e4, 0.2, 2e-4, 1.3e-5, -3e3)
     np.testing.assert_allclose(pulse_propagator(pulse), expected, rtol=1e-15)
 
 
@@ -271,7 +265,6 @@ def test_spectral_decomposition_gives_propagator():
             rabi_mod=omega,
             detuning=delta,
             duration=float(1.0 - rng.uniform()) * 5.0 / omega,
-            rabi_arg=float(rng.uniform(-math.pi, math.pi)),
             laser_phase=float(rng.uniform(-math.pi, math.pi)),
             start_time=float(rng.uniform()) * 10.0 / omega,
         )
@@ -394,7 +387,7 @@ def _per_step_rk4(state, pulse, dt):
     h = pulse.duration / n_steps
 
     def deriv(c_b, c_a, t):
-        drive = pulse.rabi * cmath.exp(-1j * (pulse.detuning * t + pulse.laser_phase))
+        drive = pulse.rabi_mod * cmath.exp(-1j * (pulse.detuning * t + pulse.laser_phase))
         return -0.5j * drive * c_a, -0.5j * drive.conjugate() * c_b
 
     c_b, c_a, t = complex(state.c_b), complex(state.c_a), pulse.start_time
@@ -412,7 +405,7 @@ def _per_step_rk4(state, pulse, dt):
 def _exact_lab_frame(state, pulse):
     """Exact solution of the oracle's ODE: with D(t) = diag(e^{i nu t}),
     nu = (-delta/2, delta/2), b = D(t)^dag c obeys db/dt = (a0 - i nu) b."""
-    drive = -0.5j * pulse.rabi * cmath.exp(-1j * pulse.laser_phase)
+    drive = -0.5j * pulse.rabi_mod * cmath.exp(-1j * pulse.laser_phase)
     a0 = np.array([[0.0, drive], [-drive.conjugate(), 0.0]])
     nu = np.array([-0.5, 0.5]) * pulse.detuning
     t0, t1 = pulse.start_time, pulse.start_time + pulse.duration
@@ -422,9 +415,9 @@ def _exact_lab_frame(state, pulse):
 
 ORACLE_PULSES = [
     PulseParams(rabi_mod=2.0 * math.pi * 1e4, detuning=2.0 * math.pi * 3e3,
-                duration=3.3e-4, rabi_arg=0.6, laser_phase=1.1, start_time=3.0e-5),
+                duration=3.3e-4, laser_phase=0.5, start_time=3.0e-5),
     PulseParams(rabi_mod=5.0e4, detuning=-2.0e4, duration=2.1e-4,
-                rabi_arg=-1.3, laser_phase=-2.0, start_time=0.0213),
+                laser_phase=-0.7, start_time=0.0213),
     PulseParams(rabi_mod=2.0 * math.pi * 1e5, detuning=0.0, duration=5.0e-6),
 ]
 ORACLE_START = TwoLevelState(c_a=math.sqrt(0.7), c_b=math.sqrt(0.3) * cmath.exp(0.4j))
@@ -703,17 +696,17 @@ def test_sequence_is_invariant_under_a_start_time_shift(
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(theta=st.floats(0.0, math.pi), phi=angles, omega=rates, delta=detunings,
-       tau=st.floats(1e-7, 1e-3), rabi_arg=angles, laser_phase=angles,
+       tau=st.floats(1e-7, 1e-3), laser_phase=angles,
        start=st.floats(-1e-3, 1e-3))
 def test_evolve_pulse_is_the_propagator_applied(
-    theta, phi, omega, delta, tau, rabi_arg, laser_phase, start
+    theta, phi, omega, delta, tau, laser_phase, start
 ):
     # Applying the closed form to two amplitudes equals the matrix product,
     # to 1.1 ulp over 20,000 random pulses and states.
     state = TwoLevelState(c_a=math.cos(theta / 2.0),
                           c_b=math.sin(theta / 2.0) * cmath.exp(1j * phi))
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=tau,
-                        rabi_arg=rabi_arg, laser_phase=laser_phase, start_time=start)
+                        laser_phase=laser_phase, start_time=start)
     out = evolve_pulse(state, pulse)
     c_b, c_a = pulse_propagator(pulse) @ np.array([state.c_b, state.c_a])
     assert abs(out.c_b - c_b) <= 2.0 * _EPS
