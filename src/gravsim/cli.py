@@ -159,11 +159,9 @@ def _parse_value(kind: str, raw: str, where: str) -> object:
             return int(raw)
         if kind == "bool":
             lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            if lowered not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return configparser.ConfigParser.BOOLEAN_STATES[lowered]
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,7 +226,12 @@ class AllanResult:
 
 
 class VarianceResult(NamedTuple):
-    """A PSD-integral variance plus a flat-extrapolation truncation bound."""
+    """A PSD-integral variance plus a rough estimate of the missing tails.
+
+    ``truncation_estimate`` is not a bound: it is a 501- or 2001-point
+    trapezoid of a flat extrapolation (see :func:`phase_variance_from_psd`),
+    and it reads low.
+    """
 
     variance: float
     truncation_estimate: float
@@ -294,7 +299,10 @@ def _segments(
 
 def _pieces(t: np.ndarray, segments: list[_Segment]):
     """Each segment with the mask of the times it owns: ``(lo, hi]``, and
-    ``[lo, hi]`` for the first."""
+    ``[lo, hi]`` for the first.  A time that is not finite would lie in no
+    segment, and is refused with ``ValueError``."""
+    if not np.isfinite(t).all():
+        raise ValueError("sensitivity times t must be finite")
     for i, seg in enumerate(segments):
         above = t > seg.lo if i else t >= seg.lo
         yield seg, above & (t <= seg.hi)
@@ -332,7 +340,8 @@ def sensitivity_g(
     value.  Both shapes come from one table, ``_segments``, which also
     gives the weight ``w(t)`` and the three-segment ``G(omega)``; the
     default ``G(omega)`` and the DC response have closed forms (see
-    :func:`transfer_function` and :func:`dc_phase_response`).
+    :func:`transfer_function` and :func:`dc_phase_response`).  A time that
+    is not finite raises ``ValueError``.
     """
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr)
@@ -379,7 +388,8 @@ def sensitivity_a(
     ``w(t)`` is the remaining integral of the sensitivity function (closed
     form per segment); it vanishes outside the sequence, rises from the
     first beam splitter, peaks at ``T + 2/omega_r``-ish mid-sequence values
-    around the mirror pulse, and falls symmetrically.
+    around the mirror pulse, and falls symmetrically.  A time that is not
+    finite raises ``ValueError``.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = k_eff * _weight(t_arr, profile)
@@ -399,8 +409,7 @@ def acceleration_phase(
     """
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
-    t_rel = accel.times - t_start
-    kernel = k_eff * _weight(t_rel, profile)
+    kernel = sensitivity_a(accel.times - t_start, profile, k_eff)
     return float(np.trapezoid(kernel * accel.samples, dx=accel.dt))
 
 
@@ -477,11 +486,13 @@ def transfer_function(
     of this kind holds for it.
 
     In the thin-pulse limit ``tau_p -> 0`` the magnitude approaches that of
-    a square ``g_s``, ``(4/omega) sin^2(omega T / 2)``.
+    a square ``g_s``, ``(4/omega) sin^2(omega T / 2)``.  An ``omega`` that
+    is negative, NaN or infinite raises ``ValueError``.
     """
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(omega_arr < 0.0):
-        raise ValueError("omega must be >= 0 for the one-sided transfer function")
+    # NaN fails both comparisons, as min() and max() propagate it.
+    if omega_arr.size and not (omega_arr.min() >= 0.0 and omega_arr.max() < math.inf):
+        raise ValueError("omega must be finite and >= 0 (one-sided transfer function)")
     w = profile.omega_r
     if three_segment:
         result = np.zeros(omega_arr.shape, dtype=complex)
@@ -509,13 +520,6 @@ def transfer_function(
 # ---------------------------------------------------------------------------
 
 
-def _required_band(profile: SensitivityProfile) -> tuple[float, float]:
-    """Frequency band a tabulated PSD must cover for a full budget."""
-    low = _COVER_LOW_FACTOR * 2.0 * math.pi / profile.big_t
-    high = _COVER_HIGH_FACTOR * profile.omega_r
-    return low, high
-
-
 def _check_cycle_time(profile: SensitivityProfile, cycle_time: float | None) -> None:
     """Refuse a shot repetition interval shorter than the sequence or not finite."""
     if cycle_time is None or not profile.span <= cycle_time < math.inf:
@@ -528,14 +532,18 @@ def _check_cycle_time(profile: SensitivityProfile, cycle_time: float | None) -> 
 def _uncovered_tails(
     psd: Psd, profile: SensitivityProfile, allow_partial: bool, what: str
 ) -> list[tuple[float, float, int, float]]:
-    """The sides of :func:`_required_band` that ``psd`` leaves uncovered.
+    """The sides of the required band that ``psd`` leaves uncovered.
 
-    Without ``allow_partial`` an uncovered side raises
-    :class:`CoverageError`.  Otherwise each side gives its flat one-decade
-    tail ``(lo, hi, points, edge value)``, clipped to the required band:
-    the low side first, then the high side.
+    The band runs from ``_COVER_LOW_FACTOR`` times the fringe frequency
+    ``2 pi / T`` to ``_COVER_HIGH_FACTOR`` times the Rabi rate; a table
+    edge within a relative 1e-9 of the band's edge covers it.  Without
+    ``allow_partial`` an uncovered side raises :class:`CoverageError`.
+    Otherwise each side gives its flat one-decade tail ``(lo, hi, points,
+    edge value)``, clipped to the required band: the low side first, then
+    the high side.
     """
-    low, high = _required_band(profile)
+    low = _COVER_LOW_FACTOR * 2.0 * math.pi / profile.big_t
+    high = _COVER_HIGH_FACTOR * profile.omega_r
     tab_lo = float(psd.freqs[0])
     tab_hi = float(psd.freqs[-1])
     tails = []
@@ -648,6 +656,13 @@ def _panel_rule(psd: Psd, time_scale: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _band_integral(psd: Psd, time_scale: float, weight: Callable) -> float:
+    """``integral weight(omega) S(omega) d omega`` over the band ``psd``
+    tabulates, on the panels :func:`_panel_rule` lays for ``time_scale``."""
+    nodes, weights = _panel_rule(psd, time_scale)
+    return float(weights @ (weight(nodes) * psd.value_at(nodes)))
+
+
 def phase_variance_from_psd(
     s_phi: Psd,
     profile: SensitivityProfile,
@@ -666,21 +681,26 @@ def phase_variance_from_psd(
     exact to rounding.  Unless ``allow_partial`` is set, the tabulated band
     must cover two decades below the fringe frequency ``2 pi / T`` through
     two decades above the Rabi rate; when it is set, the returned
-    ``truncation_estimate`` bounds the unintegrated tails by extrapolating
-    the edge PSD values flat over one decade on each missing side (a
-    trapezoid on 501 or 2001 points).  A band that needs more than
+    ``truncation_estimate`` estimates the unintegrated tails by
+    extrapolating the edge PSD values flat over one decade on each missing
+    side.  It is a trapezoid on 501 (low side) or 2001 (high side) points,
+    not a bound: that grid under-resolves the ``2 pi / span`` oscillation of
+    ``|G|^2``, and against Gauss-Legendre panels it reads 7.0 % low for a
+    10 Hz - 10 kHz table at the CLI defaults (T = 0.1 s, tau_p = 10 us) and
+    34 % low for a 10 Hz - 100 kHz table.  Integrating the tails on the
+    panels waits on ROADMAP item 5.  A band that needs more than
     ``_MAX_GRID_POINTS`` quadrature nodes raises :class:`ResolutionError`.
     """
     tails = _uncovered_tails(s_phi, profile, allow_partial, "phase-noise PSD")
-    nodes, weights = _panel_rule(s_phi, profile.span)
-    weighted = (nodes * transfer_function(nodes, profile)) ** 2
-    variance = float(weights @ (weighted * s_phi.value_at(nodes)))
 
+    def weight(omega: np.ndarray) -> np.ndarray:
+        return (omega * transfer_function(omega, profile)) ** 2
+
+    variance = _band_integral(s_phi, profile.span, weight)
     truncation = 0.0
     for lo, hi, points, edge in tails:
         tail = np.linspace(lo, hi, points)
-        gains = (tail * np.asarray(transfer_function(tail, profile))) ** 2
-        truncation += edge * float(np.trapezoid(gains, tail))
+        truncation += edge * float(np.trapezoid(weight(tail), tail))
     return VarianceResult(variance=variance, truncation_estimate=truncation)
 
 
@@ -743,14 +763,11 @@ def allan_from_acceleration_psd(
     # |G|^2 oscillates in omega at lags up to the span, and the shot-sampled
     # sin^2(omega cycle_time / 2) adds cycle_time to them.  Every node is
     # inside a panel, so none sits at omega = 0.
-    sampled = formula == "shot-sampled"
-    nodes, weights = _panel_rule(s_a, profile.span + (cycle_time if sampled else 0.0))
-    ratio = transfer_function(nodes, profile) / nodes
-    if sampled:
-        integrand = (ratio * np.sin(0.5 * nodes * cycle_time)) ** 2 * s_a.value_at(nodes)
-        return float(2.0 * k_eff**2 * (weights @ integrand))
-    integrand = (ratio / nodes) ** 2 * s_a.value_at(nodes)
-    return float(k_eff**2 / cycle_time * (weights @ integrand))
+    if formula == "shot-sampled":
+        return 2.0 * k_eff**2 * _band_integral(s_a, profile.span + cycle_time, lambda w: (
+            transfer_function(w, profile) / w * np.sin(0.5 * w * cycle_time)) ** 2)
+    return k_eff**2 / cycle_time * _band_integral(
+        s_a, profile.span, lambda w: (transfer_function(w, profile) / w / w) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1074,7 @@ def monte_carlo_vibration_allan(
     if band.k.size == 0:
         return 0.0
     t_rel = dt * np.arange(int(round(profile.span / dt)) + 1)
-    weights = _trapezoid_weights(k_eff * _weight(t_rel, profile), dt)
+    weights = _trapezoid_weights(sensitivity_a(t_rel, profile, k_eff), dt)
     terms = (band.amps * np.exp(1j * _band_phases(band.k - 1, seed))
              * np.conj(_window_transform(weights, band.n, band.k)))
     residues = band.k % cycles

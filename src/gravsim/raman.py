@@ -161,12 +161,10 @@ class RamanState:
         _check_norm(abs(self.c_g) ** 2 + abs(self.c_e) ** 2, "|c_g|^2 + |c_e|^2")
 
     @classmethod
-    def from_ground(
-        cls, p: float = 0.0, k_eff: float = DEFAULT_K_EFF, hbar: float = HBAR
-    ) -> "RamanState":
+    def from_ground(cls, p: float = 0.0, k_eff: float = DEFAULT_K_EFF) -> "RamanState":
         """All population in ``g`` at momentum ``p``; the coupled ``e``
         component sits at ``p + hbar k_eff``."""
-        return cls(c_g=1.0 + 0.0j, c_e=0.0j, p_g=p, p_e=p + hbar * k_eff)
+        return cls(c_g=1.0 + 0.0j, c_e=0.0j, p_g=p, p_e=p + HBAR * k_eff)
 
     @property
     def momentum_transfer(self) -> float:
@@ -180,7 +178,6 @@ def detunings(
     atom_mass: float,
     omega_ig: float,
     omega_ie: float,
-    hbar: float = HBAR,
 ) -> RamanDetunings:
     """Detunings of the two optical couplings for momentum class ``p``.
 
@@ -203,8 +200,6 @@ def detunings(
         Atomic mass [kg].
     omega_ig, omega_ie : float
         Internal transition frequencies ``i - g`` and ``i - e`` [rad/s].
-    hbar : float, optional
-        Reduced Planck constant [J*s].
 
     Returns
     -------
@@ -212,13 +207,13 @@ def detunings(
         ``delta1``, ``delta2`` and their difference (the two-photon
         detuning).
     """
-    p_i = p + hbar * lasers.k1
-    p_e = p + hbar * lasers.k_eff
-    delta1 = lasers.omega1 - omega_ig + (p * p - p_i * p_i) / (2.0 * atom_mass * hbar)
+    p_i = p + HBAR * lasers.k1
+    p_e = p + HBAR * lasers.k_eff
+    delta1 = lasers.omega1 - omega_ig + (p * p - p_i * p_i) / (2.0 * atom_mass * HBAR)
     delta2 = (
         lasers.omega2
         - omega_ie
-        + (p_e * p_e - p_i * p_i) / (2.0 * atom_mass * hbar)
+        + (p_e * p_e - p_i * p_i) / (2.0 * atom_mass * HBAR)
     )
     return RamanDetunings(
         delta1=delta1, delta2=delta2, delta_two_photon=delta1 - delta2
@@ -230,7 +225,6 @@ def two_photon_detuning(
     p: float,
     atom_mass: float,
     omega_split: float,
-    hbar: float = HBAR,
 ) -> float:
     """Closed form of the two-photon detuning ``delta1 - delta2``.
 
@@ -250,7 +244,7 @@ def two_photon_detuning(
         - lasers.omega2
         - omega_split
         - p * k / atom_mass
-        - hbar * k * k / (2.0 * atom_mass)
+        - HBAR * k * k / (2.0 * atom_mass)
     )
 
 
@@ -341,7 +335,9 @@ def raman_pulse(
     * global phase ``exp(-i (ac_e + ac_g) duration / 2)`` from the mean
       light shift.
 
-    Momentum labels pass through unchanged.
+    Momentum labels pass through unchanged.  A phase of the closed form
+    that overflows raises ``ValueError`` (see
+    :func:`gravsim.twolevel.propagator_matrix`).
     """
     ac_g = _real_shift(complex(params.ac_g), "ac_g")
     ac_e = _real_shift(complex(params.ac_e), "ac_e")

@@ -159,10 +159,10 @@ def action_quadrature_oracle(
     """Action between fixed endpoints by composite-Simpson quadrature.
 
     Reference path for :func:`classical_action`: reconstruct the
-    boundary-matched trajectory, sample the Lagrangian m v^2/2 - m g z on a
-    uniform grid, and integrate with Simpson's rule.  (The integrand is a
-    quadratic polynomial in t, which Simpson integrates exactly, so any
-    remaining discrepancy is pure roundoff.)
+    boundary-matched :class:`FreeFallTrajectory`, sample the Lagrangian
+    m v^2/2 - m g z on a uniform grid, and integrate with Simpson's rule.
+    (The integrand is a quadratic polynomial in t, which Simpson integrates
+    exactly, so any remaining discrepancy is pure roundoff.)
 
     Parameters
     ----------
@@ -173,12 +173,10 @@ def action_quadrature_oracle(
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     n = n_steps + (n_steps % 2)
-    v1 = boundary_velocity(z1, t1, z2, t2, g)
+    path = FreeFallTrajectory(z1, boundary_velocity(z1, t1, z2, t2, g), t1, g)
     t = np.linspace(t1, t2, n + 1)
-    dt = t - t1
-    z = z1 + v1 * dt - 0.5 * g * dt * dt
-    v = v1 - g * dt
-    lagrangian = 0.5 * mass * v * v - mass * g * z
+    v = path.velocity(t)
+    lagrangian = 0.5 * mass * v * v - mass * g * path.position(t)
     # Composite Simpson 1/3 rule on the uniform grid of n (even) intervals.
     h = (t2 - t1) / n
     return float(
@@ -204,6 +202,11 @@ def build_vertices(
     Gravity lowers the mirror-pulse vertices by ``g T^2 / 2`` and the
     recombination vertex by ``2 g T^2``; ``g=0.0`` gives the gravity-free
     diamond of the same (z0, v0).
+
+    ``hbar`` defaults to :data:`gravsim.core.HBAR`, the value every other
+    module uses; it stays a parameter only because the benchmark harness
+    passes it positionally, and goes when that harness is next revised
+    (ROADMAP item 1).
 
     Raises
     ------
@@ -239,7 +242,8 @@ def path_phase(
     which vanishes identically when the vertices belong to a consistent
     uniform-gravity diamond (the bracket is the closure identity).  The
     formula is kept in this factored form so that perturbed vertices report
-    their first-order phase sensitivity.
+    their first-order phase sensitivity.  ``hbar`` stays a parameter for the
+    reason given in :func:`build_vertices`.
     """
     _check_big_t(big_t)
     closure = (

@@ -88,9 +88,7 @@ class Eigensystem:
     v_minus: np.ndarray
 
 
-def interaction_hamiltonian(
-    pulse: PulseParams, t: float, hbar: float = HBAR
-) -> np.ndarray:
+def interaction_hamiltonian(pulse: PulseParams, t: float) -> np.ndarray:
     """Lab-frame coupling Hamiltonian of a square pulse at time ``t``.
 
     Returns the 2x2 matrix on (C_b, C_a) whose off-diagonal element is
@@ -103,12 +101,12 @@ def interaction_hamiltonian(
         pulse.rabi_mod
         * cmath.exp(-1j * (pulse.detuning * t + pulse.laser_phase))
     )
-    return (hbar / 2.0) * np.array(
+    return (HBAR / 2.0) * np.array(
         [[0.0, drive], [drive.conjugate(), 0.0]], dtype=complex
     )
 
 
-def rotating_frame_hamiltonian(pulse: PulseParams, hbar: float = HBAR) -> np.ndarray:
+def rotating_frame_hamiltonian(pulse: PulseParams) -> np.ndarray:
     """Hamiltonian of ``pulse`` in the frame rotating at the drive frequency.
 
     The frame transformation diag(e^{+i delta t/2}, e^{-i delta t/2}) removes
@@ -119,7 +117,7 @@ def rotating_frame_hamiltonian(pulse: PulseParams, hbar: float = HBAR) -> np.nda
     import numpy as np
 
     off = pulse.rabi_mod * cmath.exp(-1j * pulse.laser_phase)
-    return (hbar / 2.0) * np.array(
+    return (HBAR / 2.0) * np.array(
         [[-pulse.detuning, off], [off.conjugate(), pulse.detuning]], dtype=complex
     )
 
@@ -143,7 +141,8 @@ def mixing_angle(delta: float, rabi_mod: float) -> MixingAngle:
     Raises
     ------
     ValueError
-        If ``delta`` is not finite, or ``rabi_mod`` not finite and >= 0.
+        If ``delta`` is not finite, ``rabi_mod`` not finite and >= 0, or
+        their ``omega_r`` overflows.
     DegenerateDriveError
         If both ``delta`` and ``rabi_mod`` vanish (angle undefined).
     """
@@ -155,10 +154,12 @@ def mixing_angle(delta: float, rabi_mod: float) -> MixingAngle:
     omega_r = math.hypot(rabi_mod, delta)
     if omega_r == 0.0:
         raise DegenerateDriveError("rabi_mod and delta are both zero")
+    if omega_r == math.inf:
+        raise ValueError(f"omega_r = hypot({rabi_mod}, {delta}) must be finite, got inf")
     return MixingAngle(theta=math.atan2(rabi_mod, -delta), omega_r=omega_r)
 
 
-def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
+def eigensystem(pulse: PulseParams) -> Eigensystem:
     """Dressed states of ``pulse``'s :func:`rotating_frame_hamiltonian`.
 
     The eigenvalues are +/- hbar*omega_r/2.  With half-angle c = cos(theta/2),
@@ -177,7 +178,7 @@ def eigensystem(pulse: PulseParams, hbar: float = HBAR) -> Eigensystem:
     ep = em.conjugate()
     v_plus = np.array([c * em, s * ep], dtype=complex)
     v_minus = np.array([-s * em, c * ep], dtype=complex)
-    lam = hbar * ang.omega_r / 2.0
+    lam = HBAR * ang.omega_r / 2.0
     return Eigensystem(
         lambda_plus=lam, lambda_minus=-lam, v_plus=v_plus, v_minus=v_minus
     )
@@ -233,6 +234,13 @@ def propagator_matrix(
     -------
     numpy.ndarray
         2x2 complex unitary.
+
+    Raises
+    ------
+    ValueError
+        If a phase of the closed form is not finite: ``omega_r tau / 2``,
+        ``delta tau / 2``, ``delta t0 + phi`` or ``mean_shift tau``, with
+        ``delta = frame_delta`` and ``phi = effective_phase``.
     """
     import numpy as np
 
@@ -260,11 +268,22 @@ def _propagator_rows(
         sin_theta = 0.0
         cos_theta = 0.0
     half_angle = omega_r * duration / 2.0
+    frame_angle = frame_delta * duration / 2.0
+    drive_angle = frame_delta * start_time + effective_phase
+    shift_angle = mean_shift * duration
+    # One test in the usual case: a phase that is not finite makes the sum
+    # not finite.  So can finite phases whose sum overflows, and then the
+    # loop finds nothing to refuse.
+    if not math.isfinite(half_angle + frame_angle + drive_angle + shift_angle):
+        for name, value in (("omega_r tau / 2", half_angle), ("delta tau / 2", frame_angle),
+                            ("delta t0 + phi", drive_angle), ("mean_shift tau", shift_angle)):
+            if not math.isfinite(value):
+                raise ValueError(f"pulse phase {name} must be finite, got {value}")
     c = math.cos(half_angle)
     s = math.sin(half_angle)
-    frame = cmath.exp(-1j * frame_delta * duration / 2.0)
-    drive = cmath.exp(-1j * (frame_delta * start_time + effective_phase))
-    overall = cmath.exp(-1j * mean_shift * duration)
+    frame = cmath.exp(-1j * frame_angle)
+    drive = cmath.exp(-1j * drive_angle)
+    overall = cmath.exp(-1j * shift_angle)
     return (
         (overall * (frame * (c - 1j * cos_theta * s)),
          overall * (-1j * frame * drive * sin_theta * s)),
@@ -285,7 +304,11 @@ def pulse_propagator(pulse: PulseParams) -> np.ndarray:
 
 
 def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
-    """Apply one square pulse to a state via the closed-form propagator."""
+    """Apply one square pulse to a state via the closed-form propagator.
+
+    A phase of the closed form that overflows raises ``ValueError`` (see
+    :func:`propagator_matrix`).
+    """
     (u_bb, u_ba), (u_ab, u_aa) = _propagator_rows(
         pulse.rabi_mod, pulse.laser_phase, pulse.start_time, pulse.duration,
         pulse.detuning)

@@ -681,6 +681,25 @@ class TestConfigHandling:
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "telescope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["allow_partial", "overlapping"])
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("yes", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_words_load(self, tmp_path, key, word, value):
+        # configparser's eight words, in any case and with whitespace around.
+        for text in (word, word.upper(), f" {word.title()}\t"):
+            cfg = write_config(tmp_path, f"[noise]\n{key} = {text}\n")
+            assert load_config(cfg)["noise"][key] is value
+
+    @pytest.mark.parametrize("key", ["allow_partial", "overlapping"])
+    @pytest.mark.parametrize("word", ["Maybe", "2", "t", "y", "enabled", "true yes"])
+    def test_word_outside_the_boolean_table_rejected(self, tmp_path, capsys, key, word):
+        cfg = write_config(tmp_path, f"[noise]\n{key} = {word}\n")
+        assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: [noise] {key}: not a boolean: {word!r}\n")
+
     def test_unparseable_value_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scan]\nn_points = soon\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -186,6 +186,15 @@ class TestSensitivityG:
         assert isinstance(val, float)
         assert val == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # Such a time lies in no segment, and once read 0.0.
+        for three_segment in (False, True):
+            with pytest.raises(ValueError, match="t must be finite"):
+                sensitivity_g(bad, self.profile, three_segment)
+            with pytest.raises(ValueError, match="t must be finite"):
+                sensitivity_g(np.array([0.05, bad]), self.profile, three_segment)
+
 
 class TestSensitivityGByDefinition:
     """g_s(t) is twice the response of the exit probability, at mid-fringe,
@@ -359,6 +368,14 @@ class TestAccelerationWeight:
         one = sensitivity_a(t, self.profile, k_eff=1.0)
         scaled = sensitivity_a(t, self.profile, k_eff=1.61e7)
         np.testing.assert_allclose(scaled, 1.61e7 * one, rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # Such a time lies in no segment, and once read 0.0.
+        with pytest.raises(ValueError, match="t must be finite"):
+            sensitivity_a(bad, self.profile)
+        with pytest.raises(ValueError, match="t must be finite"):
+            sensitivity_a(np.array([0.05, bad]), self.profile)
 
 
 class TestDcResponse:
@@ -641,6 +658,17 @@ class TestTransferFunction:
         with pytest.raises(ValueError, match="omega"):
             transfer_function(np.array([-1.0]), profile)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, bad):
+        # NaN once came back as a NaN magnitude, and +inf raised numpy's
+        # RuntimeWarning from sin.
+        profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+        for three_segment in (False, True):
+            with pytest.raises(ValueError, match="omega must be finite and >= 0"):
+                transfer_function(bad, profile, three_segment)
+            with pytest.raises(ValueError, match="omega must be finite and >= 0"):
+                transfer_function(np.array([10.0, bad, 20.0]), profile, three_segment)
+
     def test_scalar_input(self):
         profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
         assert isinstance(transfer_function(100.0, profile), float)
@@ -917,6 +945,40 @@ def _lag_form_phase_variance(psd, profile, nodes):
             lags = (cb - cc) + (sb[:, None] - sc[None, :])
             total += float((fb(sb) * hb * wt) @ autocovariance(lags) @ (fc(sc) * hc * wt))
     return total
+
+
+class TestCoverageSlack:
+    # The required band is [0.01 (2 pi / T), 100 omega_r], and a table edge
+    # within a relative 1e-9 of a band edge covers that side.  At T = 0.05 s
+    # and tau_p = 0.005 s the band's top is 2 pi 1e4 rad/s bit for bit, the
+    # top of criterion 7's table, so the high side's slack is the one in use.
+    profile = SensitivityProfile.from_tau_p(big_t=0.05, tau_p=0.005)
+    low = 0.01 * 2.0 * math.pi / 0.05
+    high = 2.0 * math.pi * 1e4
+
+    def test_criterion_7_top_is_the_required_top(self):
+        assert 100.0 * self.profile.omega_r == self.high
+
+    @pytest.mark.parametrize(
+        "low_factor, high_factor, uncovered",
+        [
+            (1.0, 1.0, False),
+            (1.0 + 0.5e-9, 1.0, False),
+            (1.0, 1.0 - 0.5e-9, False),
+            (1.0 + 2e-9, 1.0, True),
+            (1.0, 1.0 - 2e-9, True),
+        ],
+    )
+    def test_edge_within_slack_makes_no_tail(self, low_factor, high_factor, uncovered):
+        psd = Psd(freqs=np.array([low_factor * self.low, high_factor * self.high]),
+                  values=np.array([1e-12, 1e-12]))
+        if uncovered:
+            with pytest.raises(CoverageError, match="does not cover"):
+                phase_variance_from_psd(psd, self.profile)
+        else:
+            assert phase_variance_from_psd(psd, self.profile).truncation_estimate == 0.0
+        result = phase_variance_from_psd(psd, self.profile, allow_partial=True)
+        assert (result.truncation_estimate > 0.0) == uncovered
 
 
 class TestPanelRule:

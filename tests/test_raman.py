@@ -261,6 +261,14 @@ def test_raman_pulse_unitary_and_momentum_labels(delta, tau):
     assert out.momentum_transfer == pytest.approx(HBAR * lasers.k_eff, rel=1e-12)
 
 
+def test_raman_pulse_refuses_an_overflowing_drive_phase():
+    # delta t0 = 1e600 once surfaced as an InvalidStateError on the NaN
+    # norm of the result.
+    params = effective_params(make_lasers(), 2.0 * math.pi * 1e6)
+    with pytest.raises(ValueError, match=r"pulse phase delta t0 \+ phi must be finite"):
+        raman_pulse(RamanState.from_ground(), params, 1e300, 1e300, 1e-5)
+
+
 def test_sequence_formula_is_shared_with_two_level():
     assert raman_sequence_probability is mach_zehnder_probability
     assert raman_sequence_probability(300.0, 1e-5, 0.4) == mach_zehnder_probability(

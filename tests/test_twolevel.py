@@ -121,6 +121,15 @@ def test_mixing_angle_refuses_non_finite(bad):
         mixing_angle(0.0, bad)
 
 
+def test_mixing_angle_refuses_an_overflowing_rabi_rate():
+    # Both inputs are finite, their hypot is not: omega_r once came back
+    # inf, and eigensystem's dressed energies +/- inf with it.
+    with pytest.raises(ValueError, match=r"omega_r = hypot\(1.5e\+308, 1.5e\+308\) must be finite"):
+        mixing_angle(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="omega_r = hypot"):
+        eigensystem(PulseParams(1.5e308, 1.5e308, 1.0))
+
+
 @given(rates, detunings, angles)
 @settings(max_examples=200)
 def test_eigensystem_solves_hamiltonian(omega, delta, phi):
@@ -236,6 +245,46 @@ def test_propagator_start_time_only_shifts_drive_phase():
     u_shifted = propagator_matrix(omega, 0.3, 1.7e-4, tau, delta)
     u_rephased = propagator_matrix(omega, 0.3 + delta * 1.7e-4, 0.0, tau, delta)
     np.testing.assert_allclose(u_shifted, u_rephased, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("pulse", [
+    PulseParams(1.0, 1e300, 1e10),  # omega_r tau / 2 = 5e309
+    PulseParams(1e200, 0.0, 1e200),  # omega_r tau / 2 = 5e399
+])
+def test_evolve_pulse_refuses_an_overflowing_rotation_angle(pulse):
+    # Every field is finite, the half angle is not: math.cos once raised a
+    # bare "math domain error".
+    with pytest.raises(ValueError, match="pulse phase omega_r tau / 2 must be finite"):
+        evolve_pulse(TwoLevelState.ground(), pulse)
+
+
+def test_propagator_matrix_refuses_an_overflowing_drive_phase():
+    # delta t0 = 1e600: the off-diagonal entries once came back NaN, silently.
+    with pytest.raises(ValueError, match=r"pulse phase delta t0 \+ phi must be finite"):
+        propagator_matrix(1.0, 0.0, 1e300, 1.0, 1e300)
+
+
+def test_evolve_pulse_refuses_an_overflowing_drive_phase():
+    # The same overflow through a pulse record once surfaced as an
+    # InvalidStateError on the NaN norm of the result.
+    pulse = PulseParams(1.0, 1e300, 1.0, start_time=1e300)
+    with pytest.raises(ValueError, match=r"pulse phase delta t0 \+ phi must be finite"):
+        evolve_pulse(TwoLevelState.ground(), pulse)
+
+
+def test_propagator_matrix_refuses_an_overflowing_mean_shift_phase():
+    # mean_shift tau = 1e600 once raised cmath's bare "math domain error".
+    with pytest.raises(ValueError, match="pulse phase mean_shift tau must be finite"):
+        propagator_matrix(1.0, 0.0, 0.0, 1e300, 0.0, 0.0, 1e300)
+
+
+def test_propagator_matrix_accepts_finite_phases_whose_sum_overflows():
+    # omega_r tau / 2 and delta tau / 2 near 7.5e307 and delta t0 + phi =
+    # 1.5e308 are each finite: the closed form's one-test path must not
+    # refuse them because their sum is not.
+    u = propagator_matrix(1.0, 1.5e308, 0.0, 1.0, 1.5e308)
+    assert np.isfinite(u).all()
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_pulse_propagator_uses_pulse_record_fields():
