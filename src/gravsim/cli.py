@@ -5,8 +5,8 @@ CSV tables plus flat ``key=value`` summary blocks:
 
 * ``rabi`` — excited-state population under a single pulse, closed form and
   ODE oracle side by side, with a max-discrepancy summary;
-* ``fringe`` / ``gsweep`` — chirp-rate fringe scan (optionally with atom
-  shot noise) and the recovered gravity estimate;
+* ``fringe`` — chirp-rate fringe scan (optionally with atom shot noise) and
+  the recovered gravity estimate;
 * ``allan`` — Allan deviation of a time-series CSV on a log-spaced grid of
   averaging times;
 * ``sensitivity`` — sensitivity-function samples and transfer-function
@@ -60,7 +60,7 @@ ENV_CONFIG = "GRAVSIM_CONFIG"
 
 #: Most points one fringe scan, or rows one rabi table, may have.  A noisy
 #: scan of 1,000,000 points takes about 2.7-3.2 s and 106 MB of peak RSS,
-#: and writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 3.9 s and
+#: and writes a 44-MB fringe.csv; 1,000,000 rabi rows take about 3.1 s and
 #: 108 MB, and write a 66-MB rabi.csv (one CPU of a 2-vCPU VM, Python 3.11,
 #: numpy 2.4).  It bounds every other grid size too.
 _MAX_SCAN_POINTS = 1_000_000
@@ -189,7 +189,8 @@ def load_config(path: str | None) -> Config:
             with config_path.open() as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
+            # Some of configparser's messages span lines; stderr gets one.
+            raise ConfigError(f"{config_path}: {' '.join(str(exc).split())}") from exc
         for section in parser.sections():
             if section not in _SCHEMA:
                 raise ConfigError(
@@ -292,11 +293,12 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
         twolevel.PulseParams(rabi, detuning, interval, laser_phase=laser_phase), dt,
         n_points - 1)
     oracle.insert(0, 0.0)
-    # |U_ba|^2 of the closed-form propagator over [0, t]; zero at t = 0.
+    # Rabi's formula (rabi / omega_r)^2 sin^2(omega_r t / 2): |U_ba|^2 of the
+    # closed-form propagator over [0, t], whose other factors have modulus
+    # 1.  Zero at t = 0, and everywhere at rabi = 0.
+    amplitude = rabi / omega_r if omega_r > 0.0 else 0.0
     closed = array("d", [0.0])
-    closed.extend(
-        abs(twolevel._propagator_rows(rabi, laser_phase, 0.0, t, detuning)[0][1]) ** 2
-        for t in times[1:])
+    closed.extend((amplitude * math.sin(omega_r * t / 2.0)) ** 2 for t in times[1:])
     discrepancy = max(abs(c - o) for c, o in zip(closed, oracle))
     _write_csv(
         out_dir / "rabi.csv",
@@ -451,13 +453,12 @@ def cmd_sensitivity(cfg: Config, out_dir: Path, three_segment_gs: bool) -> int:
             f"[sensitivity] transfer_max_cycles = {cycles_hi} overflows the "
             f"omega grid at t_interrogation = {profile.big_t}"
         )
+    # The flag is not part of the config, so the header names it.
+    echo = echo_lines(
+        cfg, "sensitivity --three-segment-gs" if three_segment_gs else "sensitivity")
     times = np.linspace(0.0, profile.span, cfg["sensitivity"]["n_time_points"])
     gs = noise.sensitivity_g(times, profile, three_segment=three_segment_gs)
-    _write_csv(
-        out_dir / "sensitivity_gs.csv",
-        ["t", "g_s"], [times, gs],
-        echo_lines(cfg, "sensitivity"),
-    )
+    _write_csv(out_dir / "sensitivity_gs.csv", ["t", "g_s"], [times, gs], echo)
     omegas = (
         _TWO_PI * np.linspace(cycles_lo, cycles_hi, n_omega) / profile.big_t
     )
@@ -466,8 +467,7 @@ def cmd_sensitivity(cfg: Config, out_dir: Path, three_segment_gs: bool) -> int:
     )
     _write_csv(
         out_dir / "sensitivity_transfer.csv",
-        ["omega_rad_per_s", "transfer_mag"], [omegas, mags],
-        echo_lines(cfg, "sensitivity"),
+        ["omega_rad_per_s", "transfer_mag"], [omegas, mags], echo,
     )
     return 0
 
@@ -518,9 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # attribute (a wrapper, a test double) is the one that runs.
     add("rabi", "single-pulse population dynamics, closed form vs ODE oracle",
         lambda cfg, out_dir, args: cmd_rabi(cfg, out_dir))
-    for name in ("fringe", "gsweep"):
-        add(name, "chirp-rate fringe scan and gravity estimate",
-            lambda cfg, out_dir, args: cmd_fringe(cfg, out_dir))
+    add("fringe", "chirp-rate fringe scan and gravity estimate",
+        lambda cfg, out_dir, args: cmd_fringe(cfg, out_dir))
     add("allan", "Allan deviation of a time-series CSV",
         lambda cfg, out_dir, args: cmd_allan(cfg, out_dir))
     p = add("sensitivity", "sensitivity-function and transfer-function tables",

@@ -271,30 +271,32 @@ def state_probability(state: TwoLevelState | ThreeLevelState, which: str) -> flo
     state : TwoLevelState or ThreeLevelState
         State whose component is queried.
     which : str
-        Component label: ``"a"``/``"g"`` (ground), ``"b"``/``"e"`` (excited),
-        or ``"i"`` (intermediate, three-level only).
+        The letter of the component's field: ``"a"`` (ground) or ``"b"``
+        (excited) on a two-level state; ``"g"`` (lower ground), ``"i"``
+        (intermediate) or ``"e"`` (upper ground) on a three-level state.
 
     Returns
     -------
     float
         ``|amplitude|^2`` of the requested component.
+
+    Raises
+    ------
+    ValueError
+        If ``which`` is not a label of ``state``'s record.
+    TypeError
+        If ``state`` is neither record.
     """
-    key = which.lower()
     if isinstance(state, TwoLevelState):
-        if key in ("a", "g", "ground"):
-            return abs(state.c_a) ** 2
-        if key in ("b", "e", "excited"):
-            return abs(state.c_b) ** 2
-        raise ValueError(f"unknown two-level component {which!r}")
-    if isinstance(state, ThreeLevelState):
-        if key in ("g", "a", "ground"):
-            return abs(state.c_g) ** 2
-        if key in ("i", "intermediate"):
-            return abs(state.c_i) ** 2
-        if key in ("e", "b", "excited"):
-            return abs(state.c_e) ** 2
-        raise ValueError(f"unknown three-level component {which!r}")
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        labels = ("a", "b")
+    elif isinstance(state, ThreeLevelState):
+        labels = ("g", "i", "e")
+    else:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if which not in labels:
+        raise ValueError(f"unknown {type(state).__name__} component {which!r} "
+                         f"(known: {', '.join(labels)})")
+    return abs(getattr(state, "c_" + which)) ** 2
 
 
 #: Rows that :func:`_write_csv` converts to Python numbers at a time.

@@ -87,6 +87,10 @@ _MAX_GRID_POINTS = 4_000_001
 _PANEL_SIZES = (0.05, 0.25, 1.0, 4.0)
 _PANEL_ORDERS = (4, 6, 12, 24)
 
+#: Time steps per period of a PSD's top frequency in a Monte-Carlo shot
+#: window: the vibration check's constant and the phase check's default.
+_OVERSAMPLE = 32
+
 #: Terms per block of Allan second differences: 2^15 doubles, 256 KiB.  An
 #: estimator call allocates one work buffer of three blocks (768 KiB, inside
 #: the 2-MiB per-core L2 of the host it was tuned on), past glibc's default
@@ -192,7 +196,12 @@ class SensitivityProfile:
 
     @classmethod
     def from_tau_p(cls, big_t: float, tau_p: float) -> "SensitivityProfile":
-        """Profile of dark interval ``big_t`` and pi-pulse duration ``tau_p``."""
+        """Profile of dark interval ``big_t`` and pi-pulse duration ``tau_p``.
+
+        The same as the constructor; it stays only because the benchmark
+        harness (``perfbench/``) calls it, and goes when that harness is next
+        revised (ROADMAP items 1 and 23).
+        """
         return cls(big_t, tau_p)
 
     @property
@@ -887,6 +896,10 @@ def synthesize_noise_with_derivative(
     times ``i omega``), so it is the analytic rate of the first series, not
     a finite difference.  The first element is bit-identical to
     ``synthesize_noise(target, duration, dt, seed)``.
+
+    Nothing in the package calls it; it stays only because the benchmark
+    harness (``perfbench/``) traces it, and goes when that harness is next
+    revised (ROADMAP items 1 and 23).
     """
     spectrum, band = _spectrum(target, duration, dt, seed)
     series = TimeSeries(samples=np.fft.irfft(spectrum, band.n), dt=dt)
@@ -978,7 +991,7 @@ def monte_carlo_phase_variance(
     profile: SensitivityProfile,
     n_shots: int,
     seed: int,
-    oversample: int = 32,
+    oversample: int = _OVERSAMPLE,
     duration_factor: int = 16,
 ) -> float:
     """Monte-Carlo check of :func:`phase_variance_from_psd`, bin by bin.
@@ -1036,7 +1049,6 @@ def monte_carlo_vibration_allan(
     cycle_time: float = 0.25,
     n_shots: int = 400,
     seed: int = 0,
-    oversample: int = 32,
 ) -> float:
     """Monte-Carlo check of the shot-sampled vibration Allan variance.
 
@@ -1065,7 +1077,7 @@ def monte_carlo_vibration_allan(
     _check_cycle_time(profile, cycle_time)
     if n_shots < 3:
         raise ValueError("n_shots must be >= 3")
-    dt0 = _shot_step(s_a, profile, oversample, 8.0)
+    dt0 = _shot_step(s_a, profile, _OVERSAMPLE, 8.0)
     steps_per_cycle = int(math.ceil(cycle_time / dt0))
     dt = cycle_time / steps_per_cycle
     needed = int(round((n_shots * cycle_time + profile.span + dt) / dt))

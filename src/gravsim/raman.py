@@ -86,7 +86,10 @@ class RamanDetunings:
     """Single- and two-photon detunings seen by one momentum class.
 
     All three are finite, and ``delta_two_photon`` must equal ``delta1 -
-    delta2``; the constructor enforces both.
+    delta2``; the constructor enforces both.  That redundant field stays
+    only because the benchmark harness (``perfbench/``) constructs the
+    record with it, and goes when that harness is next revised (ROADMAP
+    items 1 and 23).
     """
 
     delta1: float

@@ -43,7 +43,6 @@ __all__ = [
     "eigensystem",
     "spectral_projectors",
     "propagator_matrix",
-    "pulse_propagator",
     "evolve_pulse",
     "run_sequence",
     "mach_zehnder_probability",
@@ -292,17 +291,6 @@ def _propagator_rows(
     )
 
 
-def pulse_propagator(pulse: PulseParams) -> np.ndarray:
-    """Exact propagator of ``pulse`` on (C_b, C_a) amplitudes."""
-    return propagator_matrix(
-        rabi_mod=pulse.rabi_mod,
-        effective_phase=pulse.laser_phase,
-        start_time=pulse.start_time,
-        duration=pulse.duration,
-        frame_delta=pulse.detuning,
-    )
-
-
 def evolve_pulse(state: TwoLevelState, pulse: PulseParams) -> TwoLevelState:
     """Apply one square pulse to a state via the closed-form propagator.
 
@@ -333,12 +321,12 @@ def mach_zehnder_probability(delta: float, tau_p: float, dphi_laser: float) -> f
 
 def _sequence_pulses(
     seq: SequenceParams,
-    rabi_mod: float,
     detuning: float,
     t_start: float,
     timing: str,
 ) -> tuple[PulseParams, PulseParams, PulseParams]:
-    """Build the three pulses of a pi/2 -- pi -- pi/2 sequence.
+    """Build the three pulses of a pi/2 -- pi -- pi/2 sequence, each at the
+    Rabi rate pi/tau_p.
 
     The first pulse starts at ``t_start``.  Under ``"dark-intervals"`` the
     others start at ``t_start`` plus edges 2 and 4 of
@@ -356,6 +344,7 @@ def _sequence_pulses(
         raise InvalidSequenceError(
             f"timing must be 'dark-intervals' or 'start-to-start', got {timing!r}"
         )
+    rabi_mod = _rabi_rate(seq.tau_p)
     tau, half = seq.tau_p, seq.tau_p / 2.0
     p1, p2, p3 = seq.phases
     return (
@@ -368,18 +357,17 @@ def _sequence_pulses(
 def run_sequence(
     seq: SequenceParams,
     detuning: float = 0.0,
-    rabi_mod: float | None = None,
-    state: TwoLevelState | None = None,
     t_start: float = 0.0,
     timing: str = "dark-intervals",
 ) -> float:
     """Excited-state fraction after a pi/2 -- pi -- pi/2 pulse sequence.
 
-    The three pulses have durations tau_p/2, tau_p, tau_p/2 and phases
-    ``seq.phases``.  Nothing is applied between pulses: in the interaction
-    picture free flight leaves the amplitudes unchanged, and the drive phase
-    accumulated over each dark time enters through the next pulse's
-    ``start_time``.
+    The atom starts in the ground state.  The three pulses have durations
+    tau_p/2, tau_p, tau_p/2, phases ``seq.phases`` and the Rabi rate
+    pi/tau_p (the resonant pi-pulse condition).  Nothing is applied between
+    pulses: in the interaction picture free flight leaves the amplitudes
+    unchanged, and the drive phase accumulated over each dark time enters
+    through the next pulse's ``start_time``.
 
     Parameters
     ----------
@@ -388,10 +376,6 @@ def run_sequence(
         never overlap under either timing.
     detuning : float, optional
         Common drive detuning [rad/s].
-    rabi_mod : float, optional
-        Rabi rate [rad/s]; defaults to pi/tau_p (resonant pi-pulse condition).
-    state : TwoLevelState, optional
-        Input state; defaults to the ground state.
     t_start : float, optional
         Start time of the first pulse [s].
     timing : {"dark-intervals", "start-to-start"}
@@ -413,11 +397,8 @@ def run_sequence(
     InvalidSequenceError
         If ``timing`` is neither of the two conventions.
     """
-    if rabi_mod is None:
-        rabi_mod = _rabi_rate(seq.tau_p)
-    if state is None:
-        state = TwoLevelState.ground()
-    for pulse in _sequence_pulses(seq, rabi_mod, detuning, t_start, timing):
+    state = TwoLevelState.ground()
+    for pulse in _sequence_pulses(seq, detuning, t_start, timing):
         state = evolve_pulse(state, pulse)
     return state_probability(state, "b")
 

@@ -335,16 +335,6 @@ class TestFringe:
         # in its "# io.seed" line; the fit of the detected fractions differs.
         assert data_lines(summary) != fitted
 
-    def test_gsweep_is_an_alias(self, tmp_path):
-        a = tmp_path / "fringe"
-        b = tmp_path / "gsweep"
-        assert main(["fringe", "--out", str(a)]) == 0
-        assert main(["gsweep", "--out", str(b)]) == 0
-        assert data_lines(a / "fringe.csv") == data_lines(b / "fringe.csv")
-        assert data_lines(a / "fringe_summary.txt") == data_lines(
-            b / "fringe_summary.txt"
-        )
-
     def test_narrow_scan_fails_with_convergence_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scan]\nspan_fringes = 1.0\n")
         assert main(["fringe", "--config", cfg, "--out", str(tmp_path)]) == 4
@@ -416,6 +406,20 @@ class TestAllan:
         assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    def test_tau_grid_overflow_is_config_error(self, tmp_path, white_series, capsys):
+        # Both ends are finite and in order, but the grid's powers of ten
+        # overflow between them.
+        top = "1.797693134862315e308"
+        cfg = write_config(
+            tmp_path, f"[noise]\nseries_file = {white_series}\n"
+            f"tau_min = {top}\ntau_max = {top}\nn_tau = 5\n")
+        out = tmp_path / "out"
+        assert main(["allan", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [noise] tau_max = 1.797693134862315e+308 overflows "
+            "the tau grid\n")
+        assert not any(out.iterdir())
 
     def test_default_grid_rerun_byte_identical_and_duplicate_logged(
         self, tmp_path, white_series, caplog
@@ -551,6 +555,22 @@ class TestSensitivity:
         first = [f.read_bytes() for f in files]
         assert main(args) == 0
         assert [f.read_bytes() for f in files] == first
+
+    def test_three_segment_header_names_the_flag(self, tmp_path):
+        # The flag is not in the config, so the echo alone would let the two
+        # shapes' files differ only in io.out_dir.
+        plain, flagged = tmp_path / "a", tmp_path / "b"
+        assert main(["sensitivity", "--out", str(plain)]) == 0
+        assert main(["sensitivity", "--out", str(flagged), "--three-segment-gs"]) == 0
+        for name in ("sensitivity_gs.csv", "sensitivity_transfer.csv"):
+            headers = [
+                [l for l in (run / name).read_text().splitlines()
+                 if l.startswith("#") and not l.startswith("# io.out_dir")]
+                for run in (plain, flagged)]
+            assert headers[0] != headers[1]
+            assert headers[0][0] == "# gravsim sensitivity"
+            assert headers[1][0] == "# gravsim sensitivity --three-segment-gs"
+            assert headers[0][1:] == headers[1][1:]
 
     def test_largest_finite_transfer_grid_is_written(self, tmp_path):
         cfg = write_config(tmp_path, "[sensitivity]\ntransfer_max_cycles = 1e305\n")
@@ -700,6 +720,20 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (
             f"config error: {cfg}: [noise] {key}: not a boolean: {word!r}\n")
 
+    @pytest.mark.parametrize("text, reason", [
+        ("n_points = 3\n", "File contains no section headers. file: "),
+        ("[scan]\nn_points = 3\ngarbage\n", "parsing errors: "),
+        ("[scan]\nn_points = 3\nn_points = 4\n", "already exists"),
+    ], ids=["no_section", "no_value", "duplicate_key"])
+    def test_malformed_ini_is_config_error(self, tmp_path, capsys, text, reason):
+        # One stderr line, though configparser's message may span three.
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["rabi", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and reason in err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_unparseable_value_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scan]\nn_points = soon\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -744,7 +778,6 @@ class TestConfigHandling:
             ("psd-variance", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
             ("sensitivity", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
             ("fringe", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
-            ("gsweep", "[sequence]\ntau_p = 1e-310\n", "tau_p"),
             ("fringe", "[sequence]\nk_eff = 0\n", "k_eff"),
             ("fringe", "[sequence]\nt_interrogation = 1e-6\n", "t_interrogation"),
             ("fringe", "[sequence]\nt_interrogation = 1e-5\n", "t_interrogation"),
@@ -776,7 +809,6 @@ class TestConfigHandling:
             # Past the documented scan maximum; 1e12 points once exited 1
             # with numpy's _ArrayMemoryError.
             ("fringe", "[scan]\nn_points = 1000001\n", "n_points"),
-            ("gsweep", "[scan]\nn_points = 1000000000000\n", "n_points"),
             # rabi's output times have the same maximum.
             ("rabi", "[pulse]\nn_points = 1000001\n", "n_points"),
             ("rabi", "[pulse]\nn_points = 1000000000000\n", "n_points"),
@@ -793,15 +825,14 @@ class TestConfigHandling:
              "psd_variance-tau_p", "sensitivity-k_eff", "psd_variance-k_eff",
              "sensitivity-T_equal_tau_p", "psd_variance-T_equal_tau_p",
              "sensitivity-tau_p_subnormal", "fringe-tau_p_subnormal",
-             "gsweep-tau_p_subnormal", "fringe-k_eff", "fringe-T_below_tau_p",
+             "fringe-k_eff", "fringe-T_below_tau_p",
              "fringe-T_equal_tau_p", "fringe-n_atoms", "fringe-n_atoms_overflow",
              "fringe-seed", "fringe-T_squared_overflow",
              "sensitivity-omega_overflow", "fringe-null_chirp_overflow",
              "fringe-noisy_null_chirp_overflow", "fringe-span_overflow",
              "fringe-laser_phase_overflow", "fringe-center_phase_overflow",
              "fringe-center_grid_overflow", "fringe-center_laser_phase_overflow",
-             "fringe-n_points_past_max",
-             "gsweep-n_points_huge", "rabi-n_points_past_max",
+             "fringe-n_points_past_max", "rabi-n_points_past_max",
              "rabi-n_points_huge", "allan-n_tau_huge",
              "sensitivity-n_time_points_huge", "sensitivity-transfer_points_huge"],
     )

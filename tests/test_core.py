@@ -130,6 +130,9 @@ def test_sequence_params_validation_and_derived():
     for phase in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidSequenceError, match="phases must be finite"):
             SequenceParams(t_interrogation=0.1, tau_p=1e-5, phases=(0.0, phase, 0.0))
+    for phases in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(InvalidSequenceError, match="exactly three entries"):
+            SequenceParams(t_interrogation=0.1, tau_p=1e-5, phases=phases)
     seq = SequenceParams(t_interrogation=0.1, tau_p=1e-5, phases=(0.1, 0.2, 0.7))
     # [TRIVIAL] phi_1 - 2 phi_2 + phi_3
     assert seq.dphi_laser == pytest.approx(0.1 - 0.4 + 0.7)
@@ -160,6 +163,24 @@ def test_state_probability_three_level_and_errors():
         state_probability(s, "x")
     with pytest.raises(TypeError):
         state_probability(object(), "a")  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "state, labels",
+    [
+        (TwoLevelState(c_a=0.6, c_b=0.8),
+         ["g", "e", "i", "ground", "excited", "A", "B", ""]),
+        (ThreeLevelState(c_g=0.6, c_i=0.0, c_e=0.8),
+         ["a", "b", "ground", "intermediate", "excited", "G", "I", "E", ""]),
+    ],
+    ids=["two_level", "three_level"],
+)
+def test_state_probability_knows_only_its_field_letters(state, labels):
+    # One label per amplitude, the letter of its field: no word, no label of
+    # the other record, no other case.
+    for label in labels:
+        with pytest.raises(ValueError, match="unknown .* component"):
+            state_probability(state, label)
 
 
 @st.composite

@@ -13,8 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravsim import measurement
-from gravsim.errors import AmbiguousFringeError, FitFailureError, TimeOrderError
+from gravsim.errors import (
+    AmbiguousFringeError,
+    DataFormatError,
+    FitFailureError,
+    TimeOrderError,
+)
 from gravsim.measurement import (
+    FringeScan,
     GravityEstimate,
     _fit_fringe,
     _gram_adjugate,
@@ -99,6 +105,25 @@ def test_beta_grid_span():
     assert grid.size == 41
     assert grid[20] == pytest.approx(100.0)
     assert grid[-1] - grid[0] == pytest.approx(2.0 * 2.0 * math.pi / big_t**2)
+
+
+@pytest.mark.parametrize("n_points", [1, 0, -3])
+def test_beta_grid_needs_two_points(n_points):
+    with pytest.raises(ValueError, match="n_points must be >= 2"):
+        beta_grid(100.0, 2.0, n_points, 0.1)
+
+
+@pytest.mark.parametrize("betas", [[1.0], [[1.0, 2.0]]], ids=["one_point", "2d"])
+def test_fringe_scan_needs_a_1d_grid(betas):
+    with pytest.raises(DataFormatError, match="1-D grid with >= 2 points"):
+        FringeScan(np.array(betas), np.zeros(2), np.zeros(2), n_atoms=0, seed=None)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3)], ids=["probabilities", "measured"])
+def test_fringe_scan_arrays_share_the_grid_length(lengths):
+    n_p, n_m = lengths
+    with pytest.raises(DataFormatError, match="share one length"):
+        FringeScan(np.arange(2.0), np.zeros(n_p), np.zeros(n_m), n_atoms=0, seed=None)
 
 
 def adversarial_phases():
@@ -769,6 +794,14 @@ def test_degenerate_design_fails(x0):
     y = np.linspace(0.1, 0.9, 50)
     with pytest.raises(FitFailureError, match="singular"):
         _fit_fringe(np.full(y.size, x0), y)
+
+
+def test_ill_conditioned_gram_fails_the_condition_test():
+    # Orthogonal columns of norms 1, 1 and 1e-8: det(G) = 1e-16 passes the
+    # determinant test by 15 orders, but trace(G) trace(adj G) / det(G) =
+    # 2e16 exceeds 1 / (n eps) = 1.5e15.
+    with pytest.raises(FitFailureError, match="singular to rounding"):
+        _gram_adjugate(np.diag([1.0, 1.0, 1e-16]), 3)
 
 
 def test_noiseless_wide_scan_recovers_g():

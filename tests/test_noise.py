@@ -614,11 +614,14 @@ class TestTransferFunction:
         [
             ("rabi", ["twolevel"]),
             ("fringe", ["measurement", "trajectory"]),
-            ("gsweep", ["measurement", "trajectory"]),
             ("allan", ["noise"]),
             ("sensitivity", ["noise"]),
             ("psd-variance", ["noise"]),
         ],
+        # Fixed ids, so that a case keeps its name when a row is added or
+        # removed.
+        ids=["rabi-expected0", "fringe-expected1", "allan-expected3",
+             "sensitivity-expected4", "psd-variance-expected5"],
     )
     def test_cli_command_loads_only_its_modules(self, tmp_path, command, expected):
         series = TimeSeries(samples=np.sin(np.arange(64.0)), dt=0.5)
@@ -693,6 +696,17 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="t0 must be finite"):
             TimeSeries(samples=np.ones(4), dt=0.1, t0=bad)
 
+    @pytest.mark.parametrize("samples", [np.ones(1), np.ones((2, 2)), np.ones(())],
+                             ids=["one_sample", "2d", "0d"])
+    def test_short_or_not_1d_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="1-D array with >= 2 points"):
+            TimeSeries(samples=samples, dt=0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_non_positive_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            TimeSeries(samples=np.ones(4), dt=dt)
+
 
 class TestPsd:
     def test_validation(self):
@@ -705,6 +719,10 @@ class TestPsd:
         for freqs in ([1.0, math.nan], [math.nan, 2.0], [1.0, math.inf]):
             with pytest.raises(ValueError, match="finite"):
                 Psd(freqs=np.array(freqs), values=np.array([1.0, 1.0]))
+        for freqs, values in (([1.0], [1.0]), ([1.0, 2.0], [1.0, 1.0, 1.0]),
+                              ([[1.0, 2.0]], [[1.0, 1.0]])):
+            with pytest.raises(ValueError, match="matching 1-D arrays"):
+                Psd(freqs=np.array(freqs), values=np.array(values))
 
     def test_interpolation_zero_outside(self):
         psd = Psd(freqs=np.array([1.0, 3.0]), values=np.array([2.0, 4.0]))
@@ -1219,14 +1237,21 @@ class TestMonteCarloPhaseVariance:
 
     @pytest.mark.parametrize("oversample", [0, -1])
     @pytest.mark.parametrize(
-        "monte_carlo",
-        [monte_carlo_phase_variance, monte_carlo_vibration_allan],
-        ids=["phase_variance", "vibration_allan"],
+        "monte_carlo", [monte_carlo_phase_variance], ids=["phase_variance"]
     )
     def test_oversample_below_one_rejected(self, monte_carlo, oversample):
         with pytest.raises(ValueError, match="oversample must be >= 1"):
             monte_carlo(self._band(1e3, 1e4), self.crit7, n_shots=4, seed=1,
                         oversample=oversample)
+
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"n_shots": 1}, "n_shots must be >= 2"),
+        ({"duration_factor": 3}, "duration_factor must be >= 4"),
+    ], ids=["one_shot", "short_record"])
+    def test_too_few_shots_or_too_short_a_record_rejected(self, kwargs, text):
+        args = {"n_shots": 4, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=text):
+            monte_carlo_phase_variance(self._band(1e3, 1e4), self.crit7, **args)
 
     def test_no_record_and_one_interpolation(self, monkeypatch):
         # The spectrum is interpolated once per call, not once per shot,
@@ -1393,17 +1418,17 @@ def _brute_smooth_length(n):
         k += 1
 
 
-def _sliced_record_shot_phases(psd, profile, k_eff, cycle, n_shots, seed,
-                               oversample=32):
+def _sliced_record_shot_phases(psd, profile, k_eff, cycle, n_shots, seed):
     """Oracle: synthesize the acceleration record and slice it into shots.
 
     The record is the least 5-smooth number of whole cycles of s samples
     that holds ``n_shots`` cycles, one span and one sample; shot q is the
     trapezoid of ``k_eff w(t) a(t)`` over the window starting at sample
     ``q s``.  Returns the shot phases, the record length, the length needed
-    and s.
+    and s.  The step resolves the top frequency by 32 steps per period and
+    the pi pulse by 8.
     """
-    dt0 = min(2.0 * math.pi / (oversample * psd.freqs[-1]), profile.tau_p / 8.0)
+    dt0 = min(2.0 * math.pi / (32 * psd.freqs[-1]), profile.tau_p / 8.0)
     steps = int(math.ceil(cycle / dt0))
     dt = cycle / steps
     needed = int(round((n_shots * cycle + profile.span + dt) / dt))
@@ -1497,6 +1522,15 @@ class TestVibrationMonteCarlo:
                 monte_carlo_vibration_allan(
                     self.band, self.profile, cycle_time=cycle, n_shots=4
                 )
+
+    def test_two_shots_rejected(self):
+        # An Allan variance needs two differences of consecutive shots.
+        with pytest.raises(ValueError, match="n_shots must be >= 3"):
+            monte_carlo_vibration_allan(self.band, self.profile, n_shots=2)
+
+    def test_zero_psd_gives_zero(self):
+        silent = Psd(freqs=self.band.freqs, values=np.zeros(2))
+        assert monte_carlo_vibration_allan(silent, self.profile, n_shots=4) == 0.0
 
     def test_composed_run_adds_projection_noise(self):
         # A simulated run at criterion 7's timing: each shot's vibration
@@ -2064,6 +2098,12 @@ class TestCsvInterfaces:
             path.write_text("omega_rad_per_s,psd_value\n" + data)
             with pytest.raises(DataFormatError):
                 read_psd_csv(path)
+
+    def test_one_sample_series_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,y\n0.0,1.0\n")
+        with pytest.raises(DataFormatError, match="need at least two samples"):
+            read_series_csv(path)
 
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -197,6 +197,11 @@ def test_effective_params_from_detunings_uses_mean():
 # ---------------------------------------------------------------------------
 
 
+def test_pi_pulse_duration_needs_a_drive():
+    with pytest.raises(EliminationError, match="omega_eff is zero"):
+        pi_pulse_duration(EffectiveParams(omega_eff=0j, ac_g=0j, ac_e=0j, phi_eff=0.0))
+
+
 def test_pi_pulse_duration_and_inversion_phase():
     # [DERIVED: closed form] pi pulse at the shifted resonance inverts fully;
     # the transferred amplitude carries the mean-light-shift, frame, and

@@ -60,6 +60,12 @@ def test_classical_action_closed_form_second_path():
     assert classical_action(z1, t1, z2, t2, m, g) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("n_steps", [1, 0])
+def test_action_quadrature_oracle_needs_two_steps(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be >= 2"):
+        action_quadrature_oracle(0.0, 0.0, 1.0, 0.5, n_steps=n_steps)
+
+
 def test_classical_action_time_order_guard():
     with pytest.raises(TimeOrderError):
         classical_action(0.0, 1.0, 1.0, 1.0)

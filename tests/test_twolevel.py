@@ -25,7 +25,6 @@ from gravsim.twolevel import (
     mixing_angle,
     ode_oracle,
     propagator_matrix,
-    pulse_propagator,
     rotating_frame_hamiltonian,
     run_sequence,
     spectral_projectors,
@@ -287,7 +286,7 @@ def test_propagator_matrix_accepts_finite_phases_whose_sum_overflows():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_pulse_propagator_uses_pulse_record_fields():
+def test_evolve_pulse_uses_pulse_record_fields():
     pulse = PulseParams(
         rabi_mod=4e4,
         detuning=-3e3,
@@ -295,8 +294,10 @@ def test_pulse_propagator_uses_pulse_record_fields():
         laser_phase=0.2,
         start_time=2e-4,
     )
-    expected = propagator_matrix(4e4, 0.2, 2e-4, 1.3e-5, -3e3)
-    np.testing.assert_allclose(pulse_propagator(pulse), expected, rtol=1e-15)
+    state = TwoLevelState(c_a=0.6, c_b=0.8j)
+    out = evolve_pulse(state, pulse)
+    expected = propagator_matrix(4e4, 0.2, 2e-4, 1.3e-5, -3e3) @ np.array([0.8j, 0.6])
+    np.testing.assert_allclose([out.c_b, out.c_a], expected, rtol=1e-15)
 
 
 def test_spectral_decomposition_gives_propagator():
@@ -327,7 +328,8 @@ def test_spectral_decomposition_gives_propagator():
             return np.diag([cmath.exp(0.5j * delta * t), cmath.exp(-0.5j * delta * t)])
 
         chain = frame(t0 + tau).conj().T @ rotating @ frame(t0)
-        worst = max(worst, float(np.max(np.abs(chain - pulse_propagator(pulse)))))
+        closed = propagator_matrix(omega, pulse.laser_phase, t0, tau, delta)
+        worst = max(worst, float(np.max(np.abs(chain - closed))))
     assert worst < 1e-12
 
 
@@ -757,6 +759,7 @@ def test_evolve_pulse_is_the_propagator_applied(
     pulse = PulseParams(rabi_mod=omega, detuning=delta, duration=tau,
                         laser_phase=laser_phase, start_time=start)
     out = evolve_pulse(state, pulse)
-    c_b, c_a = pulse_propagator(pulse) @ np.array([state.c_b, state.c_a])
+    c_b, c_a = propagator_matrix(omega, laser_phase, start, tau, delta) @ np.array(
+        [state.c_b, state.c_a])
     assert abs(out.c_b - c_b) <= 2.0 * _EPS
     assert abs(out.c_a - c_a) <= 2.0 * _EPS
