@@ -84,7 +84,6 @@ _SCHEMA: dict[str, dict[str, tuple[Any, ...]]] = {
     "pulse": {
         "rabi_hz": ("float", 1e5, 0.0, math.inf),
         "detuning_hz": ("float", 0.0),
-        "laser_phase": ("float", 0.0),
         "duration": ("autofloat", None),
         "n_points": ("int", 201, *_GRID),
         "oracle_dt": ("autofloat", None),
@@ -112,7 +111,7 @@ _SCHEMA: dict[str, dict[str, tuple[Any, ...]]] = {
     },
     "io": {
         "out_dir": ("str", "."),
-        "seed": ("int", 0),
+        "seed": ("int", 0, 0, math.inf),
     },
 }
 
@@ -167,6 +166,14 @@ def _parse_value(kind: str, raw: str, where: str) -> object:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _in_range(where: str, spec: tuple[Any, ...], value: Any) -> Any:
+    """``value``, refused if its ``_SCHEMA`` spec bounds it and it lies outside."""
+    _, _, *bounds = spec
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"{where} = {value} must lie in [{bounds[0]}, {bounds[1]}]")
+    return value
+
+
 def load_config(path: str | None) -> Config:
     """Resolve the configuration: defaults, overlaid with the INI file.
 
@@ -203,13 +210,10 @@ def load_config(path: str | None) -> Config:
                         f"{config_path}: unknown key '{key}' in [{section}] "
                         f"(known: {', '.join(sorted(_SCHEMA[section]))})"
                     )
-                kind, _, *bounds = _SCHEMA[section][key]
                 where = f"{config_path}: [{section}] {key}"
-                value = values[section][key] = _parse_value(kind, raw, where)
-                if bounds and not bounds[0] <= value <= bounds[1]:
-                    raise ConfigError(
-                        f"{where} = {value} must lie in [{bounds[0]}, {bounds[1]}]"
-                    )
+                spec = _SCHEMA[section][key]
+                values[section][key] = _in_range(
+                    where, spec, _parse_value(spec[0], raw, where))
     for key in ("psd_file", "series_file"):
         file_ref = values["noise"][key]
         if file_ref and not Path(file_ref).is_file():
@@ -264,7 +268,6 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
             f"[pulse] rabi_hz = {cfg['pulse']['rabi_hz']} or detuning_hz = "
             f"{cfg['pulse']['detuning_hz']} overflows its angular rate 2 pi f"
         )
-    laser_phase = cfg["pulse"]["laser_phase"]
     n_points = cfg["pulse"]["n_points"]
     duration = cfg["pulse"]["duration"]
     if duration is None:
@@ -288,10 +291,11 @@ def cmd_rabi(cfg: Config, out_dir: Path) -> int:
     times = array("d", (i * interval for i in range(n_points)))
     times[-1] = duration
     # The oracle sweeps the uniform grid once, sampled at each output time
-    # after t = 0 (the ground state there).
+    # after t = 0 (the ground state there).  A drive phase phi turns the
+    # propagator into Z U Z^dag with Z diagonal and unitary, which leaves
+    # |c_b|^2 from the ground state unchanged, so the pulse has none.
     oracle, n_steps = twolevel._excited_sweep(
-        twolevel.PulseParams(rabi, detuning, interval, laser_phase=laser_phase), dt,
-        n_points - 1)
+        twolevel.PulseParams(rabi, detuning, interval), dt, n_points - 1)
     oracle.insert(0, 0.0)
     # Rabi's formula (rabi / omega_r)^2 sin^2(omega_r t / 2): |U_ba|^2 of the
     # closed-form propagator over [0, t], whose other factors have modulus
@@ -389,6 +393,13 @@ def cmd_fringe(cfg: Config, out_dir: Path) -> int:
 
 
 def cmd_allan(cfg: Config, out_dir: Path) -> int:
+    """Allan deviation of ``[noise] series_file`` on a geometric tau grid.
+
+    ``tau_min = auto`` is the sample interval dt, and ``tau_max = auto`` is
+    a fifth of the series' span, but at least dt: on a series of 5 samples
+    or fewer a fifth of the span falls below one sample, and the grid
+    collapses to tau = dt instead of a range the user never set.
+    """
     import logging
 
     import numpy as np
@@ -404,7 +415,7 @@ def cmd_allan(cfg: Config, out_dir: Path) -> int:
     if tau_min is None:
         tau_min = series.dt
     if tau_max is None:
-        tau_max = series.duration / 5.0
+        tau_max = max(series.duration / 5.0, series.dt)
     if not (0.0 < tau_min <= tau_max < math.inf):
         raise ConfigError(
             f"[noise] need 0 < tau_min <= tau_max < inf, got {tau_min}, {tau_max}"
@@ -539,7 +550,8 @@ def _run(args: argparse.Namespace) -> int:
     config_path = args.config or os.environ.get(ENV_CONFIG) or None
     cfg = load_config(config_path)
     if args.seed is not None:
-        cfg["io"]["seed"] = args.seed
+        cfg["io"]["seed"] = _in_range("--seed: [io] seed", _SCHEMA["io"]["seed"],
+                                      args.seed)
     if args.out is not None:
         cfg["io"]["out_dir"] = args.out
     out_dir = Path(cfg["io"]["out_dir"])

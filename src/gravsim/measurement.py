@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,30 +417,20 @@ def estimate_g_dual(
     big_t_b: float,
     k_eff: float = DEFAULT_K_EFF,
     dphi_laser: float = 0.0,
-    max_fringe_offset: int = 3,
 ) -> GravityEstimate:
     """Disambiguate the fringe identification with two interrogation times.
 
     Each scan pins g only modulo its own fringe lattice
     ``lat = 2 pi / (|k_eff| T^2)``.  The pairing of fringe offsets
-    ``(ma, mb)``, each in ``[-m, m]`` with ``m = max_fringe_offset``, where
-    the shifted estimates ``g_a + ma lat_a`` and ``g_b + mb lat_b``
-    coincide selects the common solution; the returned value is the
-    inverse-variance-weighted mean (or the plain mean if both fits are
-    noiseless).
-
-    One pass over ``ma`` finds it.  The ``mb`` nearest to ``g_a + ma
-    lat_a`` is one rounding of ``(g_a + ma lat_a - g_b) / lat_b``, clamped
-    to ``[-m, m]``; that ``mb`` and its two neighbours hold both the best
-    and the runner-up of all ``(2m + 1)^2`` pairings, the two the
-    ambiguity test compares.  (A neighbour is the runner-up only on a
-    lattice finer than about 2.2e-12 m/s^2, where twice the test's 1e-12
-    floor exceeds ``0.9 lat_b``.)  Work and memory are linear in ``m``.
+    ``(ma, mb)``, each in ``[-3, 3]``, where the shifted estimates
+    ``g_a + ma lat_a`` and ``g_b + mb lat_b`` coincide selects the common
+    solution; the returned value is the inverse-variance-weighted mean (or
+    the plain mean if both fits are noiseless).  The search ranks all 49
+    pairings by their gap and keeps the best and the runner-up, the two the
+    ambiguity test compares.
 
     Raises
     ------
-    ValueError
-        If ``max_fringe_offset`` is not an integer >= 0.
     TimeOrderError
         If ``big_t_a`` or ``big_t_b`` is not finite and positive (each is
         checked by its scan's :func:`estimate_g`, scan a first).
@@ -450,31 +440,21 @@ def estimate_g_dual(
     FitFailureError
         If either scan's :func:`estimate_g` fit fails.
     """
-    if not isinstance(max_fringe_offset, (int, np.integer)) or max_fringe_offset < 0:
-        raise ValueError(
-            f"max_fringe_offset must be an integer >= 0, got {max_fringe_offset!r}"
-        )
     est_a = estimate_g(scan_a, k_eff, big_t_a, dphi_laser)
     est_b = estimate_g(scan_b, k_eff, big_t_b, dphi_laser)
     lat_a = 2.0 * math.pi / (abs(k_eff) * big_t_a * big_t_a)
     lat_b = 2.0 * math.pi / (abs(k_eff) * big_t_b * big_t_b)
-    m = max_fringe_offset
-
-    def pairings() -> Iterator[tuple[float, int, int]]:
-        for ma in range(-m, m + 1):
-            g_a = est_a.g_hat + ma * lat_a
-            near = round(min(max((g_a - est_b.g_hat) / lat_b, -m - 1.0), m + 1.0))
-            for mb in range(max(near - 1, -m), min(near + 1, m) + 1):
-                yield abs(g_a - (est_b.g_hat + mb * lat_b)), ma, mb
-
-    (best_gap, ma, mb), *runner_up = heapq.nsmallest(2, pairings())
+    offsets = range(-3, 4)
+    (best_gap, ma, mb), (next_gap, _, _) = heapq.nsmallest(2, (
+        (abs(est_a.g_hat + ma * lat_a - (est_b.g_hat + mb * lat_b)), ma, mb)
+        for ma in offsets for mb in offsets))
     gap_tol = 0.1 * min(lat_a, lat_b)
     if best_gap > gap_tol:
         raise AmbiguousFringeError(
             f"no fringe pairing agrees to {gap_tol:.3e} m/s^2 "
             f"(best gap {best_gap:.3e})"
         )
-    if runner_up and runner_up[0][0] < 2.0 * max(best_gap, 1e-12):
+    if next_gap < 2.0 * max(best_gap, 1e-12):
         raise AmbiguousFringeError(
             "two fringe pairings are comparably consistent; widen the scans "
             "or separate the interrogation times further"

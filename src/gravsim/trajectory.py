@@ -154,30 +154,23 @@ def action_quadrature_oracle(
     t2: float,
     mass: float = RB87_MASS,
     g: float = DEFAULT_G,
-    n_steps: int = 1000,
 ) -> float:
     """Action between fixed endpoints by composite-Simpson quadrature.
 
     Reference path for :func:`classical_action`: reconstruct the
     boundary-matched :class:`FreeFallTrajectory`, sample the Lagrangian
-    m v^2/2 - m g z on a uniform grid, and integrate with Simpson's rule.
-    (The integrand is a quadratic polynomial in t, which Simpson integrates
-    exactly, so any remaining discrepancy is pure roundoff.)
-
-    Parameters
-    ----------
-    n_steps : int, optional
-        Number of grid intervals (rounded up to even).
+    m v^2/2 - m g z on a uniform grid of 1000 intervals, and integrate with
+    Simpson's rule.  The integrand is a quadratic polynomial in t, which
+    Simpson integrates exactly on any even number of intervals, so any
+    remaining discrepancy is pure roundoff.
     """
     _check_times(t1, t2)
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    n = n_steps + (n_steps % 2)
+    n = 1000
     path = FreeFallTrajectory(z1, boundary_velocity(z1, t1, z2, t2, g), t1, g)
     t = np.linspace(t1, t2, n + 1)
     v = path.velocity(t)
     lagrangian = 0.5 * mass * v * v - mass * g * path.position(t)
-    # Composite Simpson 1/3 rule on the uniform grid of n (even) intervals.
+    # Composite Simpson 1/3 rule on the uniform grid of n intervals.
     h = (t2 - t1) / n
     return float(
         h / 3.0 * (lagrangian[0] + lagrangian[-1]

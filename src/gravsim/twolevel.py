@@ -198,36 +198,28 @@ def spectral_projectors(eig: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
 
 def propagator_matrix(
     rabi_mod: float,
-    effective_phase: float,
+    laser_phase: float,
     start_time: float,
     duration: float,
     frame_delta: float,
-    rot_delta: float | None = None,
-    mean_shift: float = 0.0,
 ) -> np.ndarray:
-    """Exact propagator of a square pulse on (C_b, C_a) amplitudes.
+    """Exact propagator of a bare square pulse on (C_b, C_a) amplitudes.
 
     The unitary is assembled as D^dag(t0 + tau) * exp(-i H_R tau) * D(t0)
     with frame D(t) = diag(e^{+i frame_delta t/2}, e^{-i frame_delta t/2}).
-    ``rot_delta`` is the detuning entering the rotation axis (it differs from
-    ``frame_delta`` when constant diagonal shifts are present, e.g. light
-    shifts); ``mean_shift`` adds a global phase e^{-i mean_shift tau} from the
-    mean of those diagonal shifts.
+    The pulse has no diagonal shifts: light shifts, which tilt the rotation
+    axis and add a global phase, go through :func:`gravsim.raman.raman_pulse`.
 
     Parameters
     ----------
     rabi_mod : float
         Coupling modulus [rad/s].
-    effective_phase : float
+    laser_phase : float
         Drive phase entering the coupling [rad].
     start_time, duration : float
         Pulse start t0 [s] and length tau [s].
     frame_delta : float
         Frequency of the rotating frame = drive detuning [rad/s].
-    rot_delta : float, optional
-        Detuning along the rotation axis; defaults to ``frame_delta``.
-    mean_shift : float, optional
-        Mean diagonal energy shift [rad/s] contributing a global phase.
 
     Returns
     -------
@@ -238,25 +230,31 @@ def propagator_matrix(
     ------
     ValueError
         If a phase of the closed form is not finite: ``omega_r tau / 2``,
-        ``delta tau / 2``, ``delta t0 + phi`` or ``mean_shift tau``, with
-        ``delta = frame_delta`` and ``phi = effective_phase``.
+        ``delta tau / 2`` or ``delta t0 + phi``, with ``delta =
+        frame_delta`` and ``phi = laser_phase``.
     """
     import numpy as np
 
-    return np.array(_propagator_rows(rabi_mod, effective_phase, start_time, duration,
-                                     frame_delta, rot_delta, mean_shift))
+    return np.array(_propagator_rows(rabi_mod, laser_phase, start_time, duration,
+                                     frame_delta))
 
 
 def _propagator_rows(
     rabi_mod: float,
-    effective_phase: float,
+    laser_phase: float,
     start_time: float,
     duration: float,
     frame_delta: float,
     rot_delta: float | None = None,
     mean_shift: float = 0.0,
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The rows of :func:`propagator_matrix` as plain complex numbers."""
+    """The rows of :func:`propagator_matrix` as plain complex numbers.
+
+    ``rot_delta``, the detuning along the rotation axis, defaults to
+    ``frame_delta``; light shifts displace it, and their mean
+    ``mean_shift`` [rad/s] adds the global phase e^{-i mean_shift tau} (a
+    ``mean_shift tau`` that is not finite raises ``ValueError`` too).
+    """
     if rot_delta is None:
         rot_delta = frame_delta
     omega_r = math.hypot(rabi_mod, rot_delta)
@@ -268,7 +266,7 @@ def _propagator_rows(
         cos_theta = 0.0
     half_angle = omega_r * duration / 2.0
     frame_angle = frame_delta * duration / 2.0
-    drive_angle = frame_delta * start_time + effective_phase
+    drive_angle = frame_delta * start_time + laser_phase
     shift_angle = mean_shift * duration
     # One test in the usual case: a phase that is not finite makes the sum
     # not finite.  So can finite phases whose sum overflows, and then the
@@ -322,17 +320,15 @@ def mach_zehnder_probability(delta: float, tau_p: float, dphi_laser: float) -> f
 def _sequence_pulses(
     seq: SequenceParams,
     detuning: float,
-    t_start: float,
     timing: str,
 ) -> tuple[PulseParams, PulseParams, PulseParams]:
     """Build the three pulses of a pi/2 -- pi -- pi/2 sequence, each at the
     Rabi rate pi/tau_p.
 
-    The first pulse starts at ``t_start``.  Under ``"dark-intervals"`` the
-    others start at ``t_start`` plus edges 2 and 4 of
-    :func:`gravsim.core._pulse_edges`; under ``"start-to-start"`` at
-    ``t_start + T`` and ``t_start + 2 T``.  The durations are tau_p/2, tau_p
-    and tau_p/2 under both.  ``SequenceParams`` requires T > tau_p, so the
+    The first pulse starts at t = 0.  Under ``"dark-intervals"`` the others
+    start at edges 2 and 4 of :func:`gravsim.core._pulse_edges`; under
+    ``"start-to-start"`` at T and 2 T.  The durations are tau_p/2, tau_p and
+    tau_p/2 under both.  ``SequenceParams`` requires T > tau_p, so the
     pulses never overlap.
     """
     big_t = seq.t_interrogation
@@ -348,16 +344,15 @@ def _sequence_pulses(
     tau, half = seq.tau_p, seq.tau_p / 2.0
     p1, p2, p3 = seq.phases
     return (
-        PulseParams(rabi_mod, detuning, half, laser_phase=p1, start_time=t_start),
-        PulseParams(rabi_mod, detuning, tau, laser_phase=p2, start_time=t_start + t2),
-        PulseParams(rabi_mod, detuning, half, laser_phase=p3, start_time=t_start + t3),
+        PulseParams(rabi_mod, detuning, half, laser_phase=p1),
+        PulseParams(rabi_mod, detuning, tau, laser_phase=p2, start_time=t2),
+        PulseParams(rabi_mod, detuning, half, laser_phase=p3, start_time=t3),
     )
 
 
 def run_sequence(
     seq: SequenceParams,
     detuning: float = 0.0,
-    t_start: float = 0.0,
     timing: str = "dark-intervals",
 ) -> float:
     """Excited-state fraction after a pi/2 -- pi -- pi/2 pulse sequence.
@@ -369,6 +364,11 @@ def run_sequence(
     unchanged, and the drive phase accumulated over each dark time enters
     through the next pulse's ``start_time``.
 
+    The first pulse starts at t = 0, and no start time can be chosen: a
+    common shift s of all three starts adds delta s to every pulse's drive
+    phase, which cancels in phi_1 - 2 phi_2 + phi_3, so the exit population
+    does not depend on it.
+
     Parameters
     ----------
     seq : SequenceParams
@@ -376,8 +376,6 @@ def run_sequence(
         never overlap under either timing.
     detuning : float, optional
         Common drive detuning [rad/s].
-    t_start : float, optional
-        Start time of the first pulse [s].
     timing : {"dark-intervals", "start-to-start"}
         Pulse placement convention.  "dark-intervals" (default) leaves a dark
         interval of T between a pulse's end and the next pulse's start: the
@@ -398,7 +396,7 @@ def run_sequence(
         If ``timing`` is neither of the two conventions.
     """
     state = TwoLevelState.ground()
-    for pulse in _sequence_pulses(seq, detuning, t_start, timing):
+    for pulse in _sequence_pulses(seq, detuning, timing):
         state = evolve_pulse(state, pulse)
     return state_probability(state, "b")
 

@@ -45,9 +45,7 @@ def _one_past(kind, bounds):
     if not bounds:
         return []
     low, high = bounds
-    if kind == "int":
-        return [low - 1, high + 1]
-    return [math.nextafter(b, s * math.inf)
+    return [b + s if kind == "int" else math.nextafter(b, s * math.inf)
             for b, s in ((low, -1), (high, 1)) if math.isfinite(b)]
 
 
@@ -177,9 +175,9 @@ class TestRabi:
         # Each sampled population is ode_oracle's over [0, t_i] at the
         # sweep's step h: the same number of steps, i * 11, of an h that
         # differs by rounding (t_i / (11 i) against the interval / 11), so
-        # they agree to a few ulp of 1 (4.5 at most, measured).
+        # they agree to a few ulp of 1 (1.0 at most, measured).
         cfg = write_config(
-            tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\nn_points = 11\n")
+            tmp_path, "[pulse]\ndetuning_hz = 4e4\nn_points = 11\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, data = read_table(tmp_path / "rabi.csv")
         rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
@@ -189,7 +187,7 @@ class TestRabi:
         for i in range(1, 11):
             t = float(times[i])
             assert math.ceil(t / h) == 11 * i
-            pulse = twolevel.PulseParams(rabi, detuning, t, laser_phase=0.7)
+            pulse = twolevel.PulseParams(rabi, detuning, t)
             final = twolevel.ode_oracle(twolevel.TwoLevelState.ground(), pulse, dt=h)
             assert abs(data[i, 2] - abs(final.c_b) ** 2) <= 8 * 2.0**-52
 
@@ -230,16 +228,15 @@ class TestRabi:
     def test_oracle_column_within_one_ulp_of_mpmath(self, tmp_path):
         # CI's detuned.ini.  Each oracle value is abs(b_b) ** 2 of the
         # sweep's sample: within 2**-52, one ulp of 1, of the sample's exact
-        # squared modulus (0.63 ulp at most, measured).  numpy's complex abs
-        # missed it by up to 1.13 ulp.
+        # squared modulus (0.25 ulp at most, measured).
         mpmath = pytest.importorskip("mpmath")
-        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\n")
+        cfg = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\n")
         assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 0
         oracle = [line.split(",")[2] for line in data_lines(tmp_path / "rabi.csv")[1:]]
         rabi, detuning = 2.0 * math.pi * 1e5, 2.0 * math.pi * 4e4
         interval = math.pi / rabi / 200
         dt = 2.0 * math.pi / (200.0 * math.hypot(rabi, detuning))
-        pulse = twolevel.PulseParams(rabi, detuning, interval, laser_phase=0.7)
+        pulse = twolevel.PulseParams(rabi, detuning, interval)
         column, _ = twolevel._excited_sweep(pulse, dt, 200)
         assert oracle == [f"{p:.15e}" for p in [0.0, *column]]
         a0, nu, rate = twolevel._pulse_generator(pulse)
@@ -264,8 +261,7 @@ class TestRabi:
                                   capture_output=True, text=True)
 
         out = tmp_path / "out"
-        detuned = write_config(
-            tmp_path, "[pulse]\ndetuning_hz = 4e4\nlaser_phase = 0.7\n")
+        detuned = write_config(tmp_path, "[pulse]\ndetuning_hz = 4e4\n")
         for config in ([], ["--config", detuned]):
             files = []
             for block in (False, True):
@@ -467,6 +463,26 @@ class TestAllan:
             "omitting 999997 tau in [1, 3.8] s: snaps to an m already kept\n"
         )
         expected = noise.allan_deviation(series, [1.0, 2.0, 3.0])
+        _, data = read_table(tmp_path / "allan.csv")
+        np.testing.assert_array_equal(
+            data, np.column_stack([expected.tau_avgs, expected.adevs, expected.n_blocks])
+        )
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_auto_tau_grid_on_a_short_series(self, tmp_path, capsys, n):
+        # A fifth of the span, (n - 1) dt / 5, is 0.1 and 0.4 s at n = 2
+        # and 5, below the 0.5-s sample (once a config error blaming a grid
+        # the user never set); auto tau_max is floored at dt.  At n = 6 a
+        # fifth of the span is dt itself.  Every auto time is then dt, and
+        # one row comes out.
+        series = noise.TimeSeries(samples=np.arange(float(n)) % 3, dt=0.5)
+        path = tmp_path / "short.csv"
+        noise.write_series_csv(path, series)
+        cfg = write_config(tmp_path, f"[noise]\nseries_file = {path}\n")
+        assert main(["allan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "omitting 19 tau in [0.5, 0.5] s: snaps to an m already kept\n")
+        expected = noise.allan_deviation(series, [0.5])
         _, data = read_table(tmp_path / "allan.csv")
         np.testing.assert_array_equal(
             data, np.column_stack([expected.tau_avgs, expected.adevs, expected.n_blocks])
@@ -683,18 +699,29 @@ class TestPsdVariance:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        # "workers", "hbar" and "atom_mass" are retired keys: old configs
-        # that set them are refused.
+        # "workers", "hbar", "atom_mass" and "laser_phase" are retired
+        # keys: old configs that set them are refused.
         for section, key, known in (
             ("scan", "froop", "span_fringes"),
             ("scan", "workers", "span_fringes"),
             ("constants", "hbar", "gravity"),
             ("constants", "atom_mass", "gravity"),
+            ("pulse", "laser_phase", "detuning_hz"),
         ):
             cfg = write_config(tmp_path, f"[{section}]\n{key} = 3\n")
             assert main(["rabi", "--config", cfg, "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert f"unknown key '{key}' in [{section}]" in err and known in err
+
+    def test_negative_seed_flag_is_refused_as_io_seed(self, tmp_path, capsys):
+        # --seed gets [io] seed's range, as the config key does (the
+        # fringe-seed case below); a noisy fringe once blamed [scan].
+        cfg = write_config(tmp_path, "[scan]\nn_atoms = 100\n")
+        out = tmp_path / "out"
+        assert main(["fringe", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --seed: [io] seed = -1 must lie in [0, inf]\n")
+        assert not out.exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[telescope]\nmirrors = 2\n")
@@ -784,7 +811,8 @@ class TestConfigHandling:
             ("fringe", "[scan]\nn_atoms = -5\n", "n_atoms"),
             # Past 2^63 - 1, the largest n numpy's binomial draw accepts.
             ("fringe", "[scan]\nn_atoms = 100000000000000000000\n", "n_atoms"),
-            ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n", "seed"),
+            ("fringe", "[scan]\nn_atoms = 100\n[io]\nseed = -1\n",
+             "[io] seed = -1 must lie in [0, inf]"),
             # T^2 overflows: the fringe period 2 pi / T^2 would be 0.
             ("fringe", "[sequence]\nt_interrogation = 1e200\n", "t_interrogation"),
             # 2 pi * 1e308 / T overflows the omega grid.
@@ -879,7 +907,7 @@ class TestConfigHandling:
                   for section, keys in _SCHEMA.items()
                   for key, (_, _, *ends) in keys.items()
                   for bound in ends if math.isfinite(bound)]
-        assert len(bounds) == 12
+        assert len(bounds) == 13
         for section, key, bound in bounds:
             cfg = write_config(tmp_path, f"[{section}]\n{key} = {bound!r}\n")
             assert load_config(cfg)[section][key] == bound
@@ -892,9 +920,9 @@ class TestConfigHandling:
                     ranged[f"{section}.{key}"] = bounds
                     assert bounds[0] <= default <= bounds[1]
         assert sorted(ranged) == [
-            "noise.n_tau", "pulse.n_points", "pulse.rabi_hz", "scan.n_points",
-            "sensitivity.n_time_points", "sensitivity.transfer_min_cycles",
-            "sensitivity.transfer_points",
+            "io.seed", "noise.n_tau", "pulse.n_points", "pulse.rabi_hz",
+            "scan.n_points", "sensitivity.n_time_points",
+            "sensitivity.transfer_min_cycles", "sensitivity.transfer_points",
         ]
 
     def test_transfer_grid_order_names_both_keys(self, tmp_path, capsys):
@@ -939,7 +967,7 @@ class TestConfigHandling:
         config_format = readme.split("### Config file format", 1)[1]
         block = config_format.split("```ini\n", 1)[1].split("```", 1)[0]
         n_set = sum("=" in line.partition("#")[0] for line in block.splitlines())
-        assert n_set == sum(len(keys) for keys in _SCHEMA.values()) == 30
+        assert n_set == sum(len(keys) for keys in _SCHEMA.values()) == 29
         cfg = load_config(write_config(tmp_path, block))
         assert cfg == {
             section: {key: default for key, (_, default, *_) in keys.items()}

@@ -230,8 +230,9 @@ def test_pi_pulse_duration_and_inversion_phase():
 
 
 def test_equal_shifts_reduce_to_bare_dynamics():
-    # With ac_g = ac_e the resonance is undisplaced: the propagator equals
-    # the bare two-level one times the global mean-shift phase.
+    # With ac_g = ac_e the resonance is undisplaced: raman_pulse's
+    # propagator on (c_e, c_g) equals the bare two-level one times the
+    # global mean-shift phase.
     omega = 2.0 * math.pi * 1e4
     lasers = make_lasers(rabi_gi=omega, rabi_ei=omega, phi1=0.2, phi2=0.9)
     params = effective_params(lasers, 2.0 * math.pi * 1e6)
@@ -239,17 +240,16 @@ def test_equal_shifts_reduce_to_bare_dynamics():
     delta, t0, tau = 37.0, 2e-4, 3.3e-3
     ac = complex(params.ac_g).real
     bare = propagator_matrix(
-        2.0 * abs(params.omega_eff), params.phi_eff, t0, tau, delta
-    )
-    dressed = propagator_matrix(
         2.0 * abs(params.omega_eff),
-        params.phi_eff,
+        params.phi_eff - cmath.phase(params.omega_eff),
         t0,
         tau,
         delta,
-        rot_delta=delta,
-        mean_shift=ac,
     )
+    columns = [raman_pulse(RamanState(c_g=c_g, c_e=c_e, p_g=0.0, p_e=0.0),
+                           params, delta, t0, tau)
+               for c_e, c_g in ((1.0, 0.0), (0.0, 1.0))]
+    dressed = np.array([[out.c_e for out in columns], [out.c_g for out in columns]])
     np.testing.assert_allclose(dressed, cmath.exp(-1j * ac * tau) * bare, rtol=1e-12)
 
 

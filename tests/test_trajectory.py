@@ -60,12 +60,6 @@ def test_classical_action_closed_form_second_path():
     assert classical_action(z1, t1, z2, t2, m, g) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("n_steps", [1, 0])
-def test_action_quadrature_oracle_needs_two_steps(n_steps):
-    with pytest.raises(ValueError, match="n_steps must be >= 2"):
-        action_quadrature_oracle(0.0, 0.0, 1.0, 0.5, n_steps=n_steps)
-
-
 def test_classical_action_time_order_guard():
     with pytest.raises(TimeOrderError):
         classical_action(0.0, 1.0, 1.0, 1.0)
@@ -90,7 +84,7 @@ def test_classical_action_time_order_guard():
 @settings(max_examples=100, deadline=None)
 def test_action_closed_form_matches_quadrature(z1, z2, dt, g):
     closed = classical_action(z1, 0.0, z2, dt, RB87_MASS, g)
-    quad = action_quadrature_oracle(z1, 0.0, z2, dt, RB87_MASS, g, n_steps=200)
+    quad = action_quadrature_oracle(z1, 0.0, z2, dt, RB87_MASS, g)
     scale = max(abs(closed), RB87_MASS)  # actions can cross zero
     assert abs(closed - quad) <= 1e-9 * scale
 
